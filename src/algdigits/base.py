@@ -321,9 +321,15 @@ class AlgebraicBase:
         Monic, degree >= 2: an int or a coordinate sequence of length
         <= degree in the power basis 1, alpha, ..., alpha^(d-1).
         Degree one: an int or Fraction whose denominator divides a power
-        of b (the denominator of alpha = a/b)."""
+        of b (the denominator of alpha = a/b), or a one-coordinate
+        sequence holding one."""
         self._require_elements()
         if self.degree == 1:
+            if isinstance(value, (list, tuple)):
+                if len(value) != 1:
+                    raise ValueError(
+                        f"degree-one base takes one coordinate, got {len(value)}")
+                (value,) = value
             v = Fraction(value)
             den = v.denominator
             _, b = self.rational_view

@@ -113,8 +113,7 @@ def _record_out(record) -> dict:
 
 
 def _manifest(args, limits: dict) -> dict:
-    import numpy
-    import sympy
+    from importlib.metadata import version
 
     return {
         "tool": "algdigits",
@@ -122,7 +121,7 @@ def _manifest(args, limits: dict) -> dict:
         "command": args.command,
         "argv": list(args._argv),
         "python": platform.python_version(),
-        "libs": {"numpy": numpy.__version__, "sympy": sympy.__version__},
+        "libs": {"numpy": version("numpy"), "sympy": version("sympy")},
         "limits": limits,
     }
 
@@ -377,8 +376,20 @@ def _add_poly(p: argparse.ArgumentParser) -> None:
                    help="interval width target, e.g. '2^-40' or '1/1000000'")
 
 
+class UsageError(ValueError):
+    """The command line does not match the parser."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors (exit 2) instead of printing usage text;
+    subcommand parsers inherit the class."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="algdigits",
         description="Exact digit systems, zero automata and digit-set "
                     "cardinality over algebraic bases.")
@@ -471,23 +482,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(exc: Exception, code: int) -> int:
+    print(canonical_dumps({"error": {"type": type(exc).__name__,
+                                     "message": str(exc)}}),
+          file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args._argv = argv
     try:
+        args = build_parser().parse_args(argv)
+        args._argv = argv
         return args.func(args)
     except ValueError as exc:
-        print(canonical_dumps({"error": {"type": type(exc).__name__,
-                                         "message": str(exc)}}),
-              file=sys.stderr)
-        return 2
+        return _fail(exc, 2)
     except RuntimeError as exc:
-        print(canonical_dumps({"error": {"type": type(exc).__name__,
-                                         "message": str(exc)}}),
-              file=sys.stderr)
-        return 3
+        return _fail(exc, 3)
 
 
 if __name__ == "__main__":

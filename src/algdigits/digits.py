@@ -289,18 +289,16 @@ def periodic_points(base: AlgebraicBase, digits=None, *,
     bounds = orbit_bound(base, digit_set)
     c = bounds.c
 
-    if base.degree == 1:
-        limit = int(c)
-        count = 2 * limit + 1
-        if count > candidate_cap:
-            raise ResourceCapError(f"{count} candidates exceed cap {candidate_cap}")
-        candidates = [base.element(v) for v in range(-limit, limit + 1)]
-    else:
-        limit = _coordinate_bound(base, c)
-        count = (2 * limit + 1) ** base.degree
-        if count > candidate_cap:
-            raise ResourceCapError(f"{count} candidates exceed cap {candidate_cap}")
-        candidates = _filtered_lattice(base, limit, c)
+    limit = int(c) if base.degree == 1 else _coordinate_bound(base, c)
+    count = (2 * limit + 1) ** base.degree
+    if count > candidate_cap:
+        raise ResourceCapError(f"{count} candidates exceed cap {candidate_cap}")
+
+    def lattice():
+        points = range(-limit, limit + 1)
+        if base.degree == 1:
+            return map(base.element, points)
+        return itertools.product(points, repeat=base.degree)
 
     status: dict = {}
     cycles: set = set()
@@ -326,54 +324,25 @@ def periodic_points(base: AlgebraicBase, digits=None, *,
             for st in path:
                 status[st] = False
 
-    if jobs > 1:
-        chunks = [candidates[i::jobs] for i in range(jobs)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(lambda ch: [resolve(x) for x in ch], chunks))
-    else:
-        for x in candidates:
+    def scan(start: int, step: int) -> None:
+        for x in itertools.islice(lattice(), start, None, step):
             resolve(x)
+
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            list(pool.map(scan, range(jobs), itertools.repeat(jobs)))
+    else:
+        scan(0, 1)
 
     ordered_cycles = tuple(sorted(cycles, key=lambda cyc: _sort_key(cyc[0])))
     elements = tuple(sorted({x for cyc in ordered_cycles for x in cyc}, key=_sort_key))
-    return PeriodicSet(elements, ordered_cycles, bounds, len(candidates))
+    return PeriodicSet(elements, ordered_cycles, bounds, count)
 
 
 def _sort_key(x):
     if isinstance(x, tuple):
         return x
     return (x,)
-
-
-def _filtered_lattice(base: AlgebraicBase, limit: int, c: Fraction) -> list:
-    """Lattice points with every |sigma(x)| possibly <= c.  A point is
-    dropped only when an exact interval evaluation proves some conjugate
-    exceeds c; float arithmetic is used only to accept obviously interior
-    points quickly."""
-    d = base.degree
-    table = base._store.power_boxes(d)
-    sup_f = [[float(p.abs_bounds()[1]) for p in row] for row in table]
-    c_f = float(c)
-    c_sq = c * c
-    out = []
-    for coords in itertools.product(range(-limit, limit + 1), repeat=d):
-        quick = max(sum(abs(ci) * sup_f[k][i] for i, ci in enumerate(coords))
-                    for k in range(d))
-        if quick <= c_f:
-            out.append(coords)
-            continue
-        keep = True
-        for k in range(d):
-            acc = Box.point(0)
-            for i, ci in enumerate(coords):
-                if ci:
-                    acc = acc + table[k][i].scale(ci)
-            if acc.abs_sq().lo > c_sq:
-                keep = False
-                break
-        if keep:
-            out.append(coords)
-    return out
 
 
 def is_number_system(base: AlgebraicBase, digits=None, *,

@@ -283,7 +283,7 @@ def count_real_roots_between(poly: IntPolynomial, lo: int, hi: int) -> int:
 
     x = sympy.Symbol("x")
     expr = sympy.Poly(list(reversed(poly.coeffs)), x, domain="ZZ")
-    return expr.count_roots(lo, hi)
+    return int(expr.count_roots(lo, hi))
 
 
 def palindromic_half(poly: IntPolynomial) -> IntPolynomial:

@@ -2,7 +2,10 @@
 codes, determinism."""
 
 import json
+import subprocess
+import sys
 from fractions import Fraction
+from importlib.metadata import version
 
 import pytest
 
@@ -48,7 +51,17 @@ class TestAnalyze:
         assert manifest["tool"] == "algdigits"
         assert manifest["command"] == "analyze"
         assert manifest["argv"] == ["analyze", "--poly", "x-2"]
-        assert "numpy" in manifest["libs"] and "sympy" in manifest["libs"]
+        assert manifest["libs"] == {"numpy": version("numpy"),
+                                    "sympy": version("sympy")}
+
+    def test_cyclotomic_counts_are_integers(self, capsys):
+        result = run_json(capsys, "analyze", "--poly",
+                          "x^4+x^3+x^2+x+1")["result"]
+        assert result["classification"] == "RootOfUnity"
+        counts = [result[k] for k in ("n_expanding", "n_unit",
+                                      "n_contracting")]
+        assert counts == [0, 4, 0]
+        assert all(type(c) is int for c in counts)
 
     def test_precision_env(self, capsys, monkeypatch):
         monkeypatch.setenv("ALGDIGITS_PRECISION", "2^-30")
@@ -84,6 +97,19 @@ class TestExpand:
                           "--value", "[5,0]")["result"]
         assert result["replay_ok"] is True
         assert result["start"] == [5, 0]
+
+    def test_degree_one_coordinate_value(self, capsys):
+        listed = run_json(capsys, "expand", "--poly", "x+2",
+                          "--value", "[7]")["result"]
+        plain = run_json(capsys, "expand", "--poly", "x+2",
+                         "--value", "7")["result"]
+        assert listed == plain
+
+    def test_degree_one_long_coordinates_exit_2(self, capsys):
+        code, out, err = run(capsys, "expand", "--poly", "x+2",
+                             "--value", "[1,2]")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "ValueError"
 
     def test_cycle_tail(self, capsys):
         result = run_json(capsys, "expand", "--poly", "x-2",
@@ -247,6 +273,41 @@ class TestErrors:
                               "--digits", "0,2")
         assert code == 2
         assert json.loads(err)["error"]["type"] == "DigitSetError"
+
+
+class TestUsage:
+    def test_missing_argument_is_one_json_error(self, capsys):
+        code, out, err = run(capsys, "count", "--poly", "x-2",
+                             "--height", "2")
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert set(error) == {"type", "message"}
+        assert error["type"] == "UsageError"
+        assert "--length" in error["message"]
+
+    def test_bad_choice_and_bad_int(self, capsys):
+        for argv in (["frobnicate"], ["periodic", "--poly", "x-2",
+                                      "--jobs", "many"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert json.loads(err)["error"]["type"] == "UsageError"
+
+    def test_help_still_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: algdigits count")
+
+
+class TestStartup:
+    def test_rational_does_not_import_sympy(self):
+        code = ("import sys\n"
+                "from algdigits.cli import main\n"
+                "assert main(['rational', '--base', '5/2', 'expand', '7']) == 0\n"
+                "assert 'sympy' not in sys.modules\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestVersion:

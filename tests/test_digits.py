@@ -1,6 +1,7 @@
 """Digit sets, backward-division orbits, periodic points, and the
 height-reduction set."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,8 @@ from algdigits import (
     validate_crs,
     zero_orbit_set,
 )
+from algdigits.base import Classification
+from algdigits.digits import _coordinate_bound
 
 from oracles import (
     height_values_naive,
@@ -216,6 +219,54 @@ class TestPeriodicPoints:
         many = periodic_points(SQRT2, [0, 1], jobs=4)
         assert lone.elements == many.elements
         assert set(lone.cycles) == set(many.cycles)
+
+
+class TestLatticeScan:
+    """periodic_points follows the orbit of every point of the coordinate
+    box |x_i| <= limit; nothing is filtered out beforehand."""
+
+    def test_scans_full_lattice(self):
+        for base, digits in [(GAUSS, None), (SQRT2, [0, 1]),
+                             (make_base("x^3 + 2"), [4, -3])]:
+            pset = periodic_points(base, digits)
+            limit = _coordinate_bound(base, pset.bounds.c)
+            assert pset.candidates_scanned == (2 * limit + 1) ** base.degree
+            # the scanned count is exactly the one checked against the cap
+            periodic_points(base, digits,
+                            candidate_cap=pset.candidates_scanned)
+            with pytest.raises(ResourceCapError):
+                periodic_points(base, digits,
+                                candidate_cap=pset.candidates_scanned - 1)
+
+    def test_wide_digits_match_quadratic_oracle(self):
+        # Digits far from 0 make the coordinate box much larger than the
+        # conjugate region, so most lattice points are not periodic.
+        rng = random.Random(2014)
+        checked = 0
+        while checked < 8:
+            a1, a2 = rng.randint(-3, 3), rng.choice([-6, -5, -4, -3, 3, 4, 5, 6])
+            try:
+                base = make_base([a2, a1, 1])
+            except ValueError:
+                continue
+            if base.classification is not Classification.EXPANDING_INTEGER:
+                continue
+            m = abs(a2)
+            digits = [i + m * rng.randint(-5, 5) for i in range(m)]
+            pset = periodic_points(base, digits)
+            limit = _coordinate_bound(base, pset.bounds.c)
+            assert set(pset.elements) == periodic_points_quadratic(
+                a1, a2, digits, limit)
+            checked += 1
+
+    def test_jobs_agree_on_cubic(self):
+        base = make_base("x^3 + 2")
+        lone = periodic_points(base, [4, -3], jobs=1)
+        many = periodic_points(base, [4, -3], jobs=3)
+        assert len(lone.cycles) > 1
+        assert lone.elements == many.elements
+        assert lone.cycles == many.cycles
+        assert lone.candidates_scanned == many.candidates_scanned
 
 
 class TestVerdicts:
