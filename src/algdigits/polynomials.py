@@ -265,10 +265,26 @@ def divides_over_q(divisor: IntPolynomial, multiple: IntPolynomial) -> bool:
     return not rem
 
 
+# Largest end coefficient for which rational roots are found by divisors.
+_ROOT_TEST_MAX = 10**8
+
+
+def _divisors(n: int) -> list[int]:
+    small = [k for k in range(1, math.isqrt(abs(n)) + 1) if n % k == 0]
+    return small + [abs(n) // k for k in small]
+
+
 def is_irreducible_z(poly: IntPolynomial) -> bool:
-    """Irreducibility over Q for a primitive polynomial, via exact
-    factorization (sympy).  Import is local: parsing and basic checks
-    should not pay the sympy startup cost."""
+    """Irreducibility over Q for a primitive polynomial.  Degree 2 and 3
+    factor exactly when they have a rational root p/q (p | constant term,
+    q | leading coefficient); other degrees use exact factorization
+    (sympy), imported locally so that low degrees skip its startup cost."""
+    cs, d = poly.coeffs, poly.degree
+    if d in (2, 3) and max(abs(cs[0]), abs(cs[-1])) <= _ROOT_TEST_MAX:
+        qs = _divisors(cs[-1])
+        return cs[0] != 0 and not any(
+            sum(c * (s * p) ** i * q ** (d - i) for i, c in enumerate(cs)) == 0
+            for p in _divisors(cs[0]) for q in qs for s in (1, -1))
     import sympy
 
     x = sympy.Symbol("x")

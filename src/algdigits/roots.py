@@ -29,10 +29,6 @@ def _cadd(a: _CRat, b: _CRat) -> _CRat:
     return (a[0] + b[0], a[1] + b[1])
 
 
-def _csub(a: _CRat, b: _CRat) -> _CRat:
-    return (a[0] - b[0], a[1] - b[1])
-
-
 def _cmul(a: _CRat, b: _CRat) -> _CRat:
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 

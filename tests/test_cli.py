@@ -309,6 +309,17 @@ class TestStartup:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
 
+    def test_quadratic_and_cubic_bases_do_not_import_sympy(self):
+        code = ("import sys\n"
+                "from algdigits.cli import main\n"
+                "assert main(['expand', '--poly', 'x^2+2x+2',"
+                " '--value', '[5,7]']) == 0\n"
+                "assert main(['is-ns', '--poly', 'x^3+3x^2+3x+3']) == 0\n"
+                "assert 'sympy' not in sys.modules\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestVersion:
     def test_version_flag(self, capsys):

@@ -1,4 +1,7 @@
+import random
+
 import pytest
+import sympy
 
 from algdigits.errors import InvalidPolynomialError, PolynomialSyntaxError
 from algdigits.polynomials import (IntPolynomial, count_real_roots_between,
@@ -101,6 +104,40 @@ class TestExactPredicates:
         assert is_irreducible_z(IntPolynomial((2, 2, 1)))
         assert not is_irreducible_z(IntPolynomial((-1, 0, 1)))
         assert not is_irreducible_z(IntPolynomial((2, 3, 1)))
+
+    @staticmethod
+    def _sympy_irreducible(coeffs) -> bool:
+        x = sympy.Symbol("x")
+        _, factors = sympy.Poly(list(reversed(coeffs)), x).factor_list()
+        return (len(factors) == 1 and factors[0][1] == 1
+                and factors[0][0].degree() == len(coeffs) - 1)
+
+    def test_low_degree_agrees_with_factorization(self):
+        # Random quadratics and cubics, plus products of random factors
+        # so that about half are reducible (repeated factors included).
+        rng = random.Random(7)
+        cases = []
+        for _ in range(150):
+            d = rng.choice([2, 3])
+            cs = [rng.randint(-30, 30) for _ in range(d)]
+            cases.append(tuple(cs + [rng.choice([1, -1, 2, 3, -6, 12])]))
+            f = [rng.randint(-9, 9), rng.choice([1, -1, 2, 5])]
+            g = [rng.randint(-9, 9) for _ in range(d - 1)] + [rng.randint(1, 4)]
+            cases.append(tuple(sum(f[i] * g[k - i] for i in range(len(f))
+                                   if 0 <= k - i < len(g))
+                               for k in range(d + 1)))
+        reducible = 0
+        for cs in cases:
+            expected = self._sympy_irreducible(cs)
+            reducible += not expected
+            assert is_irreducible_z(IntPolynomial(cs)) == expected, cs
+        assert 100 < reducible < 250
+
+    def test_cubic_with_large_end_coefficients(self):
+        # Past the divisor-listing bound the cubic goes to sympy.
+        big = 2**61 - 1
+        assert is_irreducible_z(IntPolynomial((big, 0, 0, 1)))
+        assert not is_irreducible_z(IntPolynomial((-big**3, 0, 0, 1)))
 
     def test_real_root_count(self):
         assert count_real_roots_between(IntPolynomial((-2, 0, 1)), -2, 2) == 2
