@@ -13,6 +13,7 @@ every remaining modulus from 1, which is guaranteed to terminate.
 
 from __future__ import annotations
 
+import operator
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -141,33 +142,22 @@ def _modulus_contains_one(box: Box) -> bool:
     return lo <= 1 <= hi
 
 
+def _integer(c) -> int:
+    """c as an int; ValueError for anything that is not an integer,
+    bools and floats included."""
+    if not isinstance(c, bool):
+        try:
+            return operator.index(c)
+        except TypeError:
+            pass
+    raise ValueError(f"coordinate {c!r} is not an integer")
+
+
 def _sort_rank(box: Box, unit: bool) -> int:
     if unit:
         return 1
     lo, _hi = box.abs_bounds()
     return 0 if lo > 1 else 2
-
-
-def _is_cyclotomic_product(poly: IntPolynomial) -> bool:
-    """Exact check that every root is a root of unity: does poly divide
-    x^m - 1 for some m up to 2 d^2 + 4?  (phi(m) >= sqrt(m/2), so the
-    order of a degree-d algebraic number is at most 2 d^2.)"""
-    d = poly.degree
-    if not poly.is_monic or d > 32:
-        return False
-    coeffs = list(poly.coeffs)
-    cur = [0, 1] + [0] * (d - 2) if d >= 2 else [-coeffs[0]]
-    cur = cur[:d] + [0] * (d - len(cur))
-    one = [1] + [0] * (d - 1)
-    for _ in range(2 * d * d + 4):
-        if cur == one:
-            return True
-        lead = cur[-1]
-        cur = [0] + cur[:-1]
-        if lead:
-            for i in range(d):
-                cur[i] -= lead * coeffs[i]
-    return False
 
 
 class AlgebraicBase:
@@ -236,10 +226,11 @@ class AlgebraicBase:
                                if not u and lo > 1)
         self.n_contracting = d - self.n_unit - self.n_expanding
         if self.n_unit == d:
-            if poly.is_monic and _is_cyclotomic_product(poly):
-                self.classification = Classification.ROOT_OF_UNITY
-            else:
-                self.classification = Classification.UNIMODULAR
+            # Kronecker: a monic integer polynomial with every root on
+            # the unit circle has only roots of unity as roots.
+            self.classification = (Classification.ROOT_OF_UNITY
+                                   if poly.is_monic
+                                   else Classification.UNIMODULAR)
         elif self.n_expanding == d:
             self.classification = (Classification.EXPANDING_INTEGER
                                    if poly.is_monic
@@ -322,15 +313,17 @@ class AlgebraicBase:
         <= degree in the power basis 1, alpha, ..., alpha^(d-1).
         Degree one: an int or Fraction whose denominator divides a power
         of b (the denominator of alpha = a/b), or a one-coordinate
-        sequence holding one."""
+        sequence holding one.  Anything else (a float, a bool, None, a
+        nested sequence) raises ValueError."""
         self._require_elements()
+        if not isinstance(value, (list, tuple)):
+            value = (value,)
         if self.degree == 1:
-            if isinstance(value, (list, tuple)):
-                if len(value) != 1:
-                    raise ValueError(
-                        f"degree-one base takes one coordinate, got {len(value)}")
-                (value,) = value
-            v = Fraction(value)
+            if len(value) != 1:
+                raise ValueError(
+                    f"degree-one base takes one coordinate, got {len(value)}")
+            (v,) = value
+            v = v if isinstance(v, Fraction) else Fraction(_integer(v))
             den = v.denominator
             _, b = self.rational_view
             while den != 1:
@@ -341,9 +334,7 @@ class AlgebraicBase:
                         f"{v.denominator} has a prime factor outside {abs(b)}")
                 den //= g
             return v
-        if isinstance(value, int):
-            return (value,) + (0,) * (self.degree - 1)
-        coords = tuple(int(c) for c in value)
+        coords = tuple(_integer(c) for c in value)
         if len(coords) > self.degree:
             raise ValueError(f"coordinate vector longer than degree {self.degree}")
         return coords + (0,) * (self.degree - len(coords))

@@ -34,12 +34,16 @@ PRECISION_ENV = "ALGDIGITS_PRECISION"
 
 
 def _parse_precision(text: str) -> Fraction:
+    """An interval width '2^k' or a fraction, strictly between 0 and 1."""
     s = text.strip()
-    if s.startswith("2^"):
-        return Fraction(2) ** int(s[2:])
-    value = Fraction(s)
-    if value <= 0:
-        raise ValueError("precision must be positive")
+    try:
+        value = (Fraction(2) ** int(s[2:]) if s.startswith("2^")
+                 else Fraction(s))
+    except ZeroDivisionError as exc:
+        raise ValueError(f"bad precision {text!r}") from exc
+    if not 0 < value < 1:
+        raise ValueError(f"precision must lie strictly between 0 and 1, "
+                         f"got {text!r}")
     return value
 
 
@@ -59,7 +63,15 @@ def _make_base(args):
     return make_base(args.poly, **kwargs)
 
 
+def _json_int(v) -> int:
+    if type(v) is not int:  # bools, floats and null are not digits
+        raise DigitSetError(f"digit entry {json.dumps(v)} is not an integer")
+    return v
+
+
 def _parse_digit_list(text: str | None):
+    """Digits as '0,1,2' or a JSON list whose entries are integers or
+    lists of integers (coordinates)."""
     if text is None:
         return None
     s = text.strip()
@@ -68,8 +80,8 @@ def _parse_digit_list(text: str | None):
             data = json.loads(s)
         except json.JSONDecodeError as exc:
             raise DigitSetError(f"bad digit list: {exc}") from exc
-        return [tuple(int(c) for c in v) if isinstance(v, list) else int(v)
-                for v in data]
+        return [tuple(_json_int(c) for c in v) if isinstance(v, list)
+                else _json_int(v) for v in data]
     try:
         return [int(tok) for tok in s.split(",") if tok.strip()]
     except ValueError as exc:
@@ -232,7 +244,10 @@ def _cmd_rational(args) -> int:
         ds = digit_set_rational(a, b)
     else:
         canonical = digit_set_rational(a, b)
-        vals = tuple(int(v) for v in explicit)
+        if any(isinstance(v, tuple) for v in explicit):
+            raise DigitSetError("rational digits are integers, not "
+                                "coordinate lists")
+        vals = tuple(explicit)
         if tuple(sorted(vals)) == canonical.digits:
             ds = canonical
         else:

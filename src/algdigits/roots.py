@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import PrecisionError
 from .intervals import Box, Interval, horner_box, round_dyadic
 
@@ -122,6 +120,8 @@ def certified_roots(coeffs, width: Fraction = DEFAULT_WIDTH,
     if degree < 1:
         raise ValueError("need degree >= 1")
     if seeds is None:
+        import numpy as np
+
         arr = np.roots(list(reversed([float(c) for c in coeffs])))
         seeds = [(Fraction(float(z.real)).limit_denominator(10**17),
                   Fraction(float(z.imag)).limit_denominator(10**17))

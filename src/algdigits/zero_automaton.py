@@ -240,10 +240,16 @@ class ZeroAutomaton:
 
 def build_zero_automaton(base, height: int, *,
                          max_states: int = DEFAULT_MAX_STATES,
-                         refine_passes: int = 3,
                          jobs: int = 1) -> ZeroAutomaton:
     """Construct Z(height) for the given base (an AlgebraicBase, a
-    polynomial, or a polynomial string)."""
+    polynomial, or a polynomial string) in one pass at the base's
+    current interval width.
+
+    The accepted language, and so the trimmed automaton, does not
+    depend on that width: a successor is pruned only when it provably
+    leaves the invariant band, and an undecided one is kept and, if it
+    cannot return to 0, removed by trim().  The untrimmed automaton is
+    deterministic for a given width and any jobs."""
     base = _coerce(base)
     if height < 1:
         raise ValueError("height must be at least 1")
@@ -254,8 +260,8 @@ def build_zero_automaton(base, height: int, *,
     if base.degree == 1:
         states, transitions, level = _build_rational(base, height, max_states)
     elif base.is_monic:
-        states, transitions, level = _build_monic(base, height, max_states,
-                                                  refine_passes, jobs)
+        states, transitions, level = _monic_pass(base, height, max_states,
+                                                 jobs)
     else:
         raise UnsupportedBaseError(
             "irrational bases need a monic minimal polynomial here "
@@ -307,29 +313,16 @@ def _build_rational(base: AlgebraicBase, height: int, max_states: int):
     return states, transitions, levels
 
 
-def _build_monic(base: AlgebraicBase, height: int, max_states: int,
-                 refine_passes: int, jobs: int):
-    """Breadth-first closure from 0 with certified pruning.  The whole
-    search is rerun after each refinement pass so the result depends
-    only on the final interval width, never on traversal or thread
-    order."""
-    for attempt in range(refine_passes + 1):
-        result, exact = _monic_pass(base, height, max_states, jobs)
-        if exact or attempt == refine_passes:
-            return result
-        base.refine()
-    raise AssertionError("unreachable")
-
-
 def _monic_pass(base: AlgebraicBase, height: int, max_states: int, jobs: int):
+    """Breadth-first closure from 0 with certified pruning at the
+    base's current interval width.  A successor is dropped only when
+    some expanding conjugate provably exceeds H/(|alpha_k| - 1); every
+    other successor is kept, which is sound.  The frontier is expanded
+    in a fixed order, so the result never depends on thread order."""
     moduli = base.conjugate_moduli()
     expanding = [k for k, (lo, _hi) in enumerate(moduli) if lo > 1]
-    bound_hi = {}
-    bound_lo = {}
-    for k in expanding:
-        lo, hi = moduli[k]
-        bound_hi[k] = (Fraction(height) / (lo - 1)) ** 2
-        bound_lo[k] = (Fraction(height) / (hi - 1)) ** 2
+    bound_hi = {k: (Fraction(height) / (moduli[k][0] - 1)) ** 2
+                for k in expanding}
 
     table = base._store.power_boxes(base.degree)
 
@@ -341,29 +334,19 @@ def _monic_pass(base: AlgebraicBase, height: int, max_states: int, jobs: int):
         return acc.abs_sq()
 
     def children(y):
-        """Deterministic list of (digit, child, fuzzy) kept from y."""
+        """Deterministic list of (digit, child) kept from y."""
         base_z = base.mul_alpha(y)
         kept = []
         for d in range(-height, height + 1):
             z = base.add_int(base_z, d)
-            fuzzy = False
-            keep = True
-            for k in expanding:
-                box = sigma_abs_sq(z, k)
-                if box.lo > bound_hi[k]:
-                    keep = False
-                    break
-                if box.hi > bound_lo[k]:
-                    fuzzy = True
-            if keep:
-                kept.append((d, z, fuzzy))
+            if all(sigma_abs_sq(z, k).lo <= bound_hi[k] for k in expanding):
+                kept.append((d, z))
         return kept
 
     zero = base.zero
     level = {zero: 1}
     frontier = [zero]
     transitions = {}
-    any_fuzzy = False
     depth = 1
     while frontier:
         depth += 1
@@ -374,8 +357,7 @@ def _monic_pass(base: AlgebraicBase, height: int, max_states: int, jobs: int):
             per_state = [children(y) for y in frontier]
         nxt = []
         for y, kept in zip(frontier, per_state):
-            for d, z, fuzzy in kept:
-                any_fuzzy = any_fuzzy or fuzzy
+            for d, z in kept:
                 transitions[(y, d)] = z
                 if z not in level:
                     if len(level) >= max_states:
@@ -386,7 +368,7 @@ def _monic_pass(base: AlgebraicBase, height: int, max_states: int, jobs: int):
                     nxt.append(z)
         frontier = nxt
     states = tuple(sorted(level))
-    return (states, transitions, level), not any_fuzzy
+    return states, transitions, level
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,14 @@ class TestAnalyze:
         assert counts == [0, 4, 0]
         assert all(type(c) is int for c in counts)
 
+    def test_cyclotomic_above_degree_32_is_root_of_unity(self, capsys):
+        # Phi_37 has degree 36; Kronecker's theorem needs no degree cap.
+        result = run_json(capsys, "analyze", "--poly",
+                          json.dumps([1] * 37))["result"]
+        assert result["classification"] == "RootOfUnity"
+        assert result["n_unit"] == 36
+        assert result["irreducibility"] == "assumed"
+
     def test_precision_env(self, capsys, monkeypatch):
         monkeypatch.setenv("ALGDIGITS_PRECISION", "2^-30")
         payload = run_json(capsys, "analyze", "--poly", "x^2-2")
@@ -275,6 +283,41 @@ class TestErrors:
         assert json.loads(err)["error"]["type"] == "DigitSetError"
 
 
+    @pytest.mark.parametrize("argv", [
+        ["expand", "--poly", "x+2", "--value", "[null]"],
+        ["expand", "--poly", "x+2", "--value", "[1.5]"],
+        ["expand", "--poly", "x+2", "--value", "[true]"],
+        ["expand", "--poly", "x^2+2x+2", "--value", "[[1]]"],
+        ["expand", "--poly", "x^2+2x+2", "--value", "[null]"],
+        ["expand", "--poly", "x^2+2x+2", "--value", "[1.5]"],
+        ["expand", "--poly", "x^2+2x+2", "--value", "[true]"],
+        ["expand", "--poly", "x^2+2x+2", "--value", "[1,{}]"],
+        ["is-ns", "--poly", "x^2+2x+2", "--digits", "[null,1]"],
+        ["is-ns", "--poly", "x^2+2x+2", "--digits", "[0,1.7]"],
+        ["is-ns", "--poly", "x^2+2x+2", "--digits", "[0,true]"],
+        ["periodic", "--poly", "x^2+2x+2", "--digits", "[0,[1,false]]"],
+        ["rational", "--base", "3/2", "--digits", "[0,1,2.5]", "verify"],
+        ["rational", "--base", "3/2", "--digits", "[[0],[1],[2]]", "verify"],
+    ])
+    def test_non_integer_json_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert set(json.loads(err)["error"]) == {"type", "message"}
+
+    @pytest.mark.parametrize("precision", ["2^40", "2^0", "5", "1", "0",
+                                           "-1/2", "1/0"])
+    def test_precision_of_one_or_more_exits_2(self, capsys, monkeypatch,
+                                              precision):
+        code, out, err = run(capsys, "analyze", "--poly", "x^2-2",
+                             f"--precision={precision}")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "ValueError"
+        monkeypatch.setenv("ALGDIGITS_PRECISION", precision)
+        code, out, err = run(capsys, "analyze", "--poly", "x^2-2")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "ValueError"
+
+
 class TestUsage:
     def test_missing_argument_is_one_json_error(self, capsys):
         code, out, err = run(capsys, "count", "--poly", "x-2",
@@ -304,7 +347,8 @@ class TestStartup:
         code = ("import sys\n"
                 "from algdigits.cli import main\n"
                 "assert main(['rational', '--base', '5/2', 'expand', '7']) == 0\n"
-                "assert 'sympy' not in sys.modules\n")
+                "assert 'sympy' not in sys.modules\n"
+                "assert 'numpy' not in sys.modules\n")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr

@@ -2,9 +2,12 @@
 minimal-height search built on it."""
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from algdigits import (
     IntPolynomial,
+    InvalidPolynomialError,
     ResourceCapError,
     UnitCircleError,
     UnsupportedBaseError,
@@ -150,6 +153,39 @@ class TestStructure:
         assert lone.states == many.states
         assert lone.transitions == many.transitions
         assert lone.level == many.level
+
+
+@st.composite
+def _monic_low_degree(draw):
+    """Ascending coefficients of a monic degree-2 or -3 polynomial with
+    small coefficients and a nonzero constant term."""
+    degree = draw(st.sampled_from([2, 3]))
+    const = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    middle = draw(st.lists(st.integers(-3, 3), min_size=degree - 1,
+                           max_size=degree - 1))
+    return [const] + middle + [1]
+
+
+class TestOnePass:
+    """One build at the base's interval width accepts the same language
+    as a build after refining: pruning is certified and one-sided, and
+    trim removes every kept successor that cannot return to 0."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(coeffs=_monic_low_degree(), height=st.integers(1, 2))
+    def test_refining_changes_no_trimmed_automaton(self, coeffs, height):
+        try:
+            base = make_base(coeffs)
+            one_pass = build_zero_automaton(base, height, max_states=150)
+        except (InvalidPolynomialError, UnitCircleError, ResourceCapError):
+            assume(False)
+        for _ in range(3):
+            base.refine()
+        refined = build_zero_automaton(base, height, max_states=150)
+        assert (refined.trim().to_json_dict()
+                == one_pass.trim().to_json_dict())
+        assert set(refined.states) <= set(one_pass.states)
 
 
 MIN_HEIGHT_CASES = [
