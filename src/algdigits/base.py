@@ -14,7 +14,6 @@ every remaining modulus from 1, which is guaranteed to terminate.
 from __future__ import annotations
 
 import operator
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -67,7 +66,6 @@ class _RootStore:
 
     def __init__(self, coeffs: tuple[int, ...], n_unit: int, width: Fraction):
         self.coeffs = coeffs
-        self._lock = threading.Lock()
         boxes = certified_roots(list(coeffs), width)
         w = width
         for _ in range(80):
@@ -93,20 +91,17 @@ class _RootStore:
     def get(self, width: Fraction | None = None) -> list[Box]:
         if width is None or width >= self.width:
             return self.boxes
-        with self._lock:
-            if width >= self.width:
-                return self.boxes
-            new = certified_roots(list(self.coeffs), width,
-                                  seeds=[b.mid for b in self.boxes])
-            for old, fresh in zip(self.boxes, new):
-                if old.intersect(fresh) is None:
-                    raise PrecisionError("root refinement lost track of a root")
-            for i, fresh in enumerate(new):
-                if not self.unit_flags[i] and _modulus_contains_one(fresh):
-                    raise PrecisionError("refined modulus interval regressed")
-            self.boxes = new
-            self.width = width
-            self._powers = None
+        new = certified_roots(list(self.coeffs), width,
+                              seeds=[b.mid for b in self.boxes])
+        for old, fresh in zip(self.boxes, new):
+            if old.intersect(fresh) is None:
+                raise PrecisionError("root refinement lost track of a root")
+        for i, fresh in enumerate(new):
+            if not self.unit_flags[i] and _modulus_contains_one(fresh):
+                raise PrecisionError("refined modulus interval regressed")
+        self.boxes = new
+        self.width = width
+        self._powers = None
         return self.boxes
 
     def refine_halve(self) -> None:
@@ -123,18 +118,17 @@ class _RootStore:
 
     def power_boxes(self, degree: int) -> list[list[Box]]:
         """[k][i] = certified box for alpha_k ** i, i < degree."""
-        with self._lock:
-            cached = self._powers
-            if cached is not None and cached[0] == self.width:
-                return cached[1]
-            table = []
-            for box in self.boxes:
-                row = [Box.point(1)]
-                for _ in range(1, degree):
-                    row.append(row[-1] * box)
-                table.append(row)
-            self._powers = (self.width, table)
-            return table
+        cached = self._powers
+        if cached is not None and cached[0] == self.width:
+            return cached[1]
+        table = []
+        for box in self.boxes:
+            row = [Box.point(1)]
+            for _ in range(1, degree):
+                row.append(row[-1] * box)
+            table.append(row)
+        self._powers = (self.width, table)
+        return table
 
 
 def _modulus_contains_one(box: Box) -> bool:

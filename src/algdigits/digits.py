@@ -12,7 +12,6 @@ the only periodic point is 0.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -283,7 +282,8 @@ def periodic_points(base: AlgebraicBase, digits=None, *,
     Every periodic point has |sigma(x)| <= c in every embedding, so a
     certified coordinate box contains them all; the box is swept and
     each orbit followed until it cycles.  Enumeration is inflated
-    outward, never truncated, so no periodic point can be missed."""
+    outward, never truncated, so no periodic point can be missed.
+    jobs is accepted and ignored; the scan runs in one thread."""
     _require_expanding(base)
     digit_set = as_digit_set(base, digits)
     bounds = orbit_bound(base, digit_set)
@@ -324,15 +324,8 @@ def periodic_points(base: AlgebraicBase, digits=None, *,
             for st in path:
                 status[st] = False
 
-    def scan(start: int, step: int) -> None:
-        for x in itertools.islice(lattice(), start, None, step):
-            resolve(x)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(scan, range(jobs), itertools.repeat(jobs)))
-    else:
-        scan(0, 1)
+    for x in lattice():
+        resolve(x)
 
     ordered_cycles = tuple(sorted(cycles, key=lambda cyc: _sort_key(cyc[0])))
     elements = tuple(sorted({x for cyc in ordered_cycles for x in cyc}, key=_sort_key))

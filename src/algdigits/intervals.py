@@ -49,6 +49,14 @@ def round_dyadic(q: Fraction, bits: int) -> Fraction:
     return Fraction(round(scaled), 1 << bits)
 
 
+def dyadic_outward(iv: Interval, bits: int) -> tuple[int, int]:
+    """Integers (L, U) with L / 2^bits <= iv.lo and iv.hi <= U / 2^bits:
+    the interval rounded outward to the 2^-bits grid."""
+    lo, hi = iv.lo, iv.hi
+    return ((lo.numerator << bits) // lo.denominator,
+            -((-hi.numerator << bits) // hi.denominator))
+
+
 @dataclass(frozen=True)
 class Interval:
     """Closed interval [lo, hi] with rational endpoints."""

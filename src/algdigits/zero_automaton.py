@@ -18,13 +18,13 @@ polynomial is monic, rational ones (including integers) always.
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .base import AlgebraicBase, make_base
 from .errors import ResourceCapError, UnitCircleError, UnsupportedBaseError
-from .intervals import Box, Interval
+from .intervals import dyadic_outward
 from .polynomials import IntPolynomial
 
 DEFAULT_MAX_STATES = 1_000_000
@@ -249,7 +249,7 @@ def build_zero_automaton(base, height: int, *,
     depend on that width: a successor is pruned only when it provably
     leaves the invariant band, and an undecided one is kept and, if it
     cannot return to 0, removed by trim().  The untrimmed automaton is
-    deterministic for a given width and any jobs."""
+    deterministic for a given width; jobs is accepted and ignored."""
     base = _coerce(base)
     if height < 1:
         raise ValueError("height must be at least 1")
@@ -260,8 +260,7 @@ def build_zero_automaton(base, height: int, *,
     if base.degree == 1:
         states, transitions, level = _build_rational(base, height, max_states)
     elif base.is_monic:
-        states, transitions, level = _monic_pass(base, height, max_states,
-                                                 jobs)
+        states, transitions, level = _monic_pass(base, height, max_states)
     else:
         raise UnsupportedBaseError(
             "irrational bases need a monic minimal polynomial here "
@@ -313,35 +312,32 @@ def _build_rational(base: AlgebraicBase, height: int, max_states: int):
     return states, transitions, levels
 
 
-def _monic_pass(base: AlgebraicBase, height: int, max_states: int, jobs: int):
+def _monic_pass(base: AlgebraicBase, height: int, max_states: int):
     """Breadth-first closure from 0 with certified pruning at the
     base's current interval width.  A successor is dropped only when
     some expanding conjugate provably exceeds H/(|alpha_k| - 1); every
-    other successor is kept, which is sound.  The frontier is expanded
-    in a fixed order, so the result never depends on thread order."""
-    moduli = base.conjugate_moduli()
-    expanding = [k for k, (lo, _hi) in enumerate(moduli) if lo > 1]
-    bound_hi = {k: (Fraction(height) / (moduli[k][0] - 1)) ** 2
-                for k in expanding}
+    other successor is kept, which is sound.
 
+    Each power box alpha_k^i is rounded outward once to integers L <= U
+    on the 2^-n grid and kept as midpoint L + U and radius U - L over
+    2^(n+1).  Then sigma_k(alpha*y) is an integer dot product per state,
+    the digit d only shifts its real midpoint by d * 2^(n+1) (alpha^0 is
+    the exact point 1), and a successor is pruned when an exact integer
+    comparison proves |sigma_k|^2 > bound_k."""
+    bits = base.achieved_width.denominator.bit_length() + 24
+    unit = 1 << (bits + 1)
     table = base._store.power_boxes(base.degree)
-
-    def sigma_abs_sq(coords, k) -> Interval:
-        acc = Box.point(0)
-        for i, c in enumerate(coords):
-            if c:
-                acc = acc + table[k][i].scale(c)
-        return acc.abs_sq()
-
-    def children(y):
-        """Deterministic list of (digit, child) kept from y."""
-        base_z = base.mul_alpha(y)
-        kept = []
-        for d in range(-height, height + 1):
-            z = base.add_int(base_z, d)
-            if all(sigma_abs_sq(z, k).lo <= bound_hi[k] for k in expanding):
-                kept.append((d, z))
-        return kept
+    forms = []
+    for k, (lo, _hi) in enumerate(base.conjugate_moduli()):
+        if lo > 1:
+            bound = (Fraction(height) / (lo - 1)) ** 2
+            parts = []
+            for box in table[k]:
+                rl, ru = dyadic_outward(box.re, bits)
+                il, iu = dyadic_outward(box.im, bits)
+                parts.append((rl + ru, ru - rl, il + iu, iu - il))
+            forms.append((*zip(*parts), bound.numerator << (2 * bits + 2),
+                          bound.denominator))
 
     zero = base.zero
     level = {zero: 1}
@@ -350,14 +346,21 @@ def _monic_pass(base: AlgebraicBase, height: int, max_states: int, jobs: int):
     depth = 1
     while frontier:
         depth += 1
-        if jobs > 1 and len(frontier) > 32:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                per_state = list(pool.map(children, frontier))
-        else:
-            per_state = [children(y) for y in frontier]
         nxt = []
-        for y, kept in zip(frontier, per_state):
-            for d, z in kept:
+        for y in frontier:
+            ay = base.mul_alpha(y)
+            mags = tuple(map(abs, ay))
+            kept = range(-height, height + 1)
+            for m_re, r_re, m_im, r_im, num, den in forms:
+                re = sum(map(mul, ay, m_re))
+                re_rad = sum(map(mul, mags, r_re))
+                im_lo = max(abs(sum(map(mul, ay, m_im)))
+                            - sum(map(mul, mags, r_im)), 0)
+                kept = [d for d in kept
+                        if (max(abs(re + d * unit) - re_rad, 0) ** 2
+                            + im_lo * im_lo) * den <= num]
+            for d in kept:
+                z = base.add_int(ay, d)
                 transitions[(y, d)] = z
                 if z not in level:
                     if len(level) >= max_states:

@@ -3,12 +3,15 @@
 Everything here is deliberately naive: exhaustive enumeration with
 exact integer arithmetic, no intervals, no pruning, and no shared code
 with the package internals.  Slow but obviously correct on the small
-instances the tests use.
+instances the tests use.  The one exception is zero_automaton_reference,
+which keeps the library's earlier Z(H) pruning on rational interval
+boxes as a reference for the integer fixed-point pruning that replaced it.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -156,3 +159,61 @@ def height_values_naive(reps, s: int) -> set:
         for combo in itertools.product(range(len(padded)), repeat=m + 1):
             out.add(sum(padded[j][i] for i, j in enumerate(combo)))
     return out
+
+
+def zero_automaton_reference(base, height: int, max_states: int):
+    """(states, transitions, level) of the untrimmed Z(height) for a
+    monic AlgebraicBase of degree >= 2, pruning each successor with
+    Fraction-endpoint Box arithmetic on the base's certified power boxes:
+    it is dropped only when some expanding conjugate provably exceeds
+    H/(|alpha_k| - 1)."""
+    # Imported here so the brute-force oracles above stay importable
+    # without the package on the path.
+    from algdigits.errors import ResourceCapError
+    from algdigits.intervals import Box
+
+    moduli = base.conjugate_moduli()
+    expanding = [k for k, (lo, _hi) in enumerate(moduli) if lo > 1]
+    bound_hi = {k: (Fraction(height) / (moduli[k][0] - 1)) ** 2
+                for k in expanding}
+
+    table = base._store.power_boxes(base.degree)
+
+    def sigma_abs_sq(coords, k):
+        acc = Box.point(0)
+        for i, c in enumerate(coords):
+            if c:
+                acc = acc + table[k][i].scale(c)
+        return acc.abs_sq()
+
+    def children(y):
+        """Deterministic list of (digit, child) kept from y."""
+        base_z = base.mul_alpha(y)
+        kept = []
+        for d in range(-height, height + 1):
+            z = base.add_int(base_z, d)
+            if all(sigma_abs_sq(z, k).lo <= bound_hi[k] for k in expanding):
+                kept.append((d, z))
+        return kept
+
+    zero = base.zero
+    level = {zero: 1}
+    frontier = [zero]
+    transitions = {}
+    depth = 1
+    while frontier:
+        depth += 1
+        nxt = []
+        for y in frontier:
+            for d, z in children(y):
+                transitions[(y, d)] = z
+                if z not in level:
+                    if len(level) >= max_states:
+                        raise ResourceCapError(
+                            f"state cap {max_states} exceeded at height "
+                            f"{height}")
+                    level[z] = depth
+                    nxt.append(z)
+        frontier = nxt
+    states = tuple(sorted(level))
+    return states, transitions, level

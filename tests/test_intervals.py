@@ -1,6 +1,7 @@
 from fractions import Fraction
 
-from algdigits.intervals import Box, Interval, horner_box, sqrt_lower, sqrt_upper
+from algdigits.intervals import (Box, Interval, dyadic_outward, horner_box,
+                                 sqrt_lower, sqrt_upper)
 
 
 def F(a, b=1):
@@ -53,6 +54,16 @@ class TestInterval:
     def test_reciprocal(self):
         r = Interval(F(2), F(4)).reciprocal()
         assert r.lo == F(1, 4) and r.hi == F(1, 2)
+
+    def test_dyadic_outward(self):
+        bits = 8
+        for iv in (Interval(F(-1, 3), F(2, 7)), Interval(F(-5, 3), F(-1, 9)),
+                   Interval(F(3, 256), F(3, 256)), Interval.point(F(-1))):
+            lo, hi = dyadic_outward(iv, bits)
+            assert F(lo, 2**bits) <= iv.lo and iv.hi <= F(hi, 2**bits)
+            assert iv.lo - F(lo, 2**bits) < F(1, 2**bits)
+            assert F(hi, 2**bits) - iv.hi < F(1, 2**bits)
+        assert dyadic_outward(Interval.point(F(3, 256)), bits) == (3, 3)
 
 
 class TestBox:

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from algdigits import (
+    AlgebraicBase,
     IntPolynomial,
     InvalidPolynomialError,
     ResourceCapError,
@@ -15,8 +16,17 @@ from algdigits import (
     make_base,
     min_height,
 )
+from algdigits.zero_automaton import ZeroAutomaton
 
-from oracles import zero_words_monic, zero_words_rational
+from oracles import (zero_automaton_reference, zero_words_monic,
+                     zero_words_rational)
+
+
+def _reference(base: AlgebraicBase, height: int,
+               max_states: int = 10**6) -> ZeroAutomaton:
+    states, transitions, level = zero_automaton_reference(base, height,
+                                                          max_states)
+    return ZeroAutomaton(base, height, states, transitions, level, False)
 
 
 class TestRejections:
@@ -147,6 +157,16 @@ class TestStructure:
         ratio = auto.count_words(12) / auto.count_words(11)
         assert abs(ratio - est) < 0.2
 
+    def test_cubic_h3(self):
+        base = make_base("x^3 + 2")
+        auto = build_zero_automaton(base, 3)
+        trimmed = auto.trim()
+        assert (auto.n_states, trimmed.n_states) == (1865, 125)
+        got = set()
+        for length in range(1, 7):
+            got |= set(trimmed.language(length))
+        assert got == zero_words_monic(base.min_poly.coeffs, 3, 6)
+
     def test_jobs_deterministic(self):
         lone = build_zero_automaton("x^2 + 2x + 2", 2, jobs=1)
         many = build_zero_automaton("x^2 + 2x + 2", 2, jobs=4)
@@ -166,10 +186,25 @@ def _monic_low_degree(draw):
     return [const] + middle + [1]
 
 
+class TestReference:
+    """The integer fixed-point pruning keeps exactly the successors the
+    rational Box pruning of oracles.zero_automaton_reference keeps."""
+
+    @pytest.mark.parametrize("poly", ["x^2 - x - 1", "x^2 - 2",
+                                      "x^2 + 2x + 2", "x^2 - 2x - 2",
+                                      "x^3 + 2"])
+    @pytest.mark.parametrize("height", [1, 2])
+    def test_untrimmed_equals_reference(self, poly, height):
+        base = make_base(poly)
+        assert (build_zero_automaton(base, height).to_json_dict()
+                == _reference(base, height).to_json_dict())
+
+
 class TestOnePass:
     """One build at the base's interval width accepts the same language
-    as a build after refining: pruning is certified and one-sided, and
-    trim removes every kept successor that cannot return to 0."""
+    as a build after refining and as the rational Box reference: pruning
+    is certified and one-sided, and trim removes every kept successor
+    that cannot return to 0."""
 
     @settings(max_examples=25, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
@@ -180,6 +215,10 @@ class TestOnePass:
             one_pass = build_zero_automaton(base, height, max_states=150)
         except (InvalidPolynomialError, UnitCircleError, ResourceCapError):
             assume(False)
+        reference = _reference(base, height, max_states=150)
+        assert set(reference.states) <= set(one_pass.states)
+        assert (reference.trim().to_json_dict()
+                == one_pass.trim().to_json_dict())
         for _ in range(3):
             base.refine()
         refined = build_zero_automaton(base, height, max_states=150)
@@ -193,6 +232,7 @@ MIN_HEIGHT_CASES = [
     ("x - 2", 2, (-1, 2), (2, -1)),
     ("x^2 - 2", 2, (-1, 0, 2), (2, 0, -1)),
     ([-3, 2], 3, (-2, 3), (3, -2)),
+    ("x^3 + 2", 2, (-1, 0, 0, -2), (-2, 0, 0, -1)),
 ]
 
 
