@@ -19,7 +19,7 @@ from .errors import (AlgdigitsError, DigitSetError, InvalidPolynomialError,
 from .polynomials import IntPolynomial, divides_over_q, parse_polynomial
 from .rational import (AdditionTransducer, RationalDigitSet, Regime,
                        build_transducer, digit_set_rational, expand_all,
-                       expand_int, expand_range, strip_leading_zeros,
+                       expand_int, strip_leading_zeros,
                        transduce, value_of, verify_digit_properties)
 from .zero_automaton import (DEFAULT_MAX_STATES, MinHeightReport,
                              WordSearchResult, ZeroAutomaton,
@@ -39,7 +39,6 @@ __all__ = [
     "ZeroAutomaton", "all_conjugates_gt", "as_digit_set", "build_transducer",
     "build_zero_automaton", "card_bounds", "classify_f_index",
     "digit_set_rational", "divides_over_q", "expand_all", "expand_int",
-    "expand_range",
     "f2_analysis", "height_reduce", "is_number_system", "j_step",
     "kovacs_sufficient", "m1_obstruction", "make_base", "min_height",
     "orbit", "orbit_bound", "parse_polynomial", "periodic_points",

@@ -30,8 +30,6 @@ from .roots import DEFAULT_WIDTH, certified_roots
 DEFAULT_PRECISION = DEFAULT_WIDTH
 DEFAULT_DEGREE_LIMIT = 24
 
-Element = "tuple[int, ...] | Fraction"
-
 
 class Classification(Enum):
     EXPANDING_INTEGER = "ExpandingInteger"
@@ -107,9 +105,9 @@ class _RootStore:
     def refine_halve(self) -> None:
         self.get(self.width / 16)
 
-    def moduli(self, width: Fraction | None = None) -> list[tuple[Fraction, Fraction]]:
+    def moduli(self) -> list[tuple[Fraction, Fraction]]:
         out = []
-        for box, unit in zip(self.get(width), self.unit_flags):
+        for box, unit in zip(self.boxes, self.unit_flags):
             if unit:
                 out.append((Fraction(1), Fraction(1)))
             else:
@@ -253,26 +251,20 @@ class AlgebraicBase:
         a, b = self.rational_view
         return Fraction(a, b)
 
-    def conjugates(self, width: Fraction | None = None) -> list[Box]:
+    def conjugates(self) -> list[Box]:
         """Certified rectangles for the conjugates, canonical order
         (expanding, then unit-circle, then contracting)."""
         if self.degree == 1:
             return [Box.point(self.alpha_fraction)]
-        return list(self._store.get(width))
+        return list(self._store.boxes)
 
-    def conjugate_moduli(self, width: Fraction | None = None
-                         ) -> list[tuple[Fraction, Fraction]]:
+    def conjugate_moduli(self) -> list[tuple[Fraction, Fraction]]:
         """Certified [lo, hi] enclosures of each conjugate modulus.  Roots
         proven to lie on the unit circle report exactly [1, 1]."""
         if self.degree == 1:
             m = abs(self.alpha_fraction)
             return [(m, m)]
-        return self._store.moduli(width)
-
-    def unit_flags(self) -> list[bool]:
-        if self.degree == 1:
-            return [self.n_unit == 1]
-        return list(self._store.unit_flags)
+        return self._store.moduli()
 
     def refine(self) -> None:
         """Shrink the certified rectangles (deterministic, monotone)."""

@@ -25,9 +25,8 @@ from .catalog import classify_f_index, f2_analysis, sweep_quadratic
 from .digits import as_digit_set, orbit, periodic_points, zero_orbit_set
 from .errors import DigitSetError, PolynomialSyntaxError
 from .jsonio import canonical_dumps
-from .rational import (RationalDigitSet, Regime, build_transducer,
-                       digit_set_rational, expand_int, transduce, value_of,
-                       verify_digit_properties)
+from .rational import (build_transducer, digit_set_rational, expand_int,
+                       transduce, value_of, verify_digit_properties)
 from .zero_automaton import DEFAULT_MAX_STATES, build_zero_automaton, min_height
 
 PRECISION_ENV = "ALGDIGITS_PRECISION"
@@ -86,6 +85,18 @@ def _parse_digit_list(text: str | None):
         return [int(tok) for tok in s.split(",") if tok.strip()]
     except ValueError as exc:
         raise DigitSetError(f"bad digit list {text!r}") from exc
+
+
+def _cap(text: str) -> int:
+    """argparse type of the caps: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
 
 
 def _parse_rational_base(text: str) -> tuple[int, int]:
@@ -239,24 +250,7 @@ def _cmd_is_ns(args) -> int:
 
 def _cmd_rational(args) -> int:
     a, b = _parse_rational_base(args.base)
-    explicit = _parse_digit_list(args.digits)
-    if explicit is None:
-        ds = digit_set_rational(a, b)
-    else:
-        canonical = digit_set_rational(a, b)
-        if any(isinstance(v, tuple) for v in explicit):
-            raise DigitSetError("rational digits are integers, not "
-                                "coordinate lists")
-        vals = tuple(explicit)
-        if tuple(sorted(vals)) == canonical.digits:
-            ds = canonical
-        else:
-            if len(vals) != a or len({v % a for v in vals}) != a:
-                raise DigitSetError(
-                    f"{len(vals)} digits do not form a complete residue "
-                    f"system modulo {a}")
-            regime = Regime.NEGATIVE_B if b < 0 else Regime.POSITIVE_B
-            ds = RationalDigitSet(a, b, regime, tuple(sorted(vals)), ())
+    ds = digit_set_rational(a, b, _parse_digit_list(args.digits))
     limits = {"max_steps": args.max_steps}
 
     if args.action == "verify":
@@ -428,13 +422,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digits", default=None,
                    help="digit values, '0,1,2' or JSON list; default "
                         "{0..|M(0)|-1}")
-    p.add_argument("--max-steps", type=int, default=10000)
+    p.add_argument("--max-steps", type=_cap, default=10000)
     p.set_defaults(func=_cmd_expand)
 
     p = sub.add_parser("periodic", help="all periodic points of the digit map")
     _add_poly(p)
     p.add_argument("--digits", default=None)
-    p.add_argument("--candidate-cap", type=int, default=10**7)
+    p.add_argument("--candidate-cap", type=_cap, default=10**7)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_periodic)
 
@@ -442,8 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number-system and ring-spanning verdicts")
     _add_poly(p)
     p.add_argument("--digits", default=None)
-    p.add_argument("--candidate-cap", type=int, default=10**7)
-    p.add_argument("--max-steps", type=int, default=10000)
+    p.add_argument("--candidate-cap", type=_cap, default=10**7)
+    p.add_argument("--max-steps", type=_cap, default=10000)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_is_ns)
 
@@ -451,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="rational-base digit sets and the carry automaton")
     p.add_argument("--base", required=True, help="a/b, e.g. '3/2' or '-5/2'")
     p.add_argument("--digits", default=None)
-    p.add_argument("--max-steps", type=int, default=10**6)
+    p.add_argument("--max-steps", type=_cap, default=10**6)
     p.add_argument("action", choices=["expand", "verify", "transduce"])
     p.add_argument("values", nargs="*",
                    help="integers to expand, or the LSB-first input word "
@@ -466,15 +460,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--trim", action="store_true")
     p.add_argument("--export", choices=["dot", "json"], default=None)
-    p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
+    p.add_argument("--max-states", type=_cap, default=DEFAULT_MAX_STATES)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_zero_automaton)
 
     p = sub.add_parser("min-height",
                        help="least H with a nonzero zero word, plus witness")
     _add_poly(p)
-    p.add_argument("--max-h", type=int, default=None)
-    p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
+    p.add_argument("--max-h", type=_cap, default=None)
+    p.add_argument("--max-states", type=_cap, default=DEFAULT_MAX_STATES)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_min_height)
 
@@ -482,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_poly(p)
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--length", type=int, required=True)
-    p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
+    p.add_argument("--max-states", type=_cap, default=DEFAULT_MAX_STATES)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_count)
 
@@ -490,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="criterion vs brute force over quadratic bases "
                             "(CSV)")
     p.add_argument("--a2-max", type=int, required=True)
-    p.add_argument("--candidate-cap", type=int, default=10**7)
+    p.add_argument("--candidate-cap", type=_cap, default=10**7)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_sweep_quadratic)
 

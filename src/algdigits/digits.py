@@ -383,13 +383,6 @@ class HeightReduction:
     expansion_degree: int
 
 
-def _rep_value(base: AlgebraicBase, rep: tuple):
-    value = base.zero
-    for c in reversed(rep):
-        value = base.add(base.mul_alpha(value), base.element(int(c)))
-    return value
-
-
 def height_reduce(base: AlgebraicBase, digit_reps,
                   expansion_degree: int | None = None) -> HeightReduction:
     """The integer set F built from digit representations.
@@ -406,7 +399,7 @@ def height_reduce(base: AlgebraicBase, digit_reps,
     if not pairs:
         raise ValueError("need at least one digit representation")
     for digit, rep in pairs:
-        if _rep_value(base, rep) != digit:
+        if base.eval_word(reversed(rep)) != digit:
             raise DigitSetError(
                 f"representation {list(rep)} does not evaluate to {digit!r}")
     reps = [rep for _digit, rep in pairs]

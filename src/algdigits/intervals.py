@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-Rat = Fraction
-
 
 def sqrt_lower(q: Fraction, bits: int = 64) -> Fraction:
     """A rational r with r*r <= q and q - r*r small (about 2^-bits rel)."""

@@ -10,6 +10,9 @@ Three regimes:
   fixes -b*d for every nonzero digit d), so the redundant symmetric set
   {-(a-1), ..., a-1} with 2a-1 digits is used instead.
 
+Expansions are the backward-division records of digits.orbit over the
+degree-one base b*x - a; the redundant set runs the mirror base a/-b.
+
 The carry automaton that adds or subtracts b to an expansion has three
 states (carry b, carry -b, done); feeding a finite expansion least
 significant digit first and flushing with at most two zeros yields a
@@ -24,9 +27,8 @@ from enum import Enum
 from fractions import Fraction
 
 from .base import make_base
-from .digits import ExpansionRecord, Terminated, orbit, validate_crs
+from .digits import Cycle, ExpansionRecord, orbit, validate_crs
 from .errors import DigitSetError, ResourceCapError
-from .polynomials import IntPolynomial
 
 
 class Regime(str, Enum):
@@ -45,22 +47,10 @@ class RationalDigitSet:
 
     def __post_init__(self):
         self._lookup = frozenset(self.digits)
-        self._by_residue = ({d % self.a: d for d in self.digits}
-                            if self.is_crs else {})
 
     @property
     def alpha(self) -> Fraction:
         return Fraction(self.a, self.b)
-
-    @property
-    def is_crs(self) -> bool:
-        return self.regime is not Regime.REDUNDANT
-
-    def digit_for(self, value: int) -> int:
-        """The unique digit congruent to value modulo a (CRS regimes)."""
-        if not self.is_crs:
-            raise DigitSetError("redundant digit set: residues are ambiguous")
-        return self._by_residue[value % self.a]
 
     def __contains__(self, d) -> bool:
         return d in self._lookup
@@ -72,15 +62,30 @@ class RationalDigitSet:
         return len(self.digits)
 
 
-def digit_set_rational(a: int, b: int) -> RationalDigitSet:
-    """The digit set for base a/b under which every rational integer
-    has a finite expansion."""
+def digit_set_rational(a: int, b: int, digits=None) -> RationalDigitSet:
+    """A digit set for base a/b.  Without digits, the canonical one,
+    under which every rational integer has a finite expansion.  Explicit
+    integer digits give the canonical set when they are its digits in
+    any order, and otherwise must form a complete residue system
+    modulo a."""
     if b == 0:
         raise DigitSetError("b must be nonzero")
     if a <= abs(b):
         raise DigitSetError(f"need a > |b|, got a={a}, b={b}")
     if math.gcd(a, b) != 1:
         raise DigitSetError(f"a={a} and b={b} are not coprime")
+    if digits is not None:
+        digits = tuple(digits)
+        for d in digits:
+            if isinstance(d, bool) or not isinstance(d, int):
+                raise DigitSetError(f"rational digit {d!r} is not an integer")
+        canonical = digit_set_rational(a, b)
+        vals = tuple(sorted(digits))
+        if vals == canonical.digits:
+            return canonical
+        validate_crs(make_base([-a, b]), vals)
+        regime = Regime.NEGATIVE_B if b < 0 else Regime.POSITIVE_B
+        return RationalDigitSet(a, b, regime, vals, ())
     if b < 0:
         return RationalDigitSet(a, b, Regime.NEGATIVE_B, tuple(range(a)), ())
     if b == a - 1:
@@ -94,6 +99,24 @@ def digit_set_rational(a: int, b: int) -> RationalDigitSet:
     return RationalDigitSet(a, b, Regime.POSITIVE_B,
                             tuple(sorted(plain ^ shifted)),
                             tuple(sorted(shifted)))
+
+
+def _record(ds: RationalDigitSet, value, max_steps: int) -> ExpansionRecord:
+    """The backward-division record of value over ds.  The redundant set
+    is no residue system: its record is the orbit over the mirror base
+    a/-b with digits 0..a-1, whose k-th digit and state change sign at
+    odd k, because (-1)^k s_k = (-1)^k d_k + (a/b) (-1)^(k+1) s_(k+1)
+    whenever s_k = d_k + (a/-b) s_(k+1)."""
+    if ds.regime is Regime.REDUNDANT:
+        mirror = _record(digit_set_rational(ds.a, -ds.b), value, max_steps)
+
+        def flip(seq):
+            return tuple(-x if k % 2 else x for k, x in enumerate(seq))
+
+        return ExpansionRecord(mirror.start, flip(mirror.digits),
+                               flip(mirror.states), mirror.tail)
+    base = make_base([-ds.a, ds.b])  # the root of b*x - a
+    return orbit(value, validate_crs(base, ds.digits), max_steps)
 
 
 def verify_digit_properties(ds: RationalDigitSet) -> dict:
@@ -132,28 +155,19 @@ def strip_leading_zeros(digits_lsb) -> tuple:
 
 def expand_int(ds: RationalDigitSet, k: int, max_steps: int = 10**6) -> tuple:
     """The finite expansion of the integer k, least significant digit
-    first.  For the two residue-system regimes this is the backward
-    division expansion (unique when it exists); the redundant regime is
-    reduced to the negative one for base -a/b and the odd-position
-    digits are negated."""
-    a, b = ds.a, ds.b
-    if ds.regime is Regime.REDUNDANT:
-        mirror = digit_set_rational(a, -b)
-        word = expand_int(mirror, k, max_steps)
-        return tuple(-d if i % 2 else d for i, d in enumerate(word))
-    x = int(k)
-    out = []
-    for _ in range(max_steps):
-        if x == 0:
-            return tuple(out)
-        r = ds.digit_for(x)
-        out.append(r)
-        x = (x - r) // a * b
+    first: the digits of its backward-division record up to the first
+    state 0 (unique for the two residue-system regimes).  Raises
+    DigitSetError when the orbit of k enters a cycle without passing
+    0, and ResourceCapError when it runs past max_steps."""
+    record = _record(ds, k, max_steps)
+    if 0 in record.states:
+        return tuple(int(d) for d in record.digits[:record.states.index(0)])
+    if isinstance(record.tail, Cycle):
+        cycle = ", ".join(str(x) for x in record.tail.elements)
+        raise DigitSetError(f"{k} has no finite expansion over the digits "
+                            f"{list(ds.digits)}: its orbit enters the "
+                            f"cycle [{cycle}]")
     raise ResourceCapError(f"expansion of {k} exceeded {max_steps} steps")
-
-
-def expand_range(ds: RationalDigitSet, lo: int, hi: int) -> dict:
-    return {k: expand_int(ds, k) for k in range(lo, hi + 1)}
 
 
 class AdditionTransducer:
@@ -250,39 +264,16 @@ def transduce(transducer: AdditionTransducer, start: int, word, *,
     return tuple(out)
 
 
-def _redundant_record(ds: RationalDigitSet, value: int,
-                      max_steps: int) -> ExpansionRecord:
-    word = expand_int(ds, value, max_steps)
-    base = make_base(IntPolynomial((-ds.a, ds.b)))
-    states = [base.element(value)]
-    for d in word:
-        states.append(base.div_alpha_exact(states[-1] - d))
-    return ExpansionRecord(states[0], word, tuple(states), Terminated())
-
-
 def expand_all(a: int, b: int, digit_values=None, k_range=None, *,
                max_steps: int = 10**5) -> list:
     """Expansion records of k*b over base a/b, one per k in k_range
     (default -10..10), each replay-checkable exactly.  Multiples of b
     are precisely the values one backward-division step can produce, so
-    this family exercises the digit set where it matters.
-
-    A redundant digit set (b = a - 1) cannot run backward division
-    directly; its expansions come from the mirrored base a/-b and the
-    record is rebuilt with the genuine intermediate states."""
+    this family exercises the digit set where it matters.  digit_values
+    is a RationalDigitSet, explicit integer digits, or None for the
+    canonical set."""
     if k_range is None:
         k_range = range(-10, 11)
-    if isinstance(digit_values, RationalDigitSet):
-        ds, vals = digit_values, digit_values.digits
-    elif digit_values is None:
-        ds = digit_set_rational(a, b)
-        vals = ds.digits
-    else:
-        vals = tuple(int(v) for v in digit_values)
-        canonical = digit_set_rational(a, b)
-        ds = canonical if vals == canonical.digits else None
-    if ds is not None and ds.regime is Regime.REDUNDANT:
-        return [_redundant_record(ds, k * b, max_steps) for k in k_range]
-    base = make_base(IntPolynomial((-a, b)))
-    digit_set = validate_crs(base, vals)
-    return [orbit(k * b, digit_set, max_steps) for k in k_range]
+    ds = (digit_values if isinstance(digit_values, RationalDigitSet)
+          else digit_set_rational(a, b, digit_values))
+    return [_record(ds, k * b, max_steps) for k in k_range]

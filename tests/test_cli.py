@@ -176,6 +176,20 @@ class TestRational:
         assert result["delta"] == -2
         assert result["check"] is True
 
+    def test_cycling_digit_set_names_the_cycle(self, capsys):
+        code, out, err = run(capsys, "rational", "--base=-3/2",
+                             "--digits", "0,1,5", "expand", "7")
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "DigitSetError"
+        assert "[-4, 6]" in error["message"]
+
+    def test_digit_set_without_zero(self, capsys):
+        result = run_json(capsys, "rational", "--base=-2/1",
+                          "--digits", "1,2", "expand", "1")["result"]
+        (row,) = result["expansions"]
+        assert row["digits_lsb"] == [1] and row["check"] is True
+
     def test_transduce_subtract(self, capsys):
         result = run_json(capsys, "rational", "--base", "5/2",
                           "transduce", "1", "4", "--subtract")["result"]
@@ -329,11 +343,31 @@ class TestUsage:
         assert "--length" in error["message"]
 
     def test_bad_choice_and_bad_int(self, capsys):
-        for argv in (["frobnicate"], ["periodic", "--poly", "x-2",
-                                      "--jobs", "many"]):
+        for argv, flag in (
+                (["frobnicate"], None),
+                (["periodic", "--poly", "x-2", "--jobs", "many"], "--jobs"),
+                (["expand", "--poly", "x+2", "--value", "5",
+                  "--max-steps=-1"], "--max-steps"),
+                (["rational", "--base", "5/2", "--max-steps=-1", "expand",
+                  "7"], "--max-steps"),
+                (["min-height", "--poly", "x-2", "--max-h=-1"], "--max-h"),
+                (["periodic", "--poly", "x-2", "--candidate-cap=-1"],
+                 "--candidate-cap"),
+                (["is-ns", "--poly", "x-2", "--candidate-cap", "-5"],
+                 "--candidate-cap"),
+                (["zero-automaton", "--poly", "x-2", "--height", "1",
+                  "--max-states=-1"], "--max-states"),
+                (["count", "--poly", "x-2", "--height", "1", "--length", "2",
+                  "--max-states=-1"], "--max-states"),
+                (["sweep-quadratic", "--a2-max", "2",
+                  "--candidate-cap=-1"], "--candidate-cap"),
+                (["expand", "--poly", "x+2", "--value", "5",
+                  "--max-steps", "many"], "--max-steps")):
             code, out, err = run(capsys, *argv)
             assert code == 2 and out == ""
-            assert json.loads(err)["error"]["type"] == "UsageError"
+            error = json.loads(err)["error"]
+            assert error["type"] == "UsageError"
+            assert flag is None or flag in error["message"]
 
     def test_help_still_prints_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,21 +1,25 @@
 """Rational-base digit sets, integer expansions, and the carry
 transducer."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algdigits import (
     AdditionTransducer,
     DigitSetError,
+    RationalDigitSet,
     Regime,
+    ResourceCapError,
     Terminated,
     build_transducer,
     digit_set_rational,
     expand_all,
     expand_int,
-    expand_range,
     make_base,
     strip_leading_zeros,
     transduce,
@@ -45,9 +49,18 @@ class TestConstruction:
     def test_redundant_regime(self):
         assert DS32.regime is Regime.REDUNDANT
         assert DS32.digits == (-2, -1, 0, 1, 2)
-        assert not DS32.is_crs
-        with pytest.raises(DigitSetError):
-            DS32.digit_for(1)
+
+    def test_explicit_digits(self):
+        # the canonical digits in any order are the canonical set
+        assert digit_set_rational(3, 2, [2, 1, 0, -1, -2]).regime \
+            is Regime.REDUNDANT
+        custom = digit_set_rational(3, -2, [5, 0, 1])
+        assert custom.regime is Regime.NEGATIVE_B
+        assert custom.digits == (0, 1, 5)
+        for bad in ([0, 1], [0, 1, 4], [0, 1, 2.0], [0, 1, True],
+                    [(0,), (1,), (2,)]):
+            with pytest.raises(DigitSetError):
+                digit_set_rational(3, -2, bad)
 
     def test_rejections(self):
         with pytest.raises(DigitSetError):
@@ -58,11 +71,6 @@ class TestConstruction:
             digit_set_rational(2, -2)
         with pytest.raises(DigitSetError):
             digit_set_rational(6, 3)
-
-    def test_digit_for(self):
-        assert DS52.digit_for(7) == 2
-        assert DS52.digit_for(-7) == -2
-        assert DS73.digit_for(4) == -3
 
 
 class TestProperties:
@@ -112,11 +120,60 @@ class TestExpandInt:
             assert all(d in DS32 for d in word)
             assert value_of(word, Fraction(3, 2)) == k
 
-    def test_expand_range(self):
-        table = expand_range(DS3M2, -5, 5)
-        assert sorted(table) == list(range(-5, 6))
-        for k, word in table.items():
-            assert value_of(word, Fraction(-3, 2)) == k
+    def test_cycle_names_the_cycle(self):
+        # {0, 1, 5} is a residue system mod 3, but over -3/2 the orbit
+        # of 7 runs 7 -> -4 -> 6 -> -4 and never reaches 0
+        handmade = RationalDigitSet(3, -2, Regime.NEGATIVE_B, (0, 1, 5), ())
+        with pytest.raises(DigitSetError, match=r"7 .*\[-4, 6\]"):
+            expand_int(handmade, 7)
+        assert expand_int(handmade, 5) == (5,)
+        with pytest.raises(DigitSetError, match=r"\[2\]"):
+            expand_int(handmade, 2)  # 2 = 5 + (-3/2) * 2, a fixed point
+
+    def test_first_zero_state_ends_the_word(self):
+        # without the digit 0 the orbit goes on from 0 (0 -> 1 -> 0);
+        # the expansion is the prefix before the first state 0
+        no_zero = digit_set_rational(2, -1, [1, 2])
+        assert expand_int(no_zero, 1) == (1,)
+        assert expand_int(no_zero, 0) == ()
+        for k in range(-20, 21):
+            word = expand_int(no_zero, k)
+            assert value_of(word, Fraction(-2)) == k
+
+    def test_step_cap(self):
+        assert expand_int(DS52, 7, max_steps=2) == (2, 2)
+        with pytest.raises(ResourceCapError, match="exceeded 1 steps"):
+            expand_int(DS52, 7, max_steps=1)
+        with pytest.raises(ResourceCapError):
+            expand_int(DS32, 10**6, max_steps=5)
+
+
+@st.composite
+def _rational_base(draw):
+    a = draw(st.integers(2, 12))
+    b = draw(st.sampled_from([v for v in range(1 - a, a)
+                              if v and math.gcd(a, v) == 1]))
+    return a, b
+
+
+class TestOneEngine:
+    """Every rational-base expansion is a digits.orbit record; the
+    redundant regime's is the sign-alternated record of the mirror base
+    a/-b."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(ab=_rational_base(), k=st.integers(-10**30 + 1, 10**30 - 1))
+    def test_expansions_replay(self, ab, k):
+        a, b = ab
+        ds = digit_set_rational(a, b)
+        word = expand_int(ds, k)
+        assert all(d in ds for d in word)
+        assert value_of(word, ds.alpha) == k
+        base = make_base([-a, b])
+        for record in expand_all(a, b, k_range=(k // b, -7, 0, 11)):
+            assert record.terminated
+            assert record.replay(base)
+            assert all(d in ds for d in record.digits)
 
 
 class TestTransducer:
@@ -193,6 +250,9 @@ class TestExpandAll:
             assert rec.start == Fraction(2 * k)
             assert rec.replay(base)
             assert value_of(rec.digits, Fraction(3, 2)) == 2 * k
+        # the same record with the canonical digits in another order
+        shuffled = expand_all(3, 2, [0, 1, -1, 2, -2])
+        assert [r.states for r in shuffled] == [r.states for r in records]
 
     def test_explicit_digits(self):
         records = expand_all(3, -2, [0, 1, 5], k_range=range(-3, 4))
