@@ -289,7 +289,7 @@ class AlgebraicBase:
     def zero(self):
         self._require_elements()
         if self.degree == 1:
-            return Fraction(0)
+            return 0
         return (0,) * self.degree
 
     def element(self, value):
@@ -299,8 +299,8 @@ class AlgebraicBase:
         <= degree in the power basis 1, alpha, ..., alpha^(d-1).
         Degree one: an int or Fraction whose denominator divides a power
         of b (the denominator of alpha = a/b), or a one-coordinate
-        sequence holding one.  Anything else (a float, a bool, None, a
-        nested sequence) raises ValueError."""
+        sequence holding one; ints stay ints.  Anything else (a float, a
+        bool, None, a nested sequence) raises ValueError."""
         self._require_elements()
         if not isinstance(value, (list, tuple)):
             value = (value,)
@@ -309,7 +309,7 @@ class AlgebraicBase:
                 raise ValueError(
                     f"degree-one base takes one coordinate, got {len(value)}")
             (v,) = value
-            v = v if isinstance(v, Fraction) else Fraction(_integer(v))
+            v = v if isinstance(v, Fraction) else _integer(v)
             den = v.denominator
             _, b = self.rational_view
             while den != 1:
@@ -355,9 +355,11 @@ class AlgebraicBase:
         """x with alpha * x = y; raises ValueError when y is not divisible
         by alpha.  Inverse of mul_alpha on all of Z[alpha]."""
         if self.degree == 1:
-            a, _ = self.rational_view
+            a, b = self.rational_view
             if y.numerator % a != 0:
                 raise ValueError(f"{y} is not divisible by alpha")
+            if isinstance(y, int):
+                return y // a * b
             return y / self.alpha_fraction
         m = self.min_poly.coeffs
         if y[0] % m[0] != 0:

@@ -258,8 +258,7 @@ class SweepRow:
 
 
 def sweep_quadratic(a2_max: int, *, a1_min: int = -3,
-                    candidate_cap: int = 10**7,
-                    jobs: int = 1) -> list:
+                    candidate_cap: int = 10**7) -> list:
     """Compare the quadratic criterion against periodic-point brute
     force over every irreducible expanding x^2 + a1*x + a2 with
     2 <= a2 <= a2_max and a1_min <= a1 <= a2 + 2."""
@@ -275,7 +274,6 @@ def sweep_quadratic(a2_max: int, *, a1_min: int = -3,
                 continue
             digit_set = validate_crs(base, list(range(a2)))
             verdict = is_number_system(base, digit_set,
-                                       candidate_cap=candidate_cap,
-                                       jobs=jobs)
+                                       candidate_cap=candidate_cap)
             rows.append(SweepRow(a1, a2, quadratic_cns(a1, a2), verdict))
     return rows

@@ -144,7 +144,7 @@ def _manifest(args, limits: dict) -> dict:
         "command": args.command,
         "argv": list(args._argv),
         "python": platform.python_version(),
-        "libs": {"numpy": version("numpy"), "sympy": version("sympy")},
+        "libs": {"sympy": version("sympy")},
         "limits": limits,
     }
 
@@ -211,8 +211,7 @@ def _cmd_expand(args) -> int:
 def _cmd_periodic(args) -> int:
     base = _make_base(args)
     digit_set = as_digit_set(base, _parse_digit_list(args.digits))
-    pset = periodic_points(base, digit_set, candidate_cap=args.candidate_cap,
-                           jobs=args.jobs)
+    pset = periodic_points(base, digit_set, candidate_cap=args.candidate_cap)
     result = {
         "elements": [_element_out(e) for e in pset.elements],
         "cycles": [[_element_out(e) for e in cyc] for cyc in pset.cycles],
@@ -232,8 +231,7 @@ def _cmd_periodic(args) -> int:
 def _cmd_is_ns(args) -> int:
     base = _make_base(args)
     digit_set = as_digit_set(base, _parse_digit_list(args.digits))
-    pset = periodic_points(base, digit_set, candidate_cap=args.candidate_cap,
-                           jobs=args.jobs)
+    pset = periodic_points(base, digit_set, candidate_cap=args.candidate_cap)
     is_ns = digit_set.contains_zero and pset.elements == (base.zero,)
     spans = set(pset.elements) == set(zero_orbit_set(base, digit_set,
                                                      args.max_steps))
@@ -306,8 +304,7 @@ def _cmd_rational(args) -> int:
 
 def _cmd_zero_automaton(args) -> int:
     base = _make_base(args)
-    auto = build_zero_automaton(base, args.height, max_states=args.max_states,
-                                jobs=args.jobs)
+    auto = build_zero_automaton(base, args.height, max_states=args.max_states)
     if args.trim:
         auto = auto.trim()
     if args.export == "json":
@@ -332,8 +329,7 @@ def _cmd_zero_automaton(args) -> int:
 
 def _cmd_min_height(args) -> int:
     base = _make_base(args)
-    report = min_height(base, args.max_h, max_states=args.max_states,
-                        jobs=args.jobs)
+    report = min_height(base, args.max_h, max_states=args.max_states)
     result = {
         "poly": str(base.min_poly),
         "h_star": report.h_star,
@@ -349,8 +345,8 @@ def _cmd_min_height(args) -> int:
 
 def _cmd_count(args) -> int:
     base = _make_base(args)
-    auto = build_zero_automaton(base, args.height, max_states=args.max_states,
-                                jobs=args.jobs).trim()
+    auto = build_zero_automaton(base, args.height,
+                                max_states=args.max_states).trim()
     est, residual = auto.growth_rate()
     result = {
         "poly": str(base.min_poly),
@@ -365,8 +361,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_sweep_quadratic(args) -> int:
-    rows = sweep_quadratic(args.a2_max, candidate_cap=args.candidate_cap,
-                           jobs=args.jobs)
+    rows = sweep_quadratic(args.a2_max, candidate_cap=args.candidate_cap)
     print("a1,a2,criterion,brute_force,agree")
     for row in rows:
         print(f"{row.a1},{row.a2},{row.criterion},{row.brute_force},"

@@ -43,9 +43,6 @@ class DigitSet:
     def contains_zero(self) -> bool:
         return self.by_residue.get(0) == self.base.zero
 
-    def digit_for(self, x):
-        return self.by_residue[self.base.residue(x)]
-
     def step(self, x):
         """One backward-division step: (digit, (x - digit)/alpha)."""
         base = self.base
@@ -71,7 +68,8 @@ def validate_crs(base: AlgebraicBase, candidates) -> DigitSet:
     elements = [base.element(c) for c in candidates]
     if len(elements) != m:
         raise DigitSetError(
-            f"need exactly {m} digits (|M(0)|), got {len(elements)}")
+            f"need exactly {m} digits, one per residue class mod {m}, "
+            f"got {len(elements)}")
     by_residue: dict = {}
     for elt in elements:
         r = base.residue(elt)
@@ -276,14 +274,13 @@ def _coordinate_bound(base: AlgebraicBase, c: Fraction) -> int:
 
 
 def periodic_points(base: AlgebraicBase, digits=None, *,
-                    candidate_cap: int = 10**7, jobs: int = 1) -> PeriodicSet:
+                    candidate_cap: int = 10**7) -> PeriodicSet:
     """All periodic points of the digit map, exactly.
 
     Every periodic point has |sigma(x)| <= c in every embedding, so a
     certified coordinate box contains them all; the box is swept and
     each orbit followed until it cycles.  Enumeration is inflated
-    outward, never truncated, so no periodic point can be missed.
-    jobs is accepted and ignored; the scan runs in one thread."""
+    outward, never truncated, so no periodic point can be missed."""
     _require_expanding(base)
     digit_set = as_digit_set(base, digits)
     bounds = orbit_bound(base, digit_set)
@@ -339,14 +336,13 @@ def _sort_key(x):
 
 
 def is_number_system(base: AlgebraicBase, digits=None, *,
-                     candidate_cap: int = 10**7, jobs: int = 1) -> bool:
+                     candidate_cap: int = 10**7) -> bool:
     """True when every element of Z[alpha] has a finite expansion, i.e.
     0 is a digit and the only periodic point is 0."""
     digit_set = as_digit_set(base, digits)
     if not digit_set.contains_zero:
         return False
-    pset = periodic_points(base, digit_set, candidate_cap=candidate_cap,
-                           jobs=jobs)
+    pset = periodic_points(base, digit_set, candidate_cap=candidate_cap)
     return pset.elements == (base.zero,)
 
 
@@ -363,13 +359,11 @@ def zero_orbit_set(base: AlgebraicBase, digits=None,
 
 
 def spans_ring(base: AlgebraicBase, digits=None, *,
-               candidate_cap: int = 10**7, max_steps: int = 10000,
-               jobs: int = 1) -> bool:
+               candidate_cap: int = 10**7, max_steps: int = 10000) -> bool:
     """True when R[alpha] = Z[alpha]: the periodic points are exactly the
     forward orbit of 0."""
     digit_set = as_digit_set(base, digits)
-    pset = periodic_points(base, digit_set, candidate_cap=candidate_cap,
-                           jobs=jobs)
+    pset = periodic_points(base, digit_set, candidate_cap=candidate_cap)
     return set(pset.elements) == set(zero_orbit_set(base, digit_set, max_steps))
 
 

@@ -161,7 +161,7 @@ def expand_int(ds: RationalDigitSet, k: int, max_steps: int = 10**6) -> tuple:
     0, and ResourceCapError when it runs past max_steps."""
     record = _record(ds, k, max_steps)
     if 0 in record.states:
-        return tuple(int(d) for d in record.digits[:record.states.index(0)])
+        return record.digits[:record.states.index(0)]
     if isinstance(record.tail, Cycle):
         cycle = ", ".join(str(x) for x in record.tail.elements)
         raise DigitSetError(f"{k} has no finite expansion over the digits "

@@ -1,11 +1,13 @@
 """Certified isolation of the roots of a squarefree integer polynomial.
 
-Floating seeds come from the companion-matrix eigenvalues (numpy.roots).
-Each seed is polished by a Newton iteration carried out in exact rational
-arithmetic (iterates rounded to dyadic rationals of bounded size), then
-wrapped in a rectangle that an interval Newton step certifies: if
-N(B) = mid(B) - P(mid)/P'(B) lands strictly inside B, the rectangle
-contains exactly one simple root, and iterating N shrinks it.
+Float seeds come from the Weierstrass (Durand-Kerner) iteration (Kerner,
+Numer. Math. 8, 1966) on the polynomial scaled into the unit disk.  It
+uses only +, -, * and / on Python floats, so the seeds are bit-identical
+on every IEEE-754 platform.  Each seed is polished by a Newton iteration
+in exact rational arithmetic (iterates rounded to dyadic rationals of
+bounded size), then wrapped in a rectangle that an interval Newton step
+certifies: if N(B) = mid(B) - P(mid)/P'(B) lands strictly inside B, the
+rectangle contains exactly one simple root, and iterating N shrinks it.
 
 Everything downstream consumes only the certified rectangles; the float
 seeds never participate in a comparison.
@@ -13,6 +15,7 @@ seeds never participate in a comparison.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import PrecisionError
@@ -110,6 +113,56 @@ def _certify_one(coeffs, dcoeffs, center: _CRat, radius: Fraction,
     return None
 
 
+def _float_seeds(coeffs, max_iter: int = 500) -> list[_CRat]:
+    """Approximations of all roots, as rationals read off floats.  A power
+    of two R above Fujiwara's bound 2 max_k |c_k/c_d|^(1/(d-k)) moves the
+    roots of q(w) = p(R w) / (c_d R^d) into the unit disk; the monic
+    coefficients of q have modulus <= 1/2, so their floats cannot
+    overflow.  The iteration starts from the powers (0.4+0.9i)^k and
+    updates one estimate at a time."""
+    d, lead = len(coeffs) - 1, coeffs[-1]
+    # |c_k/c_d| < 2^(t+1) with t = bits(c_k) - bits(c_d), so R = 2^e with
+    # e = 1 + ceil((t+1)/(d-k)) over every k with c_k != 0.
+    e = max([0] + [1 - (abs(lead).bit_length() - abs(c).bit_length() - 1)
+                   // (d - k) for k, c in enumerate(coeffs[:d]) if c])
+    scale = Fraction(2) ** e
+    a = [float(Fraction(c) / (lead * scale ** (d - k)))
+         for k, c in enumerate(coeffs[:d])]
+    zr, zi, xr, xi = [], [], 1.0, 0.0
+    for _ in range(d):
+        zr.append(xr)
+        zi.append(xi)
+        xr, xi = xr * 0.4 - xi * 0.9, xr * 0.9 + xi * 0.4
+    last = 0.0
+    for _ in range(max_iter):
+        worst = 0.0
+        for i in range(d):
+            xr, xi = zr[i], zi[i]
+            pr, pi = 1.0, 0.0
+            for c in reversed(a):
+                pr, pi = pr * xr - pi * xi + c, pr * xi + pi * xr
+            dr, di = 1.0, 0.0
+            for j in range(d):
+                if j != i:
+                    er, ei = xr - zr[j], xi - zi[j]
+                    dr, di = dr * er - di * ei, dr * ei + di * er
+            m = dr * dr + di * di
+            if m == 0.0:
+                continue
+            sr = (pr * dr + pi * di) / m
+            si = (pi * dr - pr * di) / m
+            if math.isfinite(sr) and math.isfinite(si):
+                zr[i], zi[i] = xr - sr, xi - si
+                worst = max(worst, sr * sr + si * si)
+        # Stop at convergence, or when small corrections stop halving.
+        if worst <= 2.0 ** -100 or 2.0 ** -60 >= worst > last / 4:
+            break
+        last = worst
+    return [((Fraction(x) * scale).limit_denominator(10**17),
+             (Fraction(y) * scale).limit_denominator(10**17))
+            for x, y in zip(zr, zi)]
+
+
 def certified_roots(coeffs, width: Fraction = DEFAULT_WIDTH,
                     seeds: list[_CRat] | None = None) -> list[Box]:
     """All roots of the squarefree polynomial with the given ascending
@@ -120,12 +173,7 @@ def certified_roots(coeffs, width: Fraction = DEFAULT_WIDTH,
     if degree < 1:
         raise ValueError("need degree >= 1")
     if seeds is None:
-        import numpy as np
-
-        arr = np.roots(list(reversed([float(c) for c in coeffs])))
-        seeds = [(Fraction(float(z.real)).limit_denominator(10**17),
-                  Fraction(float(z.imag)).limit_denominator(10**17))
-                 for z in arr]
+        seeds = _float_seeds(coeffs)
     if len(seeds) != degree:
         raise ValueError("seed count does not match degree")
     dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]

@@ -17,9 +17,9 @@ polynomial is monic, rational ones (including integers) always.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
 from .base import AlgebraicBase, make_base
@@ -179,44 +179,43 @@ class ZeroAutomaton:
 
     def growth_rate(self, iterations: int = 200) -> tuple:
         """(estimate, residual) for the dominant growth factor of the
-        accepted-word counts, by power iteration on the trim transition
-        multigraph."""
+        accepted-word counts, by power iteration on the predecessor lists
+        (one entry per edge) of the trim automaton; every sum is an fsum."""
         auto = self if self.trimmed else self.trim()
         if not auto.states:
             return 0.0, 0.0
         index = {s: i for i, s in enumerate(auto.states)}
-        import numpy as np
-
-        n = len(auto.states)
-        mat = np.zeros((n, n))
+        preds: list[list[int]] = [[] for _ in auto.states]
         for (y, _d), z in auto.transitions.items():
-            mat[index[z], index[y]] += 1.0
-        vec = np.ones(n) / n
+            preds[index[z]].append(index[y])
+
+        def apply(vec):
+            return [math.fsum([vec[j] for j in row]) for row in preds]
+
+        def norm(vec):
+            return math.sqrt(math.fsum([x * x for x in vec]))
+
+        vec = [1.0 / len(preds)] * len(preds)
         est = 0.0
         for _ in range(iterations):
-            nxt = mat @ vec
-            norm = float(np.linalg.norm(nxt))
-            if norm == 0.0:
+            nxt = apply(vec)
+            size = norm(nxt)
+            if size == 0.0:
                 return 0.0, 0.0
-            est = norm / float(np.linalg.norm(vec))
-            vec = nxt / norm
-        residual = float(np.max(np.abs(mat @ vec - est * vec)))
+            est = size / norm(vec)
+            vec = [x / size for x in nxt]
+        residual = max(abs(x - est * v) for x, v in zip(apply(vec), vec))
         return est, residual
 
     def to_json_dict(self) -> dict:
         index = {s: i for i, s in enumerate(self.states)}
         transitions = sorted((index[y], d, index[z])
                              for (y, d), z in self.transitions.items())
-
-        def encode(s):
-            if isinstance(s, tuple):
-                return list(s)
-            return int(s)  # degree-one states are integral by construction
-
         return {
             "H": self.height,
             "base": str(self.base.min_poly),
-            "states": [encode(s) for s in self.states],
+            "states": [list(s) if isinstance(s, tuple) else s
+                       for s in self.states],
             "transitions": [list(t) for t in transitions],
             "initial": index[self.zero],
             "final": index[self.zero],
@@ -239,8 +238,7 @@ class ZeroAutomaton:
 
 
 def build_zero_automaton(base, height: int, *,
-                         max_states: int = DEFAULT_MAX_STATES,
-                         jobs: int = 1) -> ZeroAutomaton:
+                         max_states: int = DEFAULT_MAX_STATES) -> ZeroAutomaton:
     """Construct Z(height) for the given base (an AlgebraicBase, a
     polynomial, or a polynomial string) in one pass at the base's
     current interval width.
@@ -249,7 +247,7 @@ def build_zero_automaton(base, height: int, *,
     depend on that width: a successor is pruned only when it provably
     leaves the invariant band, and an undecided one is kept and, if it
     cannot return to 0, removed by trim().  The untrimmed automaton is
-    deterministic for a given width; jobs is accepted and ignored."""
+    deterministic for a given width."""
     base = _coerce(base)
     if height < 1:
         raise ValueError("height must be at least 1")
@@ -299,7 +297,7 @@ def _build_rational(base: AlgebraicBase, height: int, max_states: int):
                 z = ay + d
                 if not in_band(z):
                     continue
-                transitions[(Fraction(y), d)] = Fraction(z)
+                transitions[(y, d)] = z
                 if z not in level:
                     if len(level) >= max_states:
                         raise ResourceCapError(
@@ -307,9 +305,7 @@ def _build_rational(base: AlgebraicBase, height: int, max_states: int):
                     level[z] = depth
                     nxt.append(z)
         frontier = nxt
-    states = tuple(Fraction(v) for v in sorted(level))
-    levels = {Fraction(v): j for v, j in level.items()}
-    return states, transitions, levels
+    return tuple(sorted(level)), transitions, level
 
 
 def _monic_pass(base: AlgebraicBase, height: int, max_states: int):
@@ -330,7 +326,7 @@ def _monic_pass(base: AlgebraicBase, height: int, max_states: int):
     forms = []
     for k, (lo, _hi) in enumerate(base.conjugate_moduli()):
         if lo > 1:
-            bound = (Fraction(height) / (lo - 1)) ** 2
+            bound = (height / (lo - 1)) ** 2  # lo is a Fraction
             parts = []
             for box in table[k]:
                 rl, ru = dyadic_outward(box.re, bits)
@@ -384,8 +380,7 @@ class MinHeightReport:
 
 
 def min_height(base, h_max: int | None = None, *,
-               max_states: int = DEFAULT_MAX_STATES,
-               jobs: int = 1) -> MinHeightReport:
+               max_states: int = DEFAULT_MAX_STATES) -> MinHeightReport:
     """The least H for which some nonzero digit word over {-H..H}
     evaluates to 0 at the base, with a shortest witness.
 
@@ -397,8 +392,7 @@ def min_height(base, h_max: int | None = None, *,
     cap = base.min_poly.height() if h_max is None else h_max
     searched = []
     for h in range(1, cap + 1):
-        auto = build_zero_automaton(base, h, max_states=max_states,
-                                    jobs=jobs).trim()
+        auto = build_zero_automaton(base, h, max_states=max_states).trim()
         nontrivial = sum(1 for (_y, d) in auto.transitions if d != 0)
         searched.append((h, nontrivial))
         if nontrivial:

@@ -217,3 +217,25 @@ def zero_automaton_reference(base, height: int, max_states: int):
         frontier = nxt
     states = tuple(sorted(level))
     return states, transitions, level
+
+
+def growth_rate_dense(auto, iterations: int = 200) -> tuple:
+    """(estimate, residual) of the dominant growth factor of a trim
+    automaton's word counts, by power iteration on its dense n x n
+    transition matrix."""
+    index = {s: i for i, s in enumerate(auto.states)}
+    n = len(auto.states)
+    mat = np.zeros((n, n))
+    for (y, _d), z in auto.transitions.items():
+        mat[index[z], index[y]] += 1.0
+    vec = np.ones(n) / n
+    est = 0.0
+    for _ in range(iterations):
+        nxt = mat @ vec
+        norm = float(np.linalg.norm(nxt))
+        if norm == 0.0:
+            return 0.0, 0.0
+        est = norm / float(np.linalg.norm(vec))
+        vec = nxt / norm
+    residual = float(np.max(np.abs(mat @ vec - est * vec)))
+    return est, residual

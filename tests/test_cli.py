@@ -51,8 +51,7 @@ class TestAnalyze:
         assert manifest["tool"] == "algdigits"
         assert manifest["command"] == "analyze"
         assert manifest["argv"] == ["analyze", "--poly", "x-2"]
-        assert manifest["libs"] == {"numpy": version("numpy"),
-                                    "sympy": version("sympy")}
+        assert manifest["libs"] == {"sympy": version("sympy")}
 
     def test_cyclotomic_counts_are_integers(self, capsys):
         result = run_json(capsys, "analyze", "--poly",
@@ -296,6 +295,26 @@ class TestErrors:
         assert code == 2
         assert json.loads(err)["error"]["type"] == "DigitSetError"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["rational", "--base=-3/2", "--digits", "0,3,1", "verify"],
+         "residue collision mod 3: 0 and 3 both lie in class 0"),
+        (["expand", "--poly", "2x+3", "--digits", "0,3,1", "--value", "5"],
+         "residue collision mod 3: 0 and 3 both lie in class 0"),
+        (["rational", "--base", "3/2", "--digits", "0,1", "verify"],
+         "need exactly 3 digits, one per residue class mod 3, got 2"),
+    ])
+    def test_digit_set_messages(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == {"type": "DigitSetError",
+                                            "message": message}
+
+    def test_huge_coefficient_is_analyzed(self, capsys):
+        # The roots are near 1.4e200; the coefficient is too large for a float.
+        poly = "[-2" + "0" * 400 + ",0,1]"
+        result = run_json(capsys, "analyze", "--poly", poly)["result"]
+        assert result["classification"] == "ExpandingInteger"
+
 
     @pytest.mark.parametrize("argv", [
         ["expand", "--poly", "x+2", "--value", "[null]"],
@@ -394,6 +413,22 @@ class TestStartup:
                 " '--value', '[5,7]']) == 0\n"
                 "assert main(['is-ns', '--poly', 'x^3+3x^2+3x+3']) == 0\n"
                 "assert 'sympy' not in sys.modules\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_root_isolation_does_not_import_numpy(self):
+        code = ("import contextlib, io, sys\n"
+                "from algdigits.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    assert main(['analyze', '--poly', 'x^5-x-1']) == 0\n"
+                "    assert main(['is-ns', '--poly', 'x^2+2x+2']) == 0\n"
+                "    assert main(['zero-automaton', '--poly', 'x^2-x-1',"
+                " '--height', '1']) == 0\n"
+                "    assert main(['count', '--poly', 'x^3-x-1',"
+                " '--height', '1', '--length', '4']) == 0\n"
+                "    assert main(['min-height', '--poly', 'x^2-2']) == 0\n"
+                "assert 'numpy' not in sys.modules\n")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr

