@@ -110,29 +110,17 @@ def _parse_rational_base(text: str) -> tuple[int, int]:
     return -p, -q
 
 
-def _element_out(x):
-    if isinstance(x, tuple):
-        return list(x)
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x
-
-
 def _record_out(record) -> dict:
     tail = record.tail
     if tail.kind == "cycle":
         tail_out = {"kind": "cycle", "entry": tail.entry,
-                    "elements": [_element_out(e) for e in tail.elements]}
+                    "elements": tail.elements}
     elif tail.kind == "truncated":
         tail_out = {"kind": "truncated", "steps": tail.steps}
     else:
         tail_out = {"kind": "terminated"}
-    return {
-        "start": _element_out(record.start),
-        "digits": [_element_out(d) for d in record.digits],
-        "states": [_element_out(s) for s in record.states],
-        "tail": tail_out,
-    }
+    return {"start": record.start, "digits": record.digits,
+            "states": record.states, "tail": tail_out}
 
 
 def _manifest(args, limits: dict) -> dict:
@@ -213,8 +201,8 @@ def _cmd_periodic(args) -> int:
     digit_set = as_digit_set(base, _parse_digit_list(args.digits))
     pset = periodic_points(base, digit_set, candidate_cap=args.candidate_cap)
     result = {
-        "elements": [_element_out(e) for e in pset.elements],
-        "cycles": [[_element_out(e) for e in cyc] for cyc in pset.cycles],
+        "elements": pset.elements,
+        "cycles": pset.cycles,
         "count": len(pset.elements),
         "is_trivial": pset.is_trivial,
         "candidates_scanned": pset.candidates_scanned,

@@ -2,10 +2,10 @@
 
 Float seeds come from the Weierstrass (Durand-Kerner) iteration (Kerner,
 Numer. Math. 8, 1966) on the polynomial scaled into the unit disk.  It
-uses only +, -, * and / on Python floats, so the seeds are bit-identical
-on every IEEE-754 platform.  Each seed is polished by a Newton iteration
-in exact rational arithmetic (iterates rounded to dyadic rationals of
-bounded size), then wrapped in a rectangle that an interval Newton step
+uses only +, -, * and / on Python floats and exact power-of-two rescaling,
+so the seeds are bit-identical on every IEEE-754 platform.  Each seed is
+polished by a Newton iteration in exact rational arithmetic (iterates
+rounded to dyadic rationals of bounded size), then wrapped in a rectangle that an interval Newton step
 certifies: if N(B) = mid(B) - P(mid)/P'(B) lands strictly inside B, the
 rectangle contains exactly one simple root, and iterating N shrinks it.
 
@@ -41,10 +41,6 @@ def _cdiv(a: _CRat, b: _CRat) -> _CRat:
     return ((a[0] * b[0] + a[1] * b[1]) / d, (a[1] * b[0] - a[0] * b[1]) / d)
 
 
-def _cabs_sq(a: _CRat) -> Fraction:
-    return a[0] * a[0] + a[1] * a[1]
-
-
 def _eval_and_diff(coeffs, z: _CRat) -> tuple[_CRat, _CRat]:
     """(P(z), P'(z)) by a combined Horner pass, exact."""
     p: _CRat = (Fraction(0), Fraction(0))
@@ -55,24 +51,20 @@ def _eval_and_diff(coeffs, z: _CRat) -> tuple[_CRat, _CRat]:
     return p, dp
 
 
-def _newton_polish(coeffs, seed: _CRat, bits: int, max_iter: int = 80) -> tuple[_CRat, Fraction]:
-    """Newton iteration with dyadic rounding; returns (z, |last step|^2)."""
+def _newton_polish(coeffs, seed: _CRat, bits: int) -> _CRat:
+    """Newton iteration with dyadic rounding."""
     z = (round_dyadic(seed[0], bits), round_dyadic(seed[1], bits))
     tol_sq = Fraction(1, 1 << (2 * bits - 8))
-    last_sq = Fraction(1)
-    for _ in range(max_iter):
+    for _ in range(80):
         p, dp = _eval_and_diff(coeffs, z)
-        if dp == (0, 0):
-            break
         try:
             step = _cdiv(p, dp)
         except ZeroDivisionError:
             break
         z = (round_dyadic(z[0] - step[0], bits), round_dyadic(z[1] - step[1], bits))
-        last_sq = _cabs_sq(step)
-        if last_sq <= tol_sq:
+        if step[0] * step[0] + step[1] * step[1] <= tol_sq:
             break
-    return z, last_sq
+    return z
 
 
 def _interval_newton_step(coeffs, dcoeffs, box: Box) -> Box | None:
@@ -113,7 +105,34 @@ def _certify_one(coeffs, dcoeffs, center: _CRat, radius: Fraction,
     return None
 
 
-def _float_seeds(coeffs, max_iter: int = 500) -> list[_CRat]:
+def _rescaled(re: float, im: float, k: int) -> tuple[float, float, int]:
+    """(re + i im) 2^k with re and im moved near 1 by an exact power of two."""
+    t = math.frexp(abs(re) + abs(im))[1]
+    return math.ldexp(re, -t), math.ldexp(im, -t), k + t
+
+
+def _correction(a, zr, zi, i) -> tuple[float, float]:
+    """q(x) / prod_{j != i} (x - z_j) at x = z_i, for the monic q with lower
+    coefficients a.  Numerator and denominator are kept as (re + i im) 2^k,
+    so neither overflows nor underflows on the way."""
+    xr, xi, pr, pi, kp = zr[i], zi[i], 1.0, 0.0, 0
+    for c in reversed(a):
+        pr, pi = pr * xr - pi * xi + math.ldexp(c, -kp), pr * xi + pi * xr
+        if pr * pr + pi * pi > 2.0 ** 600:
+            pr, pi, kp = _rescaled(pr, pi, kp)
+    dr, di, k = 1.0, 0.0, 0
+    for j in range(len(zr)):
+        if j != i:
+            er, ei = xr - zr[j], xi - zi[j]
+            dr, di = dr * er - di * ei, dr * ei + di * er
+            if not 2.0 ** -600 < dr * dr + di * di < 2.0 ** 600:
+                dr, di, k = _rescaled(dr, di, k)
+    m = dr * dr + di * di
+    return (math.ldexp((pr * dr + pi * di) / m, kp - k),
+            math.ldexp((pi * dr - pr * di) / m, kp - k))
+
+
+def _float_seeds(coeffs) -> list[_CRat]:
     """Approximations of all roots, as rationals read off floats.  A power
     of two R above Fujiwara's bound 2 max_k |c_k/c_d|^(1/(d-k)) moves the
     roots of q(w) = p(R w) / (c_d R^d) into the unit disk; the monic
@@ -134,26 +153,20 @@ def _float_seeds(coeffs, max_iter: int = 500) -> list[_CRat]:
         zi.append(xi)
         xr, xi = xr * 0.4 - xi * 0.9, xr * 0.9 + xi * 0.4
     last = 0.0
-    for _ in range(max_iter):
+    for _ in range(500):
         worst = 0.0
         for i in range(d):
             xr, xi = zr[i], zi[i]
-            pr, pi = 1.0, 0.0
-            for c in reversed(a):
-                pr, pi = pr * xr - pi * xi + c, pr * xi + pi * xr
-            dr, di = 1.0, 0.0
-            for j in range(d):
-                if j != i:
-                    er, ei = xr - zr[j], xi - zi[j]
-                    dr, di = dr * er - di * ei, dr * ei + di * er
-            m = dr * dr + di * di
-            if m == 0.0:
-                continue
-            sr = (pr * dr + pi * di) / m
-            si = (pi * dr - pr * di) / m
+            try:
+                sr, si = _correction(a, zr, zi, i)
+            except (OverflowError, ZeroDivisionError):
+                sr = si = math.inf  # an estimate that cannot move
             if math.isfinite(sr) and math.isfinite(si):
                 zr[i], zi[i] = xr - sr, xi - si
-                worst = max(worst, sr * sr + si * si)
+            # Relative to estimates in the unit disk, so tiny roots converge
+            # too; 2^-900 lets an estimate of a zero root stop.
+            worst = max(worst, (sr * sr + si * si)
+                        / (min(xr * xr + xi * xi, 1.0) + 2.0 ** -900))
         # Stop at convergence, or when small corrections stop halving.
         if worst <= 2.0 ** -100 or 2.0 ** -60 >= worst > last / 4:
             break
@@ -182,7 +195,7 @@ def certified_roots(coeffs, width: Fraction = DEFAULT_WIDTH,
     for _ in range(10):
         boxes: list[Box] = []
         ok = True
-        polished = [_newton_polish(coeffs, seed, bits)[0] for seed in seeds]
+        polished = [_newton_polish(coeffs, seed, bits) for seed in seeds]
         for z in polished:
             # Radius guess: the dyadic grid spacing plus the residual
             # Newton correction magnitude at z.

@@ -1,11 +1,16 @@
 """Certified root isolation against numpy's companion-matrix roots."""
 
+import math
+
+import mpmath
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from algdigits import IntPolynomial
-from algdigits.roots import certified_roots
+from algdigits.intervals import Box
+from algdigits.roots import _correction, _float_seeds, certified_roots
 
 
 @st.composite
@@ -26,15 +31,56 @@ def _distance_sq(z: complex, box) -> float:
     return dx * dx + dy * dy
 
 
+def _assert_one_box_each(coeffs, boxes, roots, tol):
+    """degree disjoint boxes, and each root within tol(z) of exactly one."""
+    assert len(boxes) == len(coeffs) - 1
+    for i, a in enumerate(boxes):
+        assert all(a.disjoint(b) for b in boxes[i + 1:])
+    for z in roots:
+        near = [b for b in boxes if _distance_sq(z, b) <= tol(z) ** 2]
+        assert len(near) == 1, (coeffs, z)
+
+
 class TestCertifiedRoots:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(coeffs=_squarefree())
     def test_boxes_match_numpy_roots(self, coeffs):
-        boxes = certified_roots(coeffs)
-        assert len(boxes) == len(coeffs) - 1
-        for i, a in enumerate(boxes):
-            assert all(a.disjoint(b) for b in boxes[i + 1:])
-        for z in np.roots(coeffs[::-1]):
-            tol = 1e-6 * max(1.0, abs(z))
-            near = [b for b in boxes if _distance_sq(z, b) <= tol * tol]
-            assert len(near) == 1, (coeffs, z)
+        _assert_one_box_each(coeffs, certified_roots(coeffs),
+                             np.roots(coeffs[::-1]),
+                             lambda z: 1e-6 * max(1.0, abs(z)))
+
+    @pytest.mark.parametrize("coeffs", [
+        [1] + [0] * 10 + [-10**20, 1],  # x^12 - 10^20 x^11 + 1
+        [1] + [0] * 29 + [-10**6, 1],  # x^31 - 10^6 x^30 + 1
+    ])
+    def test_roots_of_very_different_moduli(self, coeffs):
+        # Scaled into the unit disk, all roots but one lie within 2e-7 of
+        # 0, where the seeds' products of differences underflow a float
+        # and their corrections are tiny in absolute terms.  numpy's
+        # companion matrix misplaces the small roots of the first
+        # polynomial, so the reference is mpmath at 30 digits.  The float
+        # seeds themselves already agree to 1e-12 relative to each root.
+        with mpmath.workdps(30):
+            roots = [complex(z) for z in
+                     mpmath.polyroots(coeffs[::-1], maxsteps=200, extraprec=100)]
+        seeds = [Box.point(re, im) for re, im in _float_seeds(coeffs)]
+        _assert_one_box_each(coeffs, seeds, roots, lambda z: 1e-12 * abs(z))
+        _assert_one_box_each(coeffs, certified_roots(coeffs), roots,
+                             lambda z: 1e-9 * abs(z))
+
+    def test_seed_correction_out_of_float_range(self):
+        # Estimates at the roots of w^300 = 2^-600, which lie on the circle
+        # of radius 1/4: the product of the differences from one estimate
+        # to the others is 300 * 4^-299, whose square underflows a float.
+        # Moved to 16, the first estimate makes 16^300 overflow.
+        d = 300
+        a = [-2.0 ** -600] + [0.0] * (d - 1)
+        zr = [math.cos(2 * math.pi * k / d) / 4 for k in range(d)]
+        zi = [math.sin(2 * math.pi * k / d) / 4 for k in range(d)]
+        for x in (0.2501, 16.0):
+            zr[0] = x
+            with mpmath.workdps(40):
+                z = [mpmath.mpc(r, i) for r, i in zip(zr, zi)]
+                want = (z[0] ** d + a[0]) / mpmath.fprod(z[0] - w for w in z[1:])
+                got = mpmath.mpc(*_correction(a, zr, zi, 0))
+                assert abs(got - want) <= 1e-12 * abs(want)
