@@ -25,7 +25,7 @@ from .intervals import Box, Interval
 from .polynomials import (IntPolynomial, count_real_roots_between,
                           is_irreducible_z, palindromic_half,
                           parse_polynomial, require_min_poly_shape)
-from .roots import DEFAULT_WIDTH, certified_roots
+from .roots import DEFAULT_WIDTH, certified_roots, contract_roots
 
 DEFAULT_PRECISION = DEFAULT_WIDTH
 DEFAULT_DEGREE_LIMIT = 24
@@ -63,16 +63,15 @@ class _RootStore:
     """
 
     def __init__(self, coeffs: tuple[int, ...], n_unit: int, width: Fraction):
-        self.coeffs = coeffs
-        boxes = certified_roots(list(coeffs), width)
-        w = width
+        self.coeffs = list(coeffs)
+        boxes = certified_roots(self.coeffs, width)
         for _ in range(80):
             straddle = [i for i, b in enumerate(boxes)
                         if _modulus_contains_one(b)]
             if len(straddle) == n_unit:
                 break
-            w = w / 16
-            boxes = certified_roots(list(coeffs), w, seeds=[b.mid for b in boxes])
+            width = width / 16
+            boxes = contract_roots(self.coeffs, boxes, width)
         else:
             raise PrecisionError(
                 "could not separate conjugate moduli from 1; "
@@ -83,27 +82,19 @@ class _RootStore:
                                       boxes[i].re.lo, boxes[i].im.lo))
         self.boxes = [boxes[i] for i in order]
         self.unit_flags = [flags[i] for i in order]
-        self.width = w
+        self.width = width
         self._powers: tuple[Fraction, list[list[Box]]] | None = None
 
-    def get(self, width: Fraction | None = None) -> list[Box]:
-        if width is None or width >= self.width:
-            return self.boxes
-        new = certified_roots(list(self.coeffs), width,
-                              seeds=[b.mid for b in self.boxes])
-        for old, fresh in zip(self.boxes, new):
-            if old.intersect(fresh) is None:
-                raise PrecisionError("root refinement lost track of a root")
+    def refine(self, width: Fraction) -> None:
+        """Contract every box further, to width <= width; each new box
+        lies inside the old one."""
+        new = contract_roots(self.coeffs, self.boxes, width)
         for i, fresh in enumerate(new):
             if not self.unit_flags[i] and _modulus_contains_one(fresh):
                 raise PrecisionError("refined modulus interval regressed")
         self.boxes = new
         self.width = width
         self._powers = None
-        return self.boxes
-
-    def refine_halve(self) -> None:
-        self.get(self.width / 16)
 
     def moduli(self) -> list[tuple[Fraction, Fraction]]:
         out = []
@@ -269,7 +260,7 @@ class AlgebraicBase:
     def refine(self) -> None:
         """Shrink the certified rectangles (deterministic, monotone)."""
         if self._store is not None:
-            self._store.refine_halve()
+            self._store.refine(self._store.width / 16)
 
     @property
     def achieved_width(self) -> Fraction:
@@ -390,26 +381,19 @@ class AlgebraicBase:
                            d if not isinstance(d, int) else self.element(d))
         return acc
 
-    def conjugate_boxes(self, x, width: Fraction | None = None) -> list[Box]:
-        """Certified rectangles for sigma_k(x), each conjugate embedding.
-        Refines the root rectangles until every result is narrower than
-        the requested width."""
+    def conjugate_boxes(self, x) -> list[Box]:
+        """Certified rectangles for sigma_k(x), each conjugate embedding,
+        at the current width of the root rectangles."""
         self._require_elements()
         if self.degree == 1:
             return [Box.point(x)]
-        target = width if width is not None else self.requested_precision
-        for _ in range(60):
-            table = self._store.power_boxes(self.degree)
-            out = []
-            for row in table:
-                acc = Box.point(0)
-                for c, p in zip(x, row):
-                    acc = acc + p.scale(c)
-                out.append(acc)
-            if width is None or all(b.width <= target for b in out):
-                return out
-            self._store.refine_halve()
-        raise PrecisionError("conjugate boxes did not reach requested width")
+        out = []
+        for row in self._store.power_boxes(self.degree):
+            acc = Box.point(0)
+            for c, p in zip(x, row):
+                acc = acc + p.scale(c)
+            out.append(acc)
+        return out
 
     def __repr__(self) -> str:
         return f"AlgebraicBase({self.min_poly!s}, {self.classification})"

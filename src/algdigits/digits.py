@@ -219,13 +219,10 @@ def orbit_bound(base: AlgebraicBase, digits=None) -> BoundsReport:
     _require_expanding(base)
     digit_set = as_digit_set(base, digits)
     moduli = base.conjugate_moduli()
-    sups = []
-    for k in range(len(moduli)):
-        best = Fraction(0)
-        for digit in digit_set.digits:
-            box = base.conjugate_boxes(digit)[k]
-            best = max(best, box.abs_bounds()[1])
-        sups.append(best)
+    sups = [Fraction(0)] * len(moduli)
+    for digit in digit_set.digits:
+        for k, box in enumerate(base.conjugate_boxes(digit)):
+            sups[k] = max(sups[k], box.abs_bounds()[1])
     per = []
     for (lo, _hi), k_sup in zip(moduli, sups):
         if lo <= 1:

@@ -39,14 +39,6 @@ def sqrt_upper(q: Fraction, bits: int = 64) -> Fraction:
     return Fraction(s, q.denominator * scale)
 
 
-def round_dyadic(q: Fraction, bits: int) -> Fraction:
-    """Nearest dyadic rational with denominator 2^bits.  Used to keep
-    Newton iterates at a bounded bit size; rounding never affects
-    soundness because certified enclosures are recomputed afterwards."""
-    scaled = q * (1 << bits)
-    return Fraction(round(scaled), 1 << bits)
-
-
 def dyadic_outward(iv: Interval, bits: int) -> tuple[int, int]:
     """Integers (L, U) with L / 2^bits <= iv.lo and iv.hi <= U / 2^bits:
     the interval rounded outward to the 2^-bits grid."""
@@ -220,13 +212,22 @@ class Box:
         inv = denom_sq.reciprocal()
         return Box(scaled.re * inv, scaled.im * inv)
 
+    def outward(self, bits: int) -> "Box":
+        """The smallest box on the 2^-bits grid that contains self."""
+        one = 1 << bits
+        rl, ru = dyadic_outward(self.re, bits)
+        il, iu = dyadic_outward(self.im, bits)
+        return Box(Interval(Fraction(rl, one), Fraction(ru, one)),
+                   Interval(Fraction(il, one), Fraction(iu, one)))
+
     def __repr__(self) -> str:
         return f"Box(re={self.re}, im={self.im})"
 
 
-def horner_box(coeffs, z: Box) -> Box:
-    """Evaluate an integer polynomial at a box, coefficients ascending."""
+def horner_box(coeffs, z: Box, bits: int) -> Box:
+    """Evaluate an integer polynomial at a box, coefficients ascending,
+    rounding every Horner step outward to the 2^-bits grid."""
     acc = Box.point(0)
     for c in reversed(coeffs):
-        acc = (acc * z).shift_re(c)
+        acc = (acc * z).shift_re(c).outward(bits)
     return acc

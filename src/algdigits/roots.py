@@ -3,11 +3,17 @@
 Float seeds come from the Weierstrass (Durand-Kerner) iteration (Kerner,
 Numer. Math. 8, 1966) on the polynomial scaled into the unit disk.  It
 uses only +, -, * and / on Python floats and exact power-of-two rescaling,
-so the seeds are bit-identical on every IEEE-754 platform.  Each seed is
-polished by a Newton iteration in exact rational arithmetic (iterates
-rounded to dyadic rationals of bounded size), then wrapped in a rectangle that an interval Newton step
-certifies: if N(B) = mid(B) - P(mid)/P'(B) lands strictly inside B, the
-rectangle contains exactly one simple root, and iterating N shrinks it.
+so the seeds are bit-identical on every IEEE-754 platform.
+
+One interval Newton contraction (Moore, Interval Analysis, 1966) then
+certifies and refines every root.  Around each seed it takes a rectangle
+B and forms N(B) = mid(B) - P(mid(B))/P'(B): when N(B) lands strictly
+inside B, B holds exactly one simple root.  From there it iterates
+B <- N(B) & B down to the target width.  Every iterate is rounded outward
+to the 2^-(w+24) dyadic grid of a width near 2^-w, so endpoints keep a
+bounded size, and each iterate lies inside the one before.  Refining to a
+finer width continues the same contraction from the stored rectangles,
+so refined rectangles nest.
 
 Everything downstream consumes only the certified rectangles; the float
 seeds never participate in a comparison.
@@ -19,90 +25,80 @@ import math
 from fractions import Fraction
 
 from .errors import PrecisionError
-from .intervals import Box, Interval, horner_box, round_dyadic
+from .intervals import Box, Interval, horner_box
 
 DEFAULT_WIDTH = Fraction(1, 2**40)
 
 _CRat = tuple[Fraction, Fraction]
 
 
-def _cadd(a: _CRat, b: _CRat) -> _CRat:
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _cmul(a: _CRat, b: _CRat) -> _CRat:
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _cdiv(a: _CRat, b: _CRat) -> _CRat:
-    d = b[0] * b[0] + b[1] * b[1]
-    if d == 0:
-        raise ZeroDivisionError
-    return ((a[0] * b[0] + a[1] * b[1]) / d, (a[1] * b[0] - a[0] * b[1]) / d)
-
-
 def _eval_and_diff(coeffs, z: _CRat) -> tuple[_CRat, _CRat]:
-    """(P(z), P'(z)) by a combined Horner pass, exact."""
-    p: _CRat = (Fraction(0), Fraction(0))
-    dp: _CRat = (Fraction(0), Fraction(0))
-    for c in reversed(coeffs):
-        dp = _cadd(_cmul(dp, z), p)
-        p = _cadd(_cmul(p, z), (Fraction(c), Fraction(0)))
-    return p, dp
+    """(P(z), P'(z)) exactly, for z with dyadic parts and degree d >= 1:
+    one Horner pass on the Gaussian integer a + bi = z 2^k, carrying
+    2^(k(d-j)) times the partial value h_j and 2^(k(d-1-j)) times its
+    derivative g_j, so that no step needs a gcd."""
+    d = len(coeffs) - 1
+    k = max(z[0].denominator, z[1].denominator).bit_length() - 1
+    a, b = int(z[0] * (1 << k)), int(z[1] * (1 << k))
+    hr = hi = gr = gi = 0
+    for j in range(d, -1, -1):
+        gr, gi = gr * a - gi * b + hr, gr * b + gi * a + hi
+        hr, hi = (hr * a - hi * b + (coeffs[j] << (k * (d - j))),
+                  hr * b + hi * a)
+    return ((Fraction(hr, 1 << (k * d)), Fraction(hi, 1 << (k * d))),
+            (Fraction(gr, 1 << (k * d - k)), Fraction(gi, 1 << (k * d - k))))
 
 
-def _newton_polish(coeffs, seed: _CRat, bits: int) -> _CRat:
-    """Newton iteration with dyadic rounding."""
-    z = (round_dyadic(seed[0], bits), round_dyadic(seed[1], bits))
-    tol_sq = Fraction(1, 1 << (2 * bits - 8))
-    for _ in range(80):
-        p, dp = _eval_and_diff(coeffs, z)
-        try:
-            step = _cdiv(p, dp)
-        except ZeroDivisionError:
-            break
-        z = (round_dyadic(z[0] - step[0], bits), round_dyadic(z[1] - step[1], bits))
-        if step[0] * step[0] + step[1] * step[1] <= tol_sq:
-            break
-    return z
+def grid_bits(width: Fraction) -> int:
+    """w + 24, where 2^w is the largest power of two not above the
+    denominator of width: the 2^-(w+24) grid holds the root boxes of that
+    width and the rounded power boxes of the zero-automaton pass."""
+    return width.denominator.bit_length() + 23
 
 
-def _interval_newton_step(coeffs, dcoeffs, box: Box) -> Box | None:
+def _newton(coeffs, box: Box, bits: int) -> Box | None:
     """N(B) = m - P(m)/P'(B); None when P'(B) may contain zero."""
     mre, mim = box.mid
     p_mid, _ = _eval_and_diff(coeffs, (mre, mim))
-    dp_box = horner_box(dcoeffs, box)
+    dp_box = horner_box([i * c for i, c in enumerate(coeffs)][1:], box, bits)
     if dp_box.abs_sq().lo <= 0:
         return None
     quotient = dp_box.divide_into(Box.point(p_mid[0], p_mid[1]))
     return Box.point(mre, mim) - quotient
 
 
-def _certify_one(coeffs, dcoeffs, center: _CRat, radius: Fraction,
-                 target: Fraction) -> Box | None:
-    """Try to certify a unique root near center and shrink to target width."""
-    r = radius
+def _contract(coeffs, box: Box, width: Fraction, bits: int) -> Box:
+    """Iterate B <- N(B) & B, rounded outward to the 2^-bits grid, until
+    B is no wider than width.  B must lie on that grid and hold a root;
+    every root in B lies in N(B), and rounding outward cannot leave B,
+    so each iterate holds the root and lies inside the one before."""
+    while box.width > width:
+        step = _newton(coeffs, box, bits)
+        meet = step.intersect(box) if step is not None else None
+        if meet is None or meet.outward(bits).width >= box.width:
+            raise PrecisionError(
+                f"root contraction stalled for {coeffs} at width {box.width}")
+        box = meet.outward(bits)
+    return box
+
+
+def _certify(coeffs, seed: _CRat, bits: int) -> Box:
+    """A box on the 2^-bits grid proven to hold exactly one root near seed:
+    N(B) strictly inside B proves it, and N(B) rounded outward still lies
+    in B.  The first radius tried is 8|P/P'| at the seed, grown fourfold
+    up to seven times."""
+    p, dp = _eval_and_diff(coeffs, seed)
+    r = Fraction(1, 1 << bits)
+    if dp[0] or dp[1]:
+        r = max(r, 8 * (abs(p[0]) + abs(p[1])) / max(abs(dp[0]), abs(dp[1])))
     for _ in range(8):
-        box = Box(Interval(center[0] - r, center[0] + r),
-                  Interval(center[1] - r, center[1] + r))
-        n = _interval_newton_step(coeffs, dcoeffs, box)
-        if n is not None and box.contains_strict(n):
-            cur = n.intersect(box) or n
-            for _ in range(64):
-                if cur.width <= target:
-                    return cur
-                nxt = _interval_newton_step(coeffs, dcoeffs, cur)
-                if nxt is None:
-                    break
-                meet = nxt.intersect(cur)
-                if meet is None or meet.width >= cur.width:
-                    break
-                cur = meet
-            if cur.width <= target:
-                return cur
-            return None
-        r = r * 4
-    return None
+        box = Box(Interval(seed[0] - r, seed[0] + r),
+                  Interval(seed[1] - r, seed[1] + r)).outward(bits)
+        step = _newton(coeffs, box, bits)
+        if step is not None and box.contains_strict(step):
+            return step.outward(bits)
+        r *= 4
+    raise PrecisionError(f"could not certify a root of {coeffs}")
 
 
 def _rescaled(re: float, im: float, k: int) -> tuple[float, float, int]:
@@ -171,47 +167,27 @@ def _float_seeds(coeffs) -> list[_CRat]:
         if worst <= 2.0 ** -100 or 2.0 ** -60 >= worst > last / 4:
             break
         last = worst
-    return [((Fraction(x) * scale).limit_denominator(10**17),
-             (Fraction(y) * scale).limit_denominator(10**17))
-            for x, y in zip(zr, zi)]
+    return [(Fraction(x) * scale, Fraction(y) * scale) for x, y in zip(zr, zi)]
 
 
-def certified_roots(coeffs, width: Fraction = DEFAULT_WIDTH,
-                    seeds: list[_CRat] | None = None) -> list[Box]:
+def certified_roots(coeffs, width: Fraction = DEFAULT_WIDTH) -> list[Box]:
     """All roots of the squarefree polynomial with the given ascending
     integer coefficients, as pairwise disjoint certified rectangles of
-    width <= width.  Order follows the seed order, so refining with the
-    previous midpoints as seeds keeps the root order stable."""
-    degree = len(coeffs) - 1
-    if degree < 1:
+    width <= width, in the order of the float seeds."""
+    if len(coeffs) < 2:
         raise ValueError("need degree >= 1")
-    if seeds is None:
-        seeds = _float_seeds(coeffs)
-    if len(seeds) != degree:
-        raise ValueError("seed count does not match degree")
-    dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
+    bits = grid_bits(width)
+    boxes = [_certify(coeffs, z, bits) for z in _float_seeds(coeffs)]
+    boxes = contract_roots(coeffs, boxes, width)
+    if not all(a.disjoint(b) for i, a in enumerate(boxes)
+               for b in boxes[i + 1:]):
+        raise PrecisionError(
+            f"could not separate the roots of {coeffs} at width {width}")
+    return boxes
 
-    bits = max(80, width.denominator.bit_length() + 20)
-    for _ in range(10):
-        boxes: list[Box] = []
-        ok = True
-        polished = [_newton_polish(coeffs, seed, bits) for seed in seeds]
-        for z in polished:
-            # Radius guess: the dyadic grid spacing plus the residual
-            # Newton correction magnitude at z.
-            p, dp = _eval_and_diff(coeffs, z)
-            guess = Fraction(1, 1 << (bits - 6))
-            if dp != (0, 0):
-                w = _cdiv(p, dp)
-                guess = max(guess, 8 * (abs(w[0]) + abs(w[1])))
-            box = _certify_one(coeffs, dcoeffs, z, guess, width)
-            if box is None:
-                ok = False
-                break
-            boxes.append(box)
-        if ok and all(boxes[i].disjoint(boxes[j])
-                      for i in range(degree) for j in range(i + 1, degree)):
-            return boxes
-        bits *= 2
-        seeds = polished
-    raise PrecisionError(f"could not certify roots of {coeffs} at width {width}")
+
+def contract_roots(coeffs, boxes: list[Box], width: Fraction) -> list[Box]:
+    """Certified root boxes contracted to width <= width, each inside the
+    box it came from, on the grid of the new width."""
+    bits = grid_bits(width)
+    return [_contract(coeffs, box, width, bits) for box in boxes]

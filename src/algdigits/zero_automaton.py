@@ -26,6 +26,7 @@ from .base import AlgebraicBase, make_base
 from .errors import ResourceCapError, UnitCircleError, UnsupportedBaseError
 from .intervals import dyadic_outward
 from .polynomials import IntPolynomial
+from .roots import grid_bits
 
 DEFAULT_MAX_STATES = 1_000_000
 
@@ -320,7 +321,7 @@ def _monic_pass(base: AlgebraicBase, height: int, max_states: int):
     the digit d only shifts its real midpoint by d * 2^(n+1) (alpha^0 is
     the exact point 1), and a successor is pruned when an exact integer
     comparison proves |sigma_k|^2 > bound_k."""
-    bits = base.achieved_width.denominator.bit_length() + 24
+    bits = grid_bits(base.achieved_width)
     unit = 1 << (bits + 1)
     table = base._store.power_boxes(base.degree)
     forms = []

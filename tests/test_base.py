@@ -166,7 +166,7 @@ class TestElements:
 class TestIntervalData:
     def test_conjugate_boxes_width(self):
         base = make_base("x^2 - 2")
-        boxes = base.conjugate_boxes(base.element((0, 1)), Fraction(1, 2**20))
+        boxes = base.conjugate_boxes(base.element((0, 1)))
         assert len(boxes) == 2
         for box in boxes:
             assert box.width <= Fraction(1, 2**20)
@@ -177,8 +177,11 @@ class TestIntervalData:
     def test_refine_monotone(self):
         base = make_base("x^2 + 2x + 2")
         w0 = base.achieved_width
+        before = base.conjugates()
         base.refine()
         assert base.achieved_width <= w0 / 2
+        for old, new in zip(before, base.conjugates()):
+            assert old.intersect(new) == new  # each new box nests
 
     def test_moduli_enclose_truth(self):
         base = make_base("x^2 + 2x + 2")  # |alpha| = sqrt(2)

@@ -1,6 +1,8 @@
 """End-to-end checks of the command-line interface: JSON shape, exit
 codes, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -8,6 +10,8 @@ from fractions import Fraction
 from importlib.metadata import version
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algdigits.cli import main
 
@@ -69,6 +73,22 @@ class TestAnalyze:
         assert result["classification"] == "RootOfUnity"
         assert result["n_unit"] == 36
         assert result["irreducibility"] == "assumed"
+
+    @pytest.mark.parametrize("argv, classification, expanding", [
+        (["analyze", "--poly", "x^31-1000000x^30+1"], "Mixed", 1),
+        (["analyze", "--poly", "x^2-2", "--precision=2^-2000"],
+         "ExpandingInteger", 2),
+    ])
+    def test_far_apart_or_fine_moduli_print(self, capsys, argv,
+                                            classification, expanding):
+        # The root boxes stay on a dyadic grid near the requested width,
+        # so no modulus endpoint reaches Python's 4300-digit limit on
+        # int-to-str conversion.
+        result = run_json(capsys, *argv)["result"]
+        assert result["classification"] == classification
+        assert result["n_expanding"] == expanding
+        for lo, hi in result["conjugate_moduli"]:
+            assert 0 < Fraction(lo) <= Fraction(hi)
 
     def test_precision_env(self, capsys, monkeypatch):
         monkeypatch.setenv("ALGDIGITS_PRECISION", "2^-30")
@@ -441,3 +461,92 @@ class TestVersion:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert out.startswith("algdigits ")
+
+
+# Token pools for the error-contract fuzz test, as (well-formed,
+# malformed) pairs.  Polynomials have degree at most 4, heights at most 2
+# and caps are small, so no draw explodes.
+_POLYS = (["x-2", "x+2", "2x+3", "x^2+2x+2", "x^2-2", "x^2+1", "x^2-x-1",
+           "x^3-x-1", "x^4+2", "2x^2-3x+2", "x^2-1", "[2,2,1]"],
+          ["x^2 +", "[1.5,1]", "[]", "[0,1]", "[true,1]", "[2,0,1", "nan",
+           "x^2+2x+2.5", ""])
+_DIGITS = (["0,1", "[0,1]", "1,2", "0,1,2,3,4", "[[0,0],[1,0]]"],
+           ["[]", "", "[0,1.5]", "[true,false]", "nan", "[0,",
+            "[[0,1],[1]]", "{}", "0,,1", "[null]",
+            ",".join(map(str, range(40))), "[[0,0,0,0,0,0]]"])
+_VALUES = (["5", "-7", "0", "[1,2]"],
+           ["[1,2,3,4,5,6]", "1.5", "true", "nan", "[", "[null]", "2^-abc",
+            "[[1]]", ""])
+_HEIGHTS = (["1", "2"], ["0", "-1", "1.5", "two", "nan", ""])
+_CAPS = (["3", "50", "400"], ["0", "-1", "abc", "1e3", "nan", ""])
+_PRECISIONS = (["2^-30", "1/1000", "2^-60"],
+               ["2^-abc", "nan", "-1", "2^-x", "inf", "0.5e"])
+_BASES = (["3/2", "-3/2", "5/2", "1/1", "1/2", "7"],
+          ["0/1", "2/0", "abc", "1.5", "nan"])
+_ACTIONS = (["expand", "verify", "transduce"], ["bogus"])
+_WORDS = (["7", "-3", "0"], ["1.5", "abc", "[1]", "2^-abc", "nan"])
+_SMALL = (["0", "1", "2"], ["-1", "x", "1.5"])
+_JOBS = (["1", "2"], ["0", "-1", "many"])
+
+
+@st.composite
+def _argv(draw):
+    """One command line: a subcommand and a token for each of its options,
+    malformed in at most one slot, so that most draws get past the
+    parser."""
+    bad = draw(st.integers(-1, 5))
+    slot = iter(range(6))
+
+    def pick(pools):
+        return draw(st.sampled_from(pools[next(slot) == bad]))
+
+    def maybe(flag, pools):
+        return [f"{flag}={pick(pools)}"] if draw(st.booleans()) else []
+
+    command = draw(st.sampled_from([
+        "analyze", "classify", "expand", "periodic", "is-ns", "rational",
+        "zero-automaton", "min-height", "count", "sweep-quadratic"]))
+    if command == "rational":
+        return (["rational", f"--base={pick(_BASES)}", "--max-steps=50"]
+                + maybe("--digits", _DIGITS) + [pick(_ACTIONS)]
+                + [pick(_WORDS) for _ in range(draw(st.integers(0, 2)))])
+    if command == "sweep-quadratic":
+        return [command, f"--a2-max={pick(_SMALL)}",
+                f"--candidate-cap={pick(_CAPS)}"]
+    argv = [command, f"--poly={pick(_POLYS)}"]
+    argv += maybe("--precision", _PRECISIONS)
+    if command == "expand":
+        argv += [f"--value={pick(_VALUES)}", f"--max-steps={pick(_CAPS)}"]
+    if command in ("expand", "periodic", "is-ns"):
+        argv += maybe("--digits", _DIGITS)
+    if command in ("periodic", "is-ns"):
+        argv += [f"--candidate-cap={pick(_CAPS)}"]
+    if command in ("zero-automaton", "count"):
+        argv += [f"--height={pick(_HEIGHTS)}"]
+    if command == "count":
+        argv += [f"--length={pick(_SMALL)}"]
+    if command == "zero-automaton":
+        argv += maybe("--export", (["json", "dot"], ["svg"]))
+        argv += ["--trim"] if draw(st.booleans()) else []
+    if command == "min-height":
+        argv += [f"--max-h={pick(_SMALL)}"]
+    if command in ("zero-automaton", "min-height", "count"):
+        argv += [f"--max-states={pick(_CAPS)}"]
+    return argv + maybe("--jobs", _JOBS)
+
+
+class TestErrorContract:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(argv=_argv())
+    def test_exit_code_and_one_json_error(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3), (argv, code)
+        if code:
+            assert out.getvalue() == ""
+            error = json.loads(err.getvalue())
+            assert list(error) == ["error"], argv
+            assert set(error["error"]) == {"type", "message"}, argv
+        else:
+            assert err.getvalue() == ""

@@ -92,7 +92,7 @@ class TestBox:
 
     def test_horner(self):
         # evaluate x^2 + 1 at the point 2: exactly 5
-        val = horner_box([F(1), F(0), F(1)], Box.point(F(2)))
+        val = horner_box([F(1), F(0), F(1)], Box.point(F(2)), 64)
         assert val.re.contains(F(5)) and val.im.contains(F(0))
 
 

@@ -1,6 +1,7 @@
 """Certified root isolation against numpy's companion-matrix roots."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from algdigits import IntPolynomial
 from algdigits.intervals import Box
-from algdigits.roots import _correction, _float_seeds, certified_roots
+from algdigits.roots import (_correction, _float_seeds, certified_roots,
+                             contract_roots)
 
 
 @st.composite
@@ -48,6 +50,26 @@ class TestCertifiedRoots:
         _assert_one_box_each(coeffs, certified_roots(coeffs),
                              np.roots(coeffs[::-1]),
                              lambda z: 1e-6 * max(1.0, abs(z)))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(coeffs=_squarefree())
+    def test_endpoints_dyadic_and_contraction_nests(self, coeffs):
+        # A box of width 2^-w has its endpoints on the 2^-(w+24) grid.  The
+        # certified boxes are often narrower than 2^-44 already; 2^-100
+        # makes the contraction iterate.
+        old = None
+        for w in (40, 44, 100):
+            boxes = (certified_roots(coeffs) if old is None
+                     else contract_roots(coeffs, old, Fraction(1, 2**w)))
+            for box in boxes:
+                assert box.width <= Fraction(1, 2**w)
+                for q in (box.re.lo, box.re.hi, box.im.lo, box.im.hi):
+                    d = q.denominator
+                    assert d & (d - 1) == 0 and d <= 2**(w + 24), (coeffs, q)
+            for a, b in zip(old or (), boxes):
+                assert a.re.lo <= b.re.lo and b.re.hi <= a.re.hi
+                assert a.im.lo <= b.im.lo and b.im.hi <= a.im.hi
+            old = boxes
 
     @pytest.mark.parametrize("coeffs", [
         [1] + [0] * 10 + [-10**20, 1],  # x^12 - 10^20 x^11 + 1
