@@ -14,7 +14,6 @@ every remaining modulus from 1, which is guaranteed to terminate.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
@@ -25,6 +24,7 @@ from .intervals import Box, Interval
 from .polynomials import (IntPolynomial, count_real_roots_between,
                           is_irreducible_z, palindromic_half,
                           parse_polynomial, require_min_poly_shape)
+from .record import Record
 from .roots import DEFAULT_WIDTH, certified_roots, contract_roots
 
 DEFAULT_PRECISION = DEFAULT_WIDTH
@@ -399,12 +399,10 @@ class AlgebraicBase:
         return f"AlgebraicBase({self.min_poly!s}, {self.classification})"
 
 
-@dataclass(frozen=True)
-class CardBounds:
+class CardBounds(Record):
     """Bounds on the cardinality of a reducing digit set."""
 
-    lower: int
-    upper: int | None
+    __slots__ = ("lower", "upper")
 
 
 def card_bounds(base: AlgebraicBase) -> CardBounds:

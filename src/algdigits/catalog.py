@@ -11,7 +11,6 @@ of unity."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -19,6 +18,7 @@ from .base import AlgebraicBase, Classification, card_bounds, make_base
 from .digits import is_number_system, validate_crs
 from .errors import InvalidPolynomialError, PrecisionError, UnsupportedBaseError
 from .polynomials import IntPolynomial, parse_polynomial
+from .record import Record
 
 
 def _as_base(base) -> AlgebraicBase:
@@ -87,11 +87,9 @@ class F2Verdict(str, Enum):
     EXCLUDED_BY_NECESSARY = "ExcludedByNecessaryCondition"
 
 
-@dataclass(frozen=True)
-class F2Analysis:
-    verdict: F2Verdict
-    reason: str
-    witness_digits: tuple | None = None
+class F2Analysis(Record):
+    __slots__ = ("verdict", "reason", "witness_digits")
+    _defaults = {"witness_digits": None}
 
 
 def f2_analysis(base) -> F2Analysis:
@@ -136,12 +134,8 @@ def f2_analysis(base) -> F2Analysis:
                       "an expanding algebraic integer")
 
 
-@dataclass(frozen=True)
-class FIndexReport:
-    lower: int
-    upper: int | None
-    exact: int | None
-    certificates: tuple
+class FIndexReport(Record):
+    __slots__ = ("lower", "upper", "exact", "certificates")
 
     def to_json_dict(self) -> dict:
         return {
@@ -245,12 +239,8 @@ def classify_f_index(base) -> FIndexReport:
     return FIndexReport(lower, upper, exact, tuple(certs))
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    a1: int
-    a2: int
-    criterion: bool
-    brute_force: bool
+class SweepRow(Record):
+    __slots__ = ("a1", "a2", "criterion", "brute_force")
 
     @property
     def agree(self) -> bool:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
+import re
 import sys
 from fractions import Fraction
 
@@ -30,19 +30,37 @@ from .rational import (build_transducer, digit_set_rational, expand_int,
 from .zero_automaton import DEFAULT_MAX_STATES, build_zero_automaton, min_height
 
 PRECISION_ENV = "ALGDIGITS_PRECISION"
+# The finest accepted width.  Output fractions at 2^-4096 stay far below
+# Python's 4300-digit limit on int-to-str conversion, and a finer width
+# is refused before any root is refined to it.
+FINEST_PRECISION_BITS = 4096
+# A decimal exponent of 10^4 or more in size, refused before Fraction
+# builds 10^e (which takes a minute at 1e-30000000).
+_HUGE_EXPONENT = re.compile(r"[eE][-+]?0*[1-9]\d{4,}$")
 
 
 def _parse_precision(text: str) -> Fraction:
-    """An interval width '2^k' or a fraction, strictly between 0 and 1."""
+    """An interval width '2^k' or a fraction, strictly between 0 and 1
+    and no finer than 2^-FINEST_PRECISION_BITS."""
     s = text.strip()
     try:
-        value = (Fraction(2) ** int(s[2:]) if s.startswith("2^")
-                 else Fraction(s))
+        if s.startswith("2^"):
+            # Clamped, so that a huge exponent never builds 2^k.
+            k = int(s[2:])
+            value = Fraction(2) ** min(0, max(k, -FINEST_PRECISION_BITS - 1))
+        elif _HUGE_EXPONENT.search(s):
+            raise ValueError(f"precision {text!r} has a decimal exponent "
+                             f"of 10^4 or more in size")
+        else:
+            value = Fraction(s)
     except ZeroDivisionError as exc:
         raise ValueError(f"bad precision {text!r}") from exc
     if not 0 < value < 1:
         raise ValueError(f"precision must lie strictly between 0 and 1, "
                          f"got {text!r}")
+    if value < Fraction(1, 1 << FINEST_PRECISION_BITS):
+        raise ValueError(f"precision {text!r} is finer than the limit "
+                         f"2^-{FINEST_PRECISION_BITS}")
     return value
 
 
@@ -123,16 +141,33 @@ def _record_out(record) -> dict:
             "states": record.states, "tail": tail_out}
 
 
-def _manifest(args, limits: dict) -> dict:
-    from importlib.metadata import version
+def _sympy_version() -> str | None:
+    """The Version field of the first sympy-*.dist-info on sys.path, the
+    one importlib.metadata.version("sympy") reads, found without
+    importing sympy or importlib.metadata."""
+    for entry in sys.path:
+        try:
+            names = os.listdir(entry or ".")
+        except OSError:
+            continue
+        for name in names:
+            if name.startswith("sympy-") and name.endswith(".dist-info"):
+                path = os.path.join(entry, name, "METADATA")
+                with open(path, encoding="utf-8") as fh:
+                    for line in fh:
+                        if line.startswith("Version:"):
+                            return line[len("Version:"):].strip()
+    return None
 
+
+def _manifest(args, limits: dict) -> dict:
     return {
         "tool": "algdigits",
         "version": __version__,
         "command": args.command,
         "argv": list(args._argv),
-        "python": platform.python_version(),
-        "libs": {"sympy": version("sympy")},
+        "python": sys.version.split()[0],
+        "libs": {"sympy": _sympy_version()},
         "limits": limits,
     }
 

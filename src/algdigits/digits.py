@@ -12,12 +12,12 @@ the only periodic point is 0.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .base import AlgebraicBase, Classification
 from .errors import DigitSetError, PrecisionError, ResourceCapError, UnsupportedBaseError
 from .intervals import Box
+from .record import Record
 
 _EXPANDING_OK = {Classification.EXPANDING_INTEGER, Classification.RATIONAL}
 
@@ -103,36 +103,27 @@ def j_step(beta, digit_set: DigitSet):
 # -- orbits ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Terminated:
+class Terminated(Record):
+    __slots__ = ()
     kind = "terminated"
 
 
-@dataclass(frozen=True)
-class Cycle:
-    entry: int
-    elements: tuple
-
+class Cycle(Record):
+    __slots__ = ("entry", "elements")
     kind = "cycle"
 
 
-@dataclass(frozen=True)
-class Truncated:
-    steps: int
-
+class Truncated(Record):
+    __slots__ = ("steps",)
     kind = "truncated"
 
 
-@dataclass(frozen=True)
-class ExpansionRecord:
+class ExpansionRecord(Record):
     """One run of the digit map.  states[k] is the k-th iterate, so
     states[k] = digits[k] + alpha * states[k+1] holds exactly for every
     k; replay() re-verifies that identity."""
 
-    start: object
-    digits: tuple
-    states: tuple
-    tail: object
+    __slots__ = ("start", "digits", "states", "tail")
 
     def replay(self, base: AlgebraicBase) -> bool:
         if self.states[0] != self.start:
@@ -180,26 +171,21 @@ def orbit(beta, digit_set: DigitSet, max_steps: int = 10000) -> ExpansionRecord:
 # -- periodic points -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(Record):
     """Certified orbit bound: eventually every iterate satisfies
     |sigma(x)| <= c for every conjugate embedding sigma."""
 
-    k_sigma: tuple            # upper bound for max |sigma(r)|, per conjugate
-    per_conjugate: tuple      # 1 + K_sigma / (|sigma(alpha)| - 1), upper bounds
-    c_alpha_r: Fraction
+    __slots__ = ("k_sigma",        # upper bound for max |sigma(r)|, per conjugate
+                 "per_conjugate",  # 1 + K_sigma / (|sigma(alpha)| - 1), upper bounds
+                 "c_alpha_r")      # a Fraction
 
     @property
     def c(self) -> Fraction:
         return self.c_alpha_r
 
 
-@dataclass(frozen=True)
-class PeriodicSet:
-    elements: tuple
-    cycles: tuple
-    bounds: BoundsReport
-    candidates_scanned: int
+class PeriodicSet(Record):
+    __slots__ = ("elements", "cycles", "bounds", "candidates_scanned")
 
     @property
     def is_trivial(self) -> bool:
@@ -367,11 +353,8 @@ def spans_ring(base: AlgebraicBase, digits=None, *,
 # -- height reduction -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HeightReduction:
-    values: frozenset
-    cardinality_bound: int
-    expansion_degree: int
+class HeightReduction(Record):
+    __slots__ = ("values", "cardinality_bound", "expansion_degree")
 
 
 def height_reduce(base: AlgebraicBase, digit_reps,

@@ -10,8 +10,9 @@ decisions elsewhere consume only their endpoints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .record import Record
 
 
 def sqrt_lower(q: Fraction, bits: int = 64) -> Fraction:
@@ -47,16 +48,14 @@ def dyadic_outward(iv: Interval, bits: int) -> tuple[int, int]:
             -((-hi.numerator << bits) // hi.denominator))
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """Closed interval [lo, hi] with rational endpoints."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        lo = Fraction(self.lo)
-        hi = Fraction(self.hi)
+    def __init__(self, lo, hi) -> None:
+        lo = Fraction(lo)
+        hi = Fraction(hi)
         if lo > hi:
             raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
         object.__setattr__(self, "lo", lo)
@@ -138,12 +137,15 @@ class Interval:
         return f"[{self.lo}, {self.hi}]"
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(Record):
     """Axis-aligned rectangle in the complex plane."""
 
-    re: Interval
-    im: Interval
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Interval, im: Interval) -> None:
+        # Spelled out: boxes are built in every Horner step.
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
 
     @staticmethod
     def point(re, im=0) -> "Box":

@@ -11,16 +11,15 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidPolynomialError, PolynomialSyntaxError
+from .record import Record
 
 _TERM_RE = re.compile(r"([+-]?)(\d*)([A-Za-z]?)(?:\^(\d+))?$")
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(Record):
     """An integer polynomial, normalized so the leading coefficient is
     nonzero.  The zero polynomial has ``coeffs == ()``.
 
@@ -31,10 +30,10 @@ class IntPolynomial:
     'x^2 - x - 1'
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        cs = tuple(int(c) for c in self.coeffs)
+    def __init__(self, coeffs) -> None:
+        cs = tuple(int(c) for c in coeffs)
         while cs and cs[-1] == 0:
             cs = cs[:-1]
         object.__setattr__(self, "coeffs", cs)

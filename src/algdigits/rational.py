@@ -22,7 +22,6 @@ finite expansion of the shifted value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -37,16 +36,20 @@ class Regime(str, Enum):
     REDUNDANT = "redundant"
 
 
-@dataclass(eq=False)
 class RationalDigitSet:
-    a: int
-    b: int
-    regime: Regime
-    digits: tuple
-    shifted: tuple  # the set B of shifted multiples (positive regime only)
+    def __init__(self, a: int, b: int, regime: Regime, digits: tuple,
+                 shifted: tuple):
+        self.a = a
+        self.b = b
+        self.regime = regime
+        self.digits = digits
+        self.shifted = shifted  # the set B of shifted multiples (positive regime only)
+        self._lookup = frozenset(digits)
 
-    def __post_init__(self):
-        self._lookup = frozenset(self.digits)
+    def __repr__(self) -> str:
+        return (f"RationalDigitSet(a={self.a!r}, b={self.b!r}, "
+                f"regime={self.regime!r}, digits={self.digits!r}, "
+                f"shifted={self.shifted!r})")
 
     @property
     def alpha(self) -> Fraction:

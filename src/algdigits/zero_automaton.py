@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from operator import mul
 
 from .base import AlgebraicBase, make_base
 from .errors import ResourceCapError, UnitCircleError, UnsupportedBaseError
 from .intervals import dyadic_outward
 from .polynomials import IntPolynomial
+from .record import Record
 from .roots import grid_bits
 
 DEFAULT_MAX_STATES = 1_000_000
@@ -37,25 +37,19 @@ def _coerce(base) -> AlgebraicBase:
     return make_base(base)
 
 
-@dataclass(frozen=True)
-class WordSearchResult:
+class WordSearchResult(Record):
     """A digit word found by automaton search, most significant digit
     first; the leading digit is nonzero and value_check records an
     exact re-evaluation of the word at alpha."""
 
-    word: tuple
-    height: int
-    value_check: bool
+    __slots__ = ("word", "height", "value_check")
 
 
-@dataclass(frozen=True)
-class ZeroAutomaton:
-    base: AlgebraicBase
-    height: int
-    states: tuple
-    transitions: dict  # (state, digit) -> state
-    level: dict        # state -> index of the first breadth layer holding it
-    trimmed: bool
+class ZeroAutomaton(Record):
+    __slots__ = ("base", "height", "states",
+                 "transitions",  # (state, digit) -> state
+                 "level",        # state -> index of the first breadth layer holding it
+                 "trimmed")
 
     @property
     def zero(self):
@@ -371,13 +365,12 @@ def _monic_pass(base: AlgebraicBase, height: int, max_states: int):
     return states, transitions, level
 
 
-@dataclass(frozen=True)
-class MinHeightReport:
-    h_star: int
-    word: tuple               # shortest witness, most significant first
-    witness: IntPolynomial    # the same word as a polynomial vanishing at alpha
-    value_check: bool
-    searched: tuple           # (H, nontrivial trimmed edge count) per height
+class MinHeightReport(Record):
+    __slots__ = ("h_star",
+                 "word",         # shortest witness, most significant first
+                 "witness",      # the same word as an IntPolynomial vanishing at alpha
+                 "value_check",
+                 "searched")     # (H, nontrivial trimmed edge count) per height
 
 
 def min_height(base, h_max: int | None = None, *,

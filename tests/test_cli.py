@@ -4,6 +4,7 @@ codes, determinism."""
 import contextlib
 import io
 import json
+import platform
 import subprocess
 import sys
 from fractions import Fraction
@@ -56,6 +57,7 @@ class TestAnalyze:
         assert manifest["command"] == "analyze"
         assert manifest["argv"] == ["analyze", "--poly", "x-2"]
         assert manifest["libs"] == {"sympy": version("sympy")}
+        assert manifest["python"] == platform.python_version()
 
     def test_cyclotomic_counts_are_integers(self, capsys):
         result = run_json(capsys, "analyze", "--poly",
@@ -77,6 +79,8 @@ class TestAnalyze:
     @pytest.mark.parametrize("argv, classification, expanding", [
         (["analyze", "--poly", "x^31-1000000x^30+1"], "Mixed", 1),
         (["analyze", "--poly", "x^2-2", "--precision=2^-2000"],
+         "ExpandingInteger", 2),
+        (["analyze", "--poly", "x^2-2", "--precision=2^-4096"],
          "ExpandingInteger", 2),
     ])
     def test_far_apart_or_fine_moduli_print(self, capsys, argv,
@@ -371,6 +375,34 @@ class TestErrors:
         assert json.loads(err)["error"]["type"] == "ValueError"
 
 
+    @pytest.mark.parametrize("precision", ["2^-4097", "2^-20000",
+                                           "1/" + str(2 ** 4096 + 1)],
+                             ids=["2^-4097", "2^-20000", "1/(2^4096+1)"])
+    def test_precision_finer_than_the_limit_exits_2(self, capsys,
+                                                    monkeypatch, precision):
+        # Refused while parsing, before any root is refined to the width.
+        code, out, err = run(capsys, "analyze", "--poly", "x^2-2",
+                             f"--precision={precision}")
+        assert code == 2 and out == ""
+        message = json.loads(err)["error"]["message"]
+        assert "2^-4096" in message and precision in message
+        monkeypatch.setenv("ALGDIGITS_PRECISION", precision)
+        code, out, err = run(capsys, "analyze", "--poly", "x^2-2")
+        assert code == 2 and out == ""
+        assert "2^-4096" in json.loads(err)["error"]["message"]
+
+    @pytest.mark.parametrize("precision", ["1e-30000000", "1E+99999999999",
+                                           "0.5e-010000"])
+    def test_huge_decimal_exponent_exits_2(self, capsys, precision):
+        # Refused before Fraction builds 10^e, which takes about a minute
+        # at 1e-30000000.
+        code, out, err = run(capsys, "analyze", "--poly", "x^2-2",
+                             f"--precision={precision}")
+        assert code == 2 and out == ""
+        message = json.loads(err)["error"]["message"]
+        assert "decimal exponent" in message and precision in message
+
+
 class TestUsage:
     def test_missing_argument_is_one_json_error(self, capsys):
         code, out, err = run(capsys, "count", "--poly", "x-2",
@@ -453,6 +485,23 @@ class TestStartup:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
 
+    def test_cli_skips_heavy_stdlib_modules(self):
+        # dataclasses (with inspect), importlib.metadata and platform
+        # cost tens of milliseconds per call; none is needed.
+        code = ("import contextlib, io, sys\n"
+                "heavy = ('dataclasses', 'inspect', 'importlib.metadata',"
+                " 'platform')\n"
+                "import algdigits.cli\n"
+                "assert not [m for m in heavy if m in sys.modules]\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    assert algdigits.cli.main(['is-ns', '--poly',"
+                " 'x^2+2x+2']) == 0\n"
+                "loaded = [m for m in heavy if m in sys.modules]\n"
+                "assert not loaded, loaded\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestVersion:
     def test_version_flag(self, capsys):
@@ -465,7 +514,8 @@ class TestVersion:
 
 # Token pools for the error-contract fuzz test, as (well-formed,
 # malformed) pairs.  Polynomials have degree at most 4, heights at most 2
-# and caps are small, so no draw explodes.
+# and caps are small, so no draw explodes; precisions finer than 2^-4096
+# are refused before any work.
 _POLYS = (["x-2", "x+2", "2x+3", "x^2+2x+2", "x^2-2", "x^2+1", "x^2-x-1",
            "x^3-x-1", "x^4+2", "2x^2-3x+2", "x^2-1", "[2,2,1]"],
           ["x^2 +", "[1.5,1]", "[]", "[0,1]", "[true,1]", "[2,0,1", "nan",
@@ -480,7 +530,8 @@ _VALUES = (["5", "-7", "0", "[1,2]"],
 _HEIGHTS = (["1", "2"], ["0", "-1", "1.5", "two", "nan", ""])
 _CAPS = (["3", "50", "400"], ["0", "-1", "abc", "1e3", "nan", ""])
 _PRECISIONS = (["2^-30", "1/1000", "2^-60"],
-               ["2^-abc", "nan", "-1", "2^-x", "inf", "0.5e"])
+               ["2^-abc", "nan", "-1", "2^-x", "inf", "0.5e", "2^-20000",
+                "2^-9000", "1e-30000000"])
 _BASES = (["3/2", "-3/2", "5/2", "1/1", "1/2", "7"],
           ["0/1", "2/0", "abc", "1.5", "nan"])
 _ACTIONS = (["expand", "verify", "transduce"], ["bogus"])
