@@ -2,8 +2,8 @@
 for minimal-polynomial work.
 
 Coefficients are stored least-significant first, so ``coeffs[i]`` is the
-coefficient of ``x**i``.  All arithmetic is exact (Python ints and
-fractions.Fraction); nothing here ever rounds.
+coefficient of ``x**i``.  All arithmetic is exact (Python ints);
+nothing here ever rounds.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from fractions import Fraction
 
 from .errors import InvalidPolynomialError, PolynomialSyntaxError
 from .record import Record
@@ -217,51 +216,42 @@ def require_min_poly_shape(poly: IntPolynomial) -> None:
 # -- exact helper arithmetic on raw coefficient lists ---------------------
 
 
-def _gcd_degree_over_q(p: list[int], q: list[int]) -> int:
-    """Degree of gcd(p, q) over Q, by the Euclidean algorithm with exact
-    Fraction arithmetic.  Returns -1 when both inputs are zero."""
-    a = [Fraction(c) for c in p]
-    b = [Fraction(c) for c in q]
-
-    def trim(v):
-        while v and v[-1] == 0:
-            v.pop()
-        return v
-
-    a, b = trim(a), trim(b)
-    while b:
-        a = _poly_mod_q(a, b)
-        a, b = b, trim(a)
-    return len(a) - 1
-
-
-def _poly_mod_q(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    r = a[:]
-    db, lb = len(b) - 1, b[-1]
-    while len(r) - 1 >= db and any(c != 0 for c in r):
-        while r and r[-1] == 0:
+def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """q, r with |lc b|^n a = q b + r and deg r < deg b, for some n >= 0:
+    the quotient and remainder over Q, each scaled by a positive factor.
+    Inputs have no trailing zeros; so do the outputs."""
+    r = list(a)
+    db, scale, sign = len(b) - 1, abs(b[-1]), 1 if b[-1] > 0 else -1
+    q = [0] * max(len(r) - db, 0)
+    while len(r) - 1 >= db:
+        c, k = sign * r[-1], len(r) - 1 - db
+        q = [scale * x for x in q]
+        q[k] += c
+        r = [scale * x for x in r]
+        for j, y in enumerate(b):
+            r[k + j] -= c * y
+        while r and not r[-1]:
             r.pop()
-        if len(r) - 1 < db:
-            break
-        factor = r[-1] / lb
-        shift = len(r) - 1 - db
-        for i, c in enumerate(b):
-            r[shift + i] -= factor * c
-        r.pop()
-    while r and r[-1] == 0:
-        r.pop()
-    return r
+    while q and not q[-1]:
+        q.pop()
+    return q, r
+
+
+def _gcd_degree_over_q(a: list[int], b: list[int]) -> int:
+    """Degree of gcd(a, b) over Q, by a primitive remainder sequence in
+    Z[x]; inputs have no trailing zeros.  Returns -1 when both are zero."""
+    while b:
+        r = _pseudo_divmod(a, b)[1]
+        g = math.gcd(*r)
+        a, b = b, [c // g for c in r]
+    return len(a) - 1
 
 
 def divides_over_q(divisor: IntPolynomial, multiple: IntPolynomial) -> bool:
     """Exact divisibility test over Q (content is ignored)."""
     if divisor.is_zero:
         return multiple.is_zero
-    if multiple.is_zero:
-        return True
-    rem = _poly_mod_q([Fraction(c) for c in multiple.coeffs],
-                      [Fraction(c) for c in divisor.coeffs])
-    return not rem
+    return not _pseudo_divmod(list(multiple.coeffs), list(divisor.coeffs))[1]
 
 
 # Largest end coefficient for which rational roots are found by divisors.
@@ -274,31 +264,30 @@ def _divisors(n: int) -> list[int]:
 
 
 def is_irreducible_z(poly: IntPolynomial) -> bool:
-    """Irreducibility over Q for a primitive polynomial.  Degree 2 and 3
-    factor exactly when they have a rational root p/q (p | constant term,
-    q | leading coefficient); other degrees use exact factorization
-    (sympy), imported locally so that low degrees skip its startup cost."""
+    """Irreducibility over Q.  Degree 2 and 3 factor exactly when they
+    have a rational root p/q (p | constant term, q | leading
+    coefficient); other degrees use exact modular factorization with
+    Hensel lifting (``factoring``), imported locally so that low degrees
+    skip compiling it."""
     cs, d = poly.coeffs, poly.degree
     if d in (2, 3) and max(abs(cs[0]), abs(cs[-1])) <= _ROOT_TEST_MAX:
         qs = _divisors(cs[-1])
         return cs[0] != 0 and not any(
             sum(c * (s * p) ** i * q ** (d - i) for i, c in enumerate(cs)) == 0
             for p in _divisors(cs[0]) for q in qs for s in (1, -1))
-    import sympy
+    if not poly.is_squarefree():
+        return False
+    from .factoring import is_irreducible
 
-    x = sympy.Symbol("x")
-    expr = sympy.Poly(list(reversed(poly.coeffs)), x, domain="ZZ")
-    _, factors = expr.factor_list()
-    return len(factors) == 1 and factors[0][1] == 1 and factors[0][0].degree() == poly.degree
+    return is_irreducible(cs)
 
 
 def count_real_roots_between(poly: IntPolynomial, lo: int, hi: int) -> int:
-    """Exact count of real roots of poly in [lo, hi] (Sturm, via sympy)."""
-    import sympy
+    """Exact count of distinct real roots of poly in [lo, hi], endpoints
+    included (Sturm)."""
+    from .factoring import count_real_roots
 
-    x = sympy.Symbol("x")
-    expr = sympy.Poly(list(reversed(poly.coeffs)), x, domain="ZZ")
-    return int(expr.count_roots(lo, hi))
+    return count_real_roots(poly.coeffs, lo, hi)
 
 
 def palindromic_half(poly: IntPolynomial) -> IntPolynomial:

@@ -224,8 +224,9 @@ class ZeroAutomaton(Record):
 
         lines = ["digraph zero {", "  rankdir=LR;", "  node [shape=circle];",
                  f'  "{label(self.zero)}" [shape=doublecircle];']
+        index = {s: i for i, s in enumerate(self.states)}
         for (y, d), z in sorted(self.transitions.items(),
-                                key=lambda item: (self.states.index(item[0][0]),
+                                key=lambda item: (index[item[0][0]],
                                                   item[0][1])):
             lines.append(f'  "{label(y)}" -> "{label(z)}" [label="{d}"];')
         lines.append("}")

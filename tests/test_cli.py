@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line interface: JSON shape, exit
 codes, determinism."""
 
+import ast
 import contextlib
 import io
 import json
@@ -9,11 +10,13 @@ import subprocess
 import sys
 from fractions import Fraction
 from importlib.metadata import version
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import algdigits
 from algdigits.cli import main
 
 
@@ -468,6 +471,39 @@ class TestStartup:
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+    def test_irreducibility_and_sturm_do_not_import_sympy(self):
+        # Degree 12 (Eisenstein), x^4 + 1 (palindromic: the Sturm count),
+        # a Salem polynomial, and a quartic that factors.
+        code = ("import contextlib, io, sys\n"
+                "from algdigits.cli import main\n"
+                "err = io.StringIO()\n"
+                "with contextlib.redirect_stdout(io.StringIO()), "
+                "contextlib.redirect_stderr(err):\n"
+                "    for poly in ['x^12+2x^7-4x+6', 'x^4+1',"
+                " '[1,0,-1,-1,-1,0,1]']:\n"
+                "        assert main(['analyze', '--poly', poly]) == 0\n"
+                "    assert main(['analyze', '--poly', 'x^4+4']) == 2\n"
+                "assert 'factors over Z' in err.getvalue()\n"
+                "assert 'sympy' not in sys.modules\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_library_never_imports_sympy(self):
+        # sympy is a test oracle only; the manifest reads its version
+        # without importing it.
+        package = Path(algdigits.__file__).parent
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                assert all(name.split(".")[0] != "sympy"
+                           for name in names), path.name
 
     def test_root_isolation_does_not_import_numpy(self):
         code = ("import contextlib, io, sys\n"

@@ -148,6 +148,26 @@ class TestStructure:
         assert dot.startswith("digraph")
         assert "doublecircle" in dot
 
+    def test_dot_edge_order(self):
+        # Edges in state order, then digit order: the text of the former
+        # sort by states.index(...), a linear search per edge.
+        auto = build_zero_automaton("x^3 + 2", 2)
+        assert auto.n_states == 557
+
+        def label(s):
+            return "(" + ",".join(map(str, s)) + ")"
+
+        edges = sorted(auto.transitions.items(),
+                       key=lambda item: (auto.states.index(item[0][0]),
+                                         item[0][1]))
+        expected = "\n".join(
+            ["digraph zero {", "  rankdir=LR;", "  node [shape=circle];",
+             f'  "{label(auto.zero)}" [shape=doublecircle];']
+            + [f'  "{label(y)}" -> "{label(z)}" [label="{d}"];'
+               for (y, d), z in edges]
+            + ["}"])
+        assert auto.to_dot() == expected
+
     def test_growth_rate(self):
         auto = build_zero_automaton("x^2 + 2x + 2", 2).trim()
         est, residual = auto.growth_rate()
