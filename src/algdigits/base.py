@@ -28,7 +28,6 @@ from .record import Record
 from .roots import DEFAULT_WIDTH, certified_roots, contract_roots
 
 DEFAULT_PRECISION = DEFAULT_WIDTH
-DEFAULT_DEGREE_LIMIT = 24
 
 
 class Classification(Enum):
@@ -420,29 +419,24 @@ def card_bounds(base: AlgebraicBase) -> CardBounds:
 
 
 def make_base(poly, precision: Fraction = DEFAULT_PRECISION, *,
-              assume_irreducible: bool = False,
-              degree_limit: int = DEFAULT_DEGREE_LIMIT) -> AlgebraicBase:
+              assume_irreducible: bool = False) -> AlgebraicBase:
     """Build a classified base from a minimal polynomial.
 
     poly may be an IntPolynomial, a coefficient list (ascending), or
     text.  The polynomial must be nonconstant, primitive, squarefree,
-    with nonzero constant term.  Irreducibility is verified exactly up
-    to degree_limit (exceeding it, or passing assume_irreducible=True,
-    records irreducibility as "assumed")."""
+    with nonzero constant term.  Irreducibility is verified exactly at
+    every degree; it is recorded as "assumed" only when the factoring
+    recombination budget runs out, or when assume_irreducible=True
+    skips the check."""
     if not isinstance(poly, IntPolynomial):
         poly = parse_polynomial(poly)
     require_min_poly_shape(poly)
     if poly.leading_coefficient < 0:
         poly = IntPolynomial(tuple(-c for c in poly.coeffs))
-    if assume_irreducible:
-        irreducibility = "assumed"
-    elif poly.degree == 1:
-        irreducibility = "verified"
-    elif poly.degree <= degree_limit:
-        if not is_irreducible_z(poly):
-            raise InvalidPolynomialError(
-                f"{poly!s} factors over Z; not a minimal polynomial")
-        irreducibility = "verified"
-    else:
-        irreducibility = "assumed"
+    irreducible = (None if assume_irreducible
+                   else poly.degree == 1 or is_irreducible_z(poly))
+    if irreducible is False:
+        raise InvalidPolynomialError(
+            f"{poly!s} factors over Z; not a minimal polynomial")
+    irreducibility = "assumed" if irreducible is None else "verified"
     return AlgebraicBase(poly, irreducibility, Fraction(precision))

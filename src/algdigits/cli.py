@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Every JSON-producing subcommand prints one object with two keys:
-"manifest" (input echo, library versions, active limits; nothing
-time-dependent) and "result".  --export json / --export dot print only
-the exported artifact so the bytes depend on nothing but the computed
-object.  sweep-quadratic prints CSV.
+"manifest" (input echo, tool and Python versions, active limits;
+nothing time-dependent) and "result".  --export json / --export dot
+print only the exported artifact so the bytes depend on nothing but the
+computed object.  sweep-quadratic prints CSV.
 
 Exit codes: 0 success, 2 invalid input (ValueError family), 3 resource
 or precision caps (RuntimeError family).
@@ -141,25 +141,6 @@ def _record_out(record) -> dict:
             "states": record.states, "tail": tail_out}
 
 
-def _sympy_version() -> str | None:
-    """The Version field of the first sympy-*.dist-info on sys.path, the
-    one importlib.metadata.version("sympy") reads, found without
-    importing sympy or importlib.metadata."""
-    for entry in sys.path:
-        try:
-            names = os.listdir(entry or ".")
-        except OSError:
-            continue
-        for name in names:
-            if name.startswith("sympy-") and name.endswith(".dist-info"):
-                path = os.path.join(entry, name, "METADATA")
-                with open(path, encoding="utf-8") as fh:
-                    for line in fh:
-                        if line.startswith("Version:"):
-                            return line[len("Version:"):].strip()
-    return None
-
-
 def _manifest(args, limits: dict) -> dict:
     return {
         "tool": "algdigits",
@@ -167,7 +148,6 @@ def _manifest(args, limits: dict) -> dict:
         "command": args.command,
         "argv": list(args._argv),
         "python": sys.version.split()[0],
-        "libs": {"sympy": _sympy_version()},
         "limits": limits,
     }
 

@@ -335,7 +335,7 @@ def zero_orbit_set(base: AlgebraicBase, digits=None,
     digit_set = as_digit_set(base, digits)
     record = orbit(base.zero, digit_set, max_steps)
     if isinstance(record.tail, Truncated):
-        raise ResourceCapError("orbit of 0 exceeded the step cap")
+        raise ResourceCapError(f"orbit of 0 exceeded {max_steps} steps")
     if record.terminated:
         return frozenset(record.states)
     return frozenset(record.states[:-1])

@@ -16,11 +16,13 @@ J. Number Theory 1, 1969):
    lifted factors, times lc f and taken in the symmetric range, divides
    f exactly.
 
-Step 3 is exponential in r.  Callers bound the degree (the default
-limit of 24 in ``base.make_base``); at that limit the worst cases are
-cyclotomic, such as Phi_72, Phi_84 and Phi_90, which take tens of
-milliseconds.  The randomness only decides how fast the factors split,
-never the verdict.
+Step 3 is exponential in r, not in the degree, so it runs at every
+degree under a fixed budget of RECOMBINATION_BUDGET subsets; past it
+the verdict is None (undecided).  The Swinnerton-Dyer polynomial of
+five primes (degree 32, at least 16 factors modulo every prime) needs
+39,202 subsets and stays within it; that of six primes (degree 64) does
+not.  The randomness only decides how fast the factors split, never the
+verdict.
 
 Polynomials are coefficient lists, least-significant first, with no
 trailing zeros; modular ones hold residues in [0, m).
@@ -35,6 +37,8 @@ from itertools import combinations
 from .polynomials import _pseudo_divmod
 
 _SIEVE_PRIMES = 5
+# Subsets of lifted factors that recombination tries before giving up.
+RECOMBINATION_BUDGET = 1 << 16
 
 
 # -- arithmetic modulo m ---------------------------------------------------
@@ -224,9 +228,10 @@ def _primitive(a):
     return [x // c for x in a]
 
 
-def is_irreducible(coeffs) -> bool:
+def is_irreducible(coeffs) -> bool | None:
     """Irreducibility over Q of a nonconstant integer polynomial that is
-    squarefree over Q."""
+    squarefree over Q; None when recombination would need more than
+    RECOMBINATION_BUDGET subsets."""
     f = _primitive(list(coeffs))
     d = len(f) - 1
     if not f[0]:
@@ -270,8 +275,12 @@ def is_irreducible(coeffs) -> bool:
         c %= top
         return c - top if c > half else c
 
+    tried = 0
     for size in range(1, len(lifted) // 2 + 1):
         for subset in combinations(lifted, size):
+            tried += 1
+            if tried > RECOMBINATION_BUDGET:
+                return None
             if not allowed >> sum(len(u) - 1 for u in subset) & 1:
                 continue
             c0 = symmetric(lc * math.prod(u[0] for u in subset))

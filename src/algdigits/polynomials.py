@@ -263,12 +263,13 @@ def _divisors(n: int) -> list[int]:
     return small + [abs(n) // k for k in small]
 
 
-def is_irreducible_z(poly: IntPolynomial) -> bool:
-    """Irreducibility over Q.  Degree 2 and 3 factor exactly when they
-    have a rational root p/q (p | constant term, q | leading
-    coefficient); other degrees use exact modular factorization with
-    Hensel lifting (``factoring``), imported locally so that low degrees
-    skip compiling it."""
+def is_irreducible_z(poly: IntPolynomial) -> bool | None:
+    """Irreducibility over Q, at any degree.  Degree 2 and 3 factor
+    exactly when they have a rational root p/q (p | constant term,
+    q | leading coefficient); other degrees use exact modular
+    factorization with Hensel lifting (``factoring``), imported locally
+    so that low degrees skip compiling it.  None when the recombination
+    budget of ``factoring`` runs out before a verdict."""
     cs, d = poly.coeffs, poly.degree
     if d in (2, 3) and max(abs(cs[0]), abs(cs[-1])) <= _ROOT_TEST_MAX:
         qs = _divisors(cs[-1])

@@ -23,7 +23,7 @@ from operator import mul
 
 from .base import AlgebraicBase, make_base
 from .errors import ResourceCapError, UnitCircleError, UnsupportedBaseError
-from .intervals import dyadic_outward
+from .intervals import Box, dyadic_outward
 from .polynomials import IntPolynomial
 from .record import Record
 from .roots import grid_bits
@@ -251,57 +251,12 @@ def build_zero_automaton(base, height: int, *,
         raise UnitCircleError(
             f"{base.min_poly} has {base.n_unit} conjugate(s) on the unit "
             "circle; no finite automaton recognizes its zero words")
-    if base.degree == 1:
-        states, transitions, level = _build_rational(base, height, max_states)
-    elif base.is_monic:
-        states, transitions, level = _monic_pass(base, height, max_states)
-    else:
+    if base.degree > 1 and not base.is_monic:
         raise UnsupportedBaseError(
             "irrational bases need a monic minimal polynomial here "
             "(denominator ideals are not supported)")
+    states, transitions, level = _monic_pass(base, height, max_states)
     return ZeroAutomaton(base, height, states, transitions, level, False)
-
-
-def _build_rational(base: AlgebraicBase, height: int, max_states: int):
-    """States are the rational integers within the invariant band; a
-    transition exists when alpha*y + d is again an integer, which needs
-    q | y.  A state not divisible by q is a dead end: its denominator
-    valuation only sinks further, so no continuation returns to 0."""
-    alpha = base.alpha_fraction
-    p, q = alpha.numerator, alpha.denominator
-    if abs(p) > q:
-        # |x| <= H / (|alpha| - 1), exactly
-        def in_band(x: int) -> bool:
-            return abs(x) * (abs(p) - q) <= height * q
-    else:
-        # |x| <= H / (1 - |alpha|); forward-invariant, so this prunes
-        # nothing reachable and only guards the closure
-        def in_band(x: int) -> bool:
-            return abs(x) * (q - abs(p)) <= height * q
-    level = {0: 1}
-    frontier = [0]
-    transitions = {}
-    depth = 1
-    while frontier:
-        depth += 1
-        nxt = []
-        for y in frontier:
-            if y % q != 0:
-                continue
-            ay = p * (y // q)
-            for d in range(-height, height + 1):
-                z = ay + d
-                if not in_band(z):
-                    continue
-                transitions[(y, d)] = z
-                if z not in level:
-                    if len(level) >= max_states:
-                        raise ResourceCapError(
-                            f"state cap {max_states} exceeded")
-                    level[z] = depth
-                    nxt.append(z)
-        frontier = nxt
-    return tuple(sorted(level)), transitions, level
 
 
 def _monic_pass(base: AlgebraicBase, height: int, max_states: int):
@@ -315,10 +270,17 @@ def _monic_pass(base: AlgebraicBase, height: int, max_states: int):
     2^(n+1).  Then sigma_k(alpha*y) is an integer dot product per state,
     the digit d only shifts its real midpoint by d * 2^(n+1) (alpha^0 is
     the exact point 1), and a successor is pruned when an exact integer
-    comparison proves |sigma_k|^2 > bound_k."""
+    comparison proves |sigma_k|^2 > bound_k.
+
+    A degree-one base alpha = p/q has the integers as states.  alpha*y
+    is one exactly when q | y; any other state is a dead end, since its
+    denominator valuation only sinks further.  Its power table is the
+    exact point 1 and its modulus is exact, so the band test is exact."""
     bits = grid_bits(base.achieved_width)
     unit = 1 << (bits + 1)
-    table = base._store.power_boxes(base.degree)
+    rational = base.degree == 1
+    table = ([[Box.point(1)]] if rational
+             else base._store.power_boxes(base.degree))
     forms = []
     for k, (lo, _hi) in enumerate(base.conjugate_moduli()):
         if lo > 1:
@@ -341,6 +303,10 @@ def _monic_pass(base: AlgebraicBase, height: int, max_states: int):
         nxt = []
         for y in frontier:
             ay = base.mul_alpha(y)
+            if rational:
+                if ay.denominator != 1:
+                    continue
+                ay = (ay.numerator,)
             mags = tuple(map(abs, ay))
             kept = range(-height, height + 1)
             for m_re, r_re, m_im, r_im, num, den in forms:
@@ -352,7 +318,7 @@ def _monic_pass(base: AlgebraicBase, height: int, max_states: int):
                         if (max(abs(re + d * unit) - re_rad, 0) ** 2
                             + im_lo * im_lo) * den <= num]
             for d in kept:
-                z = base.add_int(ay, d)
+                z = ay[0] + d if rational else base.add_int(ay, d)
                 transitions[(y, d)] = z
                 if z not in level:
                     if len(level) >= max_states:

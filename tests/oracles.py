@@ -3,9 +3,11 @@
 Everything here is deliberately naive: exhaustive enumeration with
 exact integer arithmetic, no intervals, no pruning, and no shared code
 with the package internals.  Slow but obviously correct on the small
-instances the tests use.  The one exception is zero_automaton_reference,
+instances the tests use.  The exceptions are zero_automaton_reference,
 which keeps the library's earlier Z(H) pruning on rational interval
-boxes as a reference for the integer fixed-point pruning that replaced it.
+boxes as a reference for the integer fixed-point pruning that replaced it,
+and zero_automaton_rational_reference, the library's earlier separate
+Z(H) builder for degree-one bases.
 """
 
 from __future__ import annotations
@@ -217,6 +219,78 @@ def zero_automaton_reference(base, height: int, max_states: int):
         frontier = nxt
     states = tuple(sorted(level))
     return states, transitions, level
+
+
+def zero_automaton_rational_reference(base, height: int, max_states: int):
+    """(states, transitions, level) of the untrimmed Z(height) for a
+    degree-one AlgebraicBase.  States are the rational integers within
+    the invariant band; a transition exists when alpha*y + d is again an
+    integer, which needs q | y.  A state not divisible by q is a dead
+    end: its denominator valuation only sinks further, so no continuation
+    returns to 0."""
+    from algdigits.errors import ResourceCapError
+
+    alpha = base.alpha_fraction
+    p, q = alpha.numerator, alpha.denominator
+    if abs(p) > q:
+        # |x| <= H / (|alpha| - 1), exactly
+        def in_band(x: int) -> bool:
+            return abs(x) * (abs(p) - q) <= height * q
+    else:
+        # |x| <= H / (1 - |alpha|); forward-invariant, so this prunes
+        # nothing reachable and only guards the closure
+        def in_band(x: int) -> bool:
+            return abs(x) * (q - abs(p)) <= height * q
+    level = {0: 1}
+    frontier = [0]
+    transitions = {}
+    depth = 1
+    while frontier:
+        depth += 1
+        nxt = []
+        for y in frontier:
+            if y % q != 0:
+                continue
+            ay = p * (y // q)
+            for d in range(-height, height + 1):
+                z = ay + d
+                if not in_band(z):
+                    continue
+                transitions[(y, d)] = z
+                if z not in level:
+                    if len(level) >= max_states:
+                        raise ResourceCapError(
+                            f"state cap {max_states} exceeded")
+                    level[z] = depth
+                    nxt.append(z)
+        frontier = nxt
+    return tuple(sorted(level)), transitions, level
+
+
+def multiquadratic_poly(radicands) -> list[int]:
+    """Ascending coefficients of the product of x - (+-sqrt(r_1) +- ...
+    +- sqrt(r_k)) over all 2^k sign choices, for nonzero integers r_i.
+    Each step replaces f(x) by f(x - sqrt r) f(x + sqrt r), computed
+    exactly with pairs (a, b) standing for a + b sqrt(r).  For distinct
+    primes (of either sign) this is the minimal polynomial of their
+    square roots' sum (Swinnerton-Dyer when all are positive)."""
+    f = [0, 1]
+    for r in radicands:
+        g: list = []   # f(x + sqrt r), by Horner
+        for c in reversed(f):
+            shifted = [(0, 0)] + g                          # x * g
+            scaled = [(b * r, a) for a, b in g] + [(0, 0)]  # sqrt(r) * g
+            g = [(u[0] + v[0], u[1] + v[1]) for u, v in zip(shifted, scaled)]
+            g[0] = (g[0][0] + c, g[0][1])
+        rational = [0] * (2 * len(g) - 1)
+        irrational = [0] * (2 * len(g) - 1)
+        for i, (a, b) in enumerate(g):
+            for j, (c, d) in enumerate(g):   # times the conjugate c - d sqrt r
+                rational[i + j] += a * c - b * d * r
+                irrational[i + j] += b * c - a * d
+        assert not any(irrational)
+        f = rational
+    return f
 
 
 def growth_rate_dense(auto, iterations: int = 200) -> tuple:

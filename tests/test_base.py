@@ -5,6 +5,8 @@ import pytest
 from algdigits import (Classification, InvalidPolynomialError, PrecisionError,
                        UnsupportedBaseError, card_bounds, make_base)
 
+from oracles import multiquadratic_poly
+
 
 class TestClassification:
     def test_golden_ratio_like_is_mixed(self):
@@ -77,12 +79,19 @@ class TestRejections:
         with pytest.raises(InvalidPolynomialError):
             make_base("x^2 + x")
 
-    def test_degree_limit_falls_back_to_assumed(self):
+    def test_recombination_budget_falls_back_to_assumed(self):
+        # sqrt(2) + sqrt(3) + sqrt(5) + sqrt(-7) + sqrt(-11) + sqrt(-13)
+        # has degree 64 and splits into at least 32 factors modulo every
+        # prime, so recombination runs out of its budget before proving
+        # it irreducible.
+        poly = multiquadratic_poly([2, 3, 5, -7, -11, -13])
+        assert make_base(poly).irreducibility == "assumed"
+
+    def test_degree_25_is_verified(self):
         coeffs = [0] * 26
         coeffs[0] = -2
         coeffs[25] = 1  # x^25 - 2, irreducible by Eisenstein
-        assert make_base(coeffs, degree_limit=10).irreducibility == "assumed"
-        assert make_base(coeffs, degree_limit=25).irreducibility == "verified"
+        assert make_base(coeffs).irreducibility == "verified"
         flagged = make_base(coeffs, assume_irreducible=True)
         assert flagged.irreducibility == "assumed"
 

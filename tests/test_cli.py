@@ -9,7 +9,6 @@ import platform
 import subprocess
 import sys
 from fractions import Fraction
-from importlib.metadata import version
 from pathlib import Path
 
 import pytest
@@ -59,7 +58,8 @@ class TestAnalyze:
         assert manifest["tool"] == "algdigits"
         assert manifest["command"] == "analyze"
         assert manifest["argv"] == ["analyze", "--poly", "x-2"]
-        assert manifest["libs"] == {"sympy": version("sympy")}
+        # No computation uses a third-party library, so none is listed.
+        assert "libs" not in manifest
         assert manifest["python"] == platform.python_version()
 
     def test_cyclotomic_counts_are_integers(self, capsys):
@@ -72,12 +72,13 @@ class TestAnalyze:
         assert all(type(c) is int for c in counts)
 
     def test_cyclotomic_above_degree_32_is_root_of_unity(self, capsys):
-        # Phi_37 has degree 36; Kronecker's theorem needs no degree cap.
+        # Phi_37 has degree 36; Kronecker's theorem needs no degree cap,
+        # and neither does the irreducibility test.
         result = run_json(capsys, "analyze", "--poly",
                           json.dumps([1] * 37))["result"]
         assert result["classification"] == "RootOfUnity"
         assert result["n_unit"] == 36
-        assert result["irreducibility"] == "assumed"
+        assert result["irreducibility"] == "verified"
 
     @pytest.mark.parametrize("argv, classification, expanding", [
         (["analyze", "--poly", "x^31-1000000x^30+1"], "Mixed", 1),
@@ -304,6 +305,15 @@ class TestErrors:
         assert code == 2
         assert json.loads(err)["error"]["type"] == "InvalidPolynomialError"
 
+    @pytest.mark.parametrize("command", ["analyze", "classify"])
+    def test_reducible_above_degree_24_exits_2(self, capsys, command):
+        # (x^13 + 2)(x^13 + 3): irreducibility is checked at every degree.
+        code, out, err = run(capsys, command, "--poly", "x^26+5x^13+6")
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "InvalidPolynomialError"
+        assert "factors over Z" in error["message"]
+
     def test_unit_circle_exits_2(self, capsys):
         code, _out, err = run(capsys, "zero-automaton", "--poly",
                               "2x^2-3x+2", "--height", "1")
@@ -315,6 +325,14 @@ class TestErrors:
                               "--height", "2", "--max-states", "3")
         assert code == 3
         assert json.loads(err)["error"]["type"] == "ResourceCapError"
+
+    def test_orbit_step_cap_names_the_cap(self, capsys):
+        code, out, err = run(capsys, "is-ns", "--poly", "x+2", "--digits",
+                             "1,2", "--max-steps", "0")
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "ResourceCapError",
+            "message": "orbit of 0 exceeded 0 steps"}
 
     def test_bad_digits_exit_2(self, capsys):
         code, _out, err = run(capsys, "periodic", "--poly", "x+2",
@@ -491,8 +509,7 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
 
     def test_library_never_imports_sympy(self):
-        # sympy is a test oracle only; the manifest reads its version
-        # without importing it.
+        # sympy is a test oracle only.
         package = Path(algdigits.__file__).parent
         for path in sorted(package.glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
@@ -504,6 +521,15 @@ class TestStartup:
                     continue
                 assert all(name.split(".")[0] != "sympy"
                            for name in names), path.name
+
+    def test_no_runtime_dependencies(self):
+        # sympy is needed only by the tests, as the factoring oracle.
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with open(pyproject, "rb") as fh:
+            project = tomllib.load(fh)["project"]
+        assert project["dependencies"] == []
+        assert "sympy" in project["optional-dependencies"]["test"]
 
     def test_root_isolation_does_not_import_numpy(self):
         code = ("import contextlib, io, sys\n"

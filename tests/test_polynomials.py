@@ -13,6 +13,8 @@ from algdigits.polynomials import (IntPolynomial, count_real_roots_between,
                                    palindromic_half, parse_polynomial,
                                    require_min_poly_shape)
 
+from oracles import multiquadratic_poly
+
 
 class TestParse:
     def test_term_syntax(self):
@@ -237,7 +239,7 @@ class TestModularFactorization:
             cs[0] = content
         assert is_irreducible_z(IntPolynomial(cs)) == _sympy_irreducible(cs)
 
-    def test_largest_cyclotomics_under_the_degree_limit(self):
+    def test_largest_cyclotomics_up_to_degree_24(self):
         # Recombination is exponential in the number of factors modulo
         # p; these split into the most factors modulo every prime among
         # polynomials of degree <= 24.
@@ -246,6 +248,63 @@ class TestModularFactorization:
             base = make_base(_cyclotomic(n))
             assert base.irreducibility == "verified"
             assert time.perf_counter() - start < 1.0, n
+
+
+class TestHighDegree:
+    """Degree 25 and up, where recombination runs under its budget."""
+
+    def test_cyclotomic_degree_25_to_48(self):
+        # Every other Phi_n of degree 25-48.
+        for n in [n for n, d in _TOTIENT.items() if 25 <= d <= 48][::2]:
+            assert is_irreducible_z(IntPolynomial(_cyclotomic(n))), n
+
+    def test_cyclotomic_products_of_degree_25_to_48(self):
+        # Phi_a Phi_b, where Phi_a has degree 13 or more.
+        rng = random.Random(29)
+        large = [n for n, d in _TOTIENT.items() if 13 <= d <= 40]
+        for _ in range(8):
+            a = rng.choice(large)
+            b = rng.choice([n for n, d in _TOTIENT.items()
+                            if 25 <= _TOTIENT[a] + d <= 48])
+            cs = _mul(_cyclotomic(a), _cyclotomic(b))
+            assert _sympy_irreducible(cs) is False
+            assert is_irreducible_z(IntPolynomial(cs)) is False, (a, b)
+
+    def test_random_degree_25_to_48(self):
+        rng = random.Random(25)
+        for _ in range(8):
+            d = rng.randint(25, 48)
+            cs = ([rng.randint(-30, 30) or 1]
+                  + [rng.randint(-30, 30) for _ in range(d - 1)]
+                  + [rng.choice([1, -1, 2, 6])])
+            assert is_irreducible_z(IntPolynomial(cs)) == _sympy_irreducible(cs)
+
+    def test_products_with_a_factor_of_degree_13_or_more(self):
+        rng = random.Random(13)
+        for _ in range(8):
+            d = rng.randint(25, 48)
+            a = rng.randint(13, d - 1)
+            f = [rng.randint(1, 9)] + [rng.randint(-9, 9)
+                                       for _ in range(a - 1)] + [1]
+            g = [rng.randint(1, 9)] + [rng.randint(-9, 9)
+                                       for _ in range(d - a - 1)] + [1]
+            cs = _mul(f, g)
+            assert _sympy_irreducible(cs) is False
+            assert is_irreducible_z(IntPolynomial(cs)) is False, cs
+
+    def test_swinnerton_dyer_of_five_primes_is_verified(self):
+        # Degree 32, with 16 factors or more modulo every prime:
+        # recombination tries 39,202 subsets.
+        poly = multiquadratic_poly([2, 3, 5, 7, 11])
+        assert make_base(poly).irreducibility == "verified"
+
+    def test_swinnerton_dyer_of_six_primes_exhausts_the_budget(self):
+        # Degree 64, with 32 factors or more modulo every prime: the
+        # verdict is undecided, and the budget bounds the time it takes.
+        poly = IntPolynomial(tuple(multiquadratic_poly([2, 3, 5, 7, 11, 13])))
+        start = time.perf_counter()
+        assert is_irreducible_z(poly) is None
+        assert time.perf_counter() - start < 1.5
 
 
 class TestSturm:
@@ -290,6 +349,9 @@ def _sympy_irreducible(coeffs) -> bool:
     _, factors = sympy.Poly(list(reversed(coeffs)), x).factor_list()
     return (len(factors) == 1 and factors[0][1] == 1
             and factors[0][0].degree() == len(coeffs) - 1)
+
+
+_TOTIENT = {n: int(sympy.totient(n)) for n in range(2, 250)}
 
 
 def _cyclotomic(n: int) -> list[int]:

@@ -18,8 +18,9 @@ from algdigits import (
 )
 from algdigits.zero_automaton import ZeroAutomaton
 
-from oracles import (growth_rate_dense, zero_automaton_reference,
-                     zero_words_monic, zero_words_rational)
+from oracles import (growth_rate_dense, zero_automaton_rational_reference,
+                     zero_automaton_reference, zero_words_monic,
+                     zero_words_rational)
 
 
 def _reference(base: AlgebraicBase, height: int,
@@ -229,6 +230,26 @@ class TestReference:
         base = make_base(poly)
         assert (build_zero_automaton(base, height).to_json_dict()
                 == _reference(base, height).to_json_dict())
+
+    # alpha = 2, 5/2, -3/2, -4, 1/3 and -2/5: expanding, negative and
+    # contracting degree-one bases share the same pass.
+    @pytest.mark.parametrize("poly", ["x - 2", "2x - 5", "2x + 3", "x + 4",
+                                      "3x - 1", "5x + 2"])
+    @pytest.mark.parametrize("height", [1, 2, 3])
+    def test_rational_untrimmed_equals_reference(self, poly, height):
+        base = make_base(poly)
+        states, transitions, level = zero_automaton_rational_reference(
+            base, height, 10**6)
+        reference = ZeroAutomaton(base, height, states, transitions, level,
+                                  False)
+        auto = build_zero_automaton(base, height)
+        assert auto.to_json_dict() == reference.to_json_dict()
+        assert auto.level == level
+
+    def test_rational_state_cap_names_the_height(self):
+        with pytest.raises(ResourceCapError,
+                           match="state cap 2 exceeded at height 2"):
+            build_zero_automaton("2x - 5", 2, max_states=2)
 
 
 class TestOnePass:
