@@ -13,19 +13,19 @@ every remaining modulus from 1, which is guaranteed to terminate.
 
 from __future__ import annotations
 
-import operator
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
+from operator import index, mul
 
 from .errors import (InvalidPolynomialError, PrecisionError,
                      UnsupportedBaseError)
-from .intervals import Box, Interval
+from .intervals import Box, dyadic_outward
 from .polynomials import (IntPolynomial, count_real_roots_between,
                           is_irreducible_z, palindromic_half,
                           parse_polynomial, require_min_poly_shape)
 from .record import Record
-from .roots import DEFAULT_WIDTH, certified_roots, contract_roots
+from .roots import DEFAULT_WIDTH, certified_roots, contract_roots, grid_bits
 
 DEFAULT_PRECISION = DEFAULT_WIDTH
 
@@ -129,7 +129,7 @@ def _integer(c) -> int:
     bools and floats included."""
     if not isinstance(c, bool):
         try:
-            return operator.index(c)
+            return index(c)
         except TypeError:
             pass
     raise ValueError(f"coordinate {c!r} is not an integer")
@@ -393,6 +393,50 @@ class AlgebraicBase:
                 acc = acc + p.scale(c)
             out.append(acc)
         return out
+
+    def conjugate_window(self, radii):
+        """The certified conjugate test, as a function window(x, lo, hi):
+        the range of the integers d in lo..hi for which no |sigma_k(x + d)|
+        is proven to exceed radii[k] (None leaves conjugate k free).  x is
+        a coordinate tuple; a degree-one state is its one integer.
+
+        Each power box alpha_k^i is rounded outward once to integers
+        L <= U on the 2^-n grid, kept as midpoint L + U and radius U - L
+        over 2^(n+1).  sigma_k(x) is then an integer dot product, d shifts
+        its real midpoint by d 2^(n+1) (alpha^0 is the exact point 1), and
+        the range follows from exact integer comparisons and isqrt."""
+        bits = grid_bits(self.achieved_width)
+        unit = 1 << (bits + 1)
+        rows = ([[Box.point(1)]] if self._store is None
+                else self._store.power_boxes(self.degree))
+        tests = []
+        for row, radius in zip(rows, radii):
+            if radius is not None:
+                parts = []
+                for box in row:
+                    rl, ru = dyadic_outward(box.re, bits)
+                    il, iu = dyadic_outward(box.im, bits)
+                    parts.append((rl + ru, ru - rl, il + iu, iu - il))
+                sq = radius * radius
+                tests.append((*zip(*parts), sq.numerator << (2 * bits + 2),
+                              sq.denominator))
+
+        def window(x, lo: int, hi: int) -> range:
+            mags = tuple(map(abs, x))
+            for m_re, r_re, m_im, r_im, num, den in tests:
+                re = sum(map(mul, x, m_re))
+                im = max(abs(sum(map(mul, x, m_im)))
+                         - sum(map(mul, mags, r_im)), 0)
+                room = num - im * im * den
+                if room >= 0:
+                    reach = sum(map(mul, mags, r_re)) + isqrt(room // den)
+                    lo = max(lo, -((reach + re) // unit))
+                    hi = min(hi, (reach - re) // unit)
+                if room < 0 or lo > hi:
+                    return range(0)
+            return range(lo, hi + 1)
+
+        return window
 
     def __repr__(self) -> str:
         return f"AlgebraicBase({self.min_poly!s}, {self.classification})"

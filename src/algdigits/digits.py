@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from .base import AlgebraicBase, Classification
 from .errors import DigitSetError, PrecisionError, ResourceCapError, UnsupportedBaseError
-from .intervals import Box
 from .record import Record
 
 _EXPANDING_OK = {Classification.EXPANDING_INTEGER, Classification.RATIONAL}
@@ -221,49 +220,39 @@ def _coordinate_bound(base: AlgebraicBase, c: Fraction) -> int:
     """Certified bound B with: every x in Z[alpha] whose conjugates all
     satisfy |sigma(x)| <= c has power-basis coordinates bounded by B.
 
-    Uses the Lagrange form of the inverse Vandermonde: coordinate i of x
-    is sum_k sigma_k(x) * [x^i](prod_{j!=k}(X - alpha_j)) / prod_{j!=k}
-    (alpha_k - alpha_j), every factor evaluated in interval arithmetic
-    and rounded outward."""
-    d = base.degree
+    Uses the Lagrange form of the inverse Vandermonde: for the monic f,
+    f(X)/(X - alpha) = sum_i b_i(alpha) X^i with b_i = sum_{j>i} f_j
+    alpha^(j-i-1), so coordinate i of x is sum_k sigma_k(x) sigma_k(b_i)
+    / sigma_k(f'(alpha)).  b_i and f'(alpha) are ring elements, enclosed
+    by conjugate_boxes."""
+    f = base.min_poly.coeffs
+    numerators = [base.element(f[i + 1:]) for i in range(base.degree)]
+    derivative = base.element([j * f[j] for j in range(1, len(f))])
     for _ in range(40):
-        boxes = base.conjugates()
-        row_sums = [Fraction(0)] * d
-        ok = True
-        for k in range(d):
-            poly = [Box.point(1)]
-            denom = Box.point(1)
-            for j in range(d):
-                if j == k:
-                    continue
-                beta = boxes[j]
-                nxt = [Box.point(0)] * (len(poly) + 1)
-                for i, coeff in enumerate(poly):
-                    nxt[i + 1] = nxt[i + 1] + coeff
-                    nxt[i] = nxt[i] - coeff * beta
-                poly = nxt
-                denom = denom * (boxes[k] - beta)
-            den_lo = denom.abs_bounds()[0]
-            if den_lo <= 0:
-                ok = False
-                break
-            for i in range(d):
-                row_sums[i] += poly[i].abs_bounds()[1] / den_lo
-        if ok:
-            bound = max(row_sums) * c
-            return int(bound) + 1
+        dens = [box.abs_bounds()[0]
+                for box in base.conjugate_boxes(derivative)]
+        if min(dens) > 0:
+            sums = [sum(box.abs_bounds()[1] / den for box, den
+                        in zip(base.conjugate_boxes(b), dens))
+                    for b in numerators]
+            return int(max(sums) * c) + 1
         base.refine()
-    raise PrecisionError("could not certify the inverse conjugate map")
+    raise PrecisionError(
+        "could not certify the inverse conjugate map: some |f'(alpha_k)| "
+        f"still reaches 0 at width {base.achieved_width}")
 
 
 def periodic_points(base: AlgebraicBase, digits=None, *,
                     candidate_cap: int = 10**7) -> PeriodicSet:
     """All periodic points of the digit map, exactly.
 
-    Every periodic point has |sigma(x)| <= c in every embedding, so a
-    certified coordinate box contains them all; the box is swept and
-    each orbit followed until it cycles.  Enumeration is inflated
-    outward, never truncated, so no periodic point can be missed."""
+    Every periodic point has |sigma_k(x)| <= per_conjugate[k], so a
+    certified coordinate box holds them all; its size is checked against
+    the cap and reported.  In degree >= 2 an orbit is followed only from
+    the box points in that region: x_0 enters each sigma_k with the exact
+    coefficient 1, so on each line of the box they form one range of x_0
+    (base.conjugate_window).  Nothing is truncated, so no periodic point
+    can be missed."""
     _require_expanding(base)
     digit_set = as_digit_set(base, digits)
     bounds = orbit_bound(base, digit_set)
@@ -274,38 +263,30 @@ def periodic_points(base: AlgebraicBase, digits=None, *,
     if count > candidate_cap:
         raise ResourceCapError(f"{count} candidates exceed cap {candidate_cap}")
 
-    def lattice():
-        points = range(-limit, limit + 1)
-        if base.degree == 1:
-            return map(base.element, points)
-        return itertools.product(points, repeat=base.degree)
+    points = range(-limit, limit + 1)
+    if base.degree == 1:
+        starts = map(base.element, points)
+    else:
+        window = base.conjugate_window(bounds.per_conjugate)
+        starts = ((x0,) + tail
+                  for tail in itertools.product(points, repeat=base.degree - 1)
+                  for x0 in window((0,) + tail, -limit, limit))
 
-    status: dict = {}
+    visited: set = set()
     cycles: set = set()
-
-    def resolve(x) -> None:
-        path = []
-        pos = {}
-        while x not in status and x not in pos:
-            pos[x] = len(path)
-            path.append(x)
+    for x in starts:
+        path: dict = {}
+        while x not in visited:
+            visited.add(x)
+            path[x] = len(path)
             _, x = digit_set.step(x)
-        if x in pos:
-            cycle = tuple(path[pos[x]:])
-            shift = min(range(len(cycle)), key=lambda i: _sort_key(cycle[i]))
+        if x in path:
+            # The walk closed a cycle.  Otherwise it merged into an
+            # earlier walk: the first walk to touch a cycle closes it,
+            # since stepping from a periodic state never leaves its cycle.
+            cycle = tuple(path)[path[x]:]
+            shift = cycle.index(min(cycle, key=_sort_key))
             cycles.add(cycle[shift:] + cycle[:shift])
-            for i, st in enumerate(path):
-                status[st] = i >= pos[x]
-        else:
-            # Merged into an already-resolved state.  The first walk to
-            # touch any cycle always closes it (stepping from a periodic
-            # state never leaves its cycle), so by the time a merge is
-            # possible the cycle is registered; statuses are only a memo.
-            for st in path:
-                status[st] = False
-
-    for x in lattice():
-        resolve(x)
 
     ordered_cycles = tuple(sorted(cycles, key=lambda cyc: _sort_key(cyc[0])))
     elements = tuple(sorted({x for cyc in ordered_cycles for x in cyc}, key=_sort_key))

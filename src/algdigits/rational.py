@@ -260,7 +260,9 @@ def transduce(transducer: AdditionTransducer, start: int, word, *,
     flushes = 0
     while carry != 0:
         if flushes >= max_flush:
-            raise ResourceCapError("carry failed to flush")
+            raise ResourceCapError(
+                f"carry failed to flush within max_flush={max_flush} zero "
+                f"digits; carry {carry} remains")
         e, carry = transducer.step(carry, 0)
         out.append(e)
         flushes += 1

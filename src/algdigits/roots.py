@@ -11,7 +11,9 @@ B and forms N(B) = mid(B) - P(mid(B))/P'(B): when N(B) lands strictly
 inside B, B holds exactly one simple root.  From there it iterates
 B <- N(B) & B down to the target width.  Every iterate is rounded outward
 to the 2^-(w+24) dyadic grid of a width near 2^-w, so endpoints keep a
-bounded size, and each iterate lies inside the one before.  Refining to a
+bounded size, and each iterate lies inside the one before.  A seed that
+no rectangle around it certifies is first polished by exact Newton steps
+on a finer grid; its rectangle then keeps that grid.  Refining to a
 finer width continues the same contraction from the stored rectangles,
 so refined rectangles nest.
 
@@ -68,37 +70,69 @@ def _newton(coeffs, box: Box, bits: int) -> Box | None:
 
 
 def _contract(coeffs, box: Box, width: Fraction, bits: int) -> Box:
-    """Iterate B <- N(B) & B, rounded outward to the 2^-bits grid, until
-    B is no wider than width.  B must lie on that grid and hold a root;
-    every root in B lies in N(B), and rounding outward cannot leave B,
-    so each iterate holds the root and lies inside the one before."""
+    """Iterate B <- N(B) & B, rounded outward to the 2^-bits grid and met
+    with B again, until B is no wider than width.  B must hold a root;
+    every root in B lies in N(B), so each iterate holds the root and lies
+    inside the one before.  B is on that grid, or on a finer one when
+    _certify had to polish its seed."""
     while box.width > width:
         step = _newton(coeffs, box, bits)
         meet = step.intersect(box) if step is not None else None
-        if meet is None or meet.outward(bits).width >= box.width:
+        if meet is not None:
+            meet = meet.outward(bits).intersect(box)
+        if meet is None or meet.width >= box.width:
             raise PrecisionError(
                 f"root contraction stalled for {coeffs} at width {box.width}")
-        box = meet.outward(bits)
+        box = meet
     return box
 
 
+def _polish(coeffs, z: _CRat, bits: int) -> _CRat:
+    """Newton steps z <- z - P(z)/P'(z) in exact arithmetic, each iterate
+    rounded to the 2^-bits grid, until z stops moving (at most 64)."""
+    one = 1 << bits
+    for _ in range(64):
+        p, dp = _eval_and_diff(coeffs, z)
+        den = dp[0] * dp[0] + dp[1] * dp[1]
+        if not den:
+            break
+        nxt = (Fraction(round((z[0] - (p[0] * dp[0] + p[1] * dp[1]) / den)
+                              * one), one),
+               Fraction(round((z[1] - (p[1] * dp[0] - p[0] * dp[1]) / den)
+                              * one), one))
+        if nxt == z:
+            break
+        z = nxt
+    return z
+
+
 def _certify(coeffs, seed: _CRat, bits: int) -> Box:
-    """A box on the 2^-bits grid proven to hold exactly one root near seed:
-    N(B) strictly inside B proves it, and N(B) rounded outward still lies
-    in B.  The first radius tried is 8|P/P'| at the seed, grown fourfold
-    up to seven times."""
-    p, dp = _eval_and_diff(coeffs, seed)
-    r = Fraction(1, 1 << bits)
-    if dp[0] or dp[1]:
-        r = max(r, 8 * (abs(p[0]) + abs(p[1])) / max(abs(dp[0]), abs(dp[1])))
-    for _ in range(8):
-        box = Box(Interval(seed[0] - r, seed[0] + r),
-                  Interval(seed[1] - r, seed[1] + r)).outward(bits)
-        step = _newton(coeffs, box, bits)
-        if step is not None and box.contains_strict(step):
-            return step.outward(bits)
-        r *= 4
-    raise PrecisionError(f"could not certify a root of {coeffs}")
+    """A box proven to hold exactly one root near seed: N(B) strictly
+    inside B proves it, and N(B) rounded outward still lies in B.  The
+    first radius tried is 8|P/P'| at the seed, grown fourfold up to seven
+    times, on the 2^-bits grid.  When none works, the seed is polished on
+    a grid of twice the bits and the radii are tried there, up to four
+    doublings.  This is what certifies a root of a tight cluster, whose
+    float seed can lie nearer a neighbour than the root, or a cluster
+    that the 2^-bits grid is too coarse to split."""
+    for grid in (bits << i for i in range(5)):
+        if grid > bits:
+            seed = _polish(coeffs, seed, grid)
+        p, dp = _eval_and_diff(coeffs, seed)
+        radius = Fraction(1, 1 << grid)
+        if dp[0] or dp[1]:
+            radius = max(radius, 8 * (abs(p[0]) + abs(p[1]))
+                         / max(abs(dp[0]), abs(dp[1])))
+        for r in (radius * 4**i for i in range(8)):
+            box = Box(Interval(seed[0] - r, seed[0] + r),
+                      Interval(seed[1] - r, seed[1] + r)).outward(grid)
+            step = _newton(coeffs, box, grid)
+            if step is not None and box.contains_strict(step):
+                return step.outward(grid)
+    raise PrecisionError(
+        f"could not certify a root of {coeffs} up to the 2^-{grid} grid; "
+        "the last radius tried was about "
+        f"2^{r.numerator.bit_length() - r.denominator.bit_length()}")
 
 
 def _rescaled(re: float, im: float, k: int) -> tuple[float, float, int]:

@@ -19,14 +19,11 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from operator import mul
 
 from .base import AlgebraicBase, make_base
 from .errors import ResourceCapError, UnitCircleError, UnsupportedBaseError
-from .intervals import Box, dyadic_outward
 from .polynomials import IntPolynomial
 from .record import Record
-from .roots import grid_bits
 
 DEFAULT_MAX_STATES = 1_000_000
 
@@ -262,36 +259,17 @@ def build_zero_automaton(base, height: int, *,
 def _monic_pass(base: AlgebraicBase, height: int, max_states: int):
     """Breadth-first closure from 0 with certified pruning at the
     base's current interval width.  A successor is dropped only when
-    some expanding conjugate provably exceeds H/(|alpha_k| - 1); every
-    other successor is kept, which is sound.
-
-    Each power box alpha_k^i is rounded outward once to integers L <= U
-    on the 2^-n grid and kept as midpoint L + U and radius U - L over
-    2^(n+1).  Then sigma_k(alpha*y) is an integer dot product per state,
-    the digit d only shifts its real midpoint by d * 2^(n+1) (alpha^0 is
-    the exact point 1), and a successor is pruned when an exact integer
-    comparison proves |sigma_k|^2 > bound_k.
+    base.conjugate_window proves that some expanding conjugate exceeds
+    H/(|alpha_k| - 1); every other successor is kept, which is sound.
 
     A degree-one base alpha = p/q has the integers as states.  alpha*y
     is one exactly when q | y; any other state is a dead end, since its
     denominator valuation only sinks further.  Its power table is the
     exact point 1 and its modulus is exact, so the band test is exact."""
-    bits = grid_bits(base.achieved_width)
-    unit = 1 << (bits + 1)
     rational = base.degree == 1
-    table = ([[Box.point(1)]] if rational
-             else base._store.power_boxes(base.degree))
-    forms = []
-    for k, (lo, _hi) in enumerate(base.conjugate_moduli()):
-        if lo > 1:
-            bound = (height / (lo - 1)) ** 2  # lo is a Fraction
-            parts = []
-            for box in table[k]:
-                rl, ru = dyadic_outward(box.re, bits)
-                il, iu = dyadic_outward(box.im, bits)
-                parts.append((rl + ru, ru - rl, il + iu, iu - il))
-            forms.append((*zip(*parts), bound.numerator << (2 * bits + 2),
-                          bound.denominator))
+    window = base.conjugate_window(
+        [height / (lo - 1) if lo > 1 else None  # lo is a Fraction
+         for lo, _hi in base.conjugate_moduli()])
 
     zero = base.zero
     level = {zero: 1}
@@ -307,17 +285,7 @@ def _monic_pass(base: AlgebraicBase, height: int, max_states: int):
                 if ay.denominator != 1:
                     continue
                 ay = (ay.numerator,)
-            mags = tuple(map(abs, ay))
-            kept = range(-height, height + 1)
-            for m_re, r_re, m_im, r_im, num, den in forms:
-                re = sum(map(mul, ay, m_re))
-                re_rad = sum(map(mul, mags, r_re))
-                im_lo = max(abs(sum(map(mul, ay, m_im)))
-                            - sum(map(mul, mags, r_im)), 0)
-                kept = [d for d in kept
-                        if (max(abs(re + d * unit) - re_rad, 0) ** 2
-                            + im_lo * im_lo) * den <= num]
-            for d in kept:
+            for d in window(ay, -height, height):
                 z = ay[0] + d if rational else base.add_int(ay, d)
                 transitions[(y, d)] = z
                 if z not in level:

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -182,6 +183,38 @@ class TestIntervalData:
         # sigma(alpha) = +-sqrt(2): the two boxes cover both signs
         mids = sorted(box.mid[0] for box in boxes)
         assert mids[0] < 0 < mids[1]
+
+    @pytest.mark.parametrize("poly", ["x^2 + 2x + 2", "x^2 - 2", "x^3 + 2",
+                                      "x^3 - x^2 + 3"])
+    def test_conjugate_window_brackets_the_exact_boxes(self, poly):
+        # The window rounds each power box outward, so it keeps every
+        # shift that the Fraction boxes of conjugate_boxes allow, and it
+        # keeps no shift that those boxes put clearly outside a disk.
+        base = make_base(poly)
+        radii = [Fraction(5, 2), None, Fraction(7, 3)][:base.degree]
+        window = base.conjugate_window(radii)
+        slack = Fraction(1, 2**20)
+        for tail in itertools.product(range(-2, 3), repeat=base.degree - 1):
+            x = (0,) + tail
+            kept = window(x, -8, 8)
+            for d in range(-8, 9):
+                lows = [box.abs_sq().lo for box, r in
+                        zip(base.conjugate_boxes(base.add_int(x, d)), radii)
+                        if r is not None]
+                bounds = [r for r in radii if r is not None]
+                if all(lo <= r * r for lo, r in zip(lows, bounds)):
+                    assert d in kept
+                if d in kept:
+                    assert all(lo <= (r + slack) ** 2
+                               for lo, r in zip(lows, bounds))
+
+    def test_conjugate_window_without_radii_keeps_the_range(self):
+        base = make_base("x^3 + 2")
+        assert base.conjugate_window([None] * 3)((5, -7, 1), -3, 3) == range(-3, 4)
+        rational = make_base([-5, 2])   # alpha = 5/2, exact modulus
+        window = rational.conjugate_window([Fraction(3)])
+        assert list(window((0,), -9, 9)) == [-3, -2, -1, 0, 1, 2, 3]
+        assert list(window((2,), -9, 9)) == list(range(-5, 2))
 
     def test_refine_monotone(self):
         base = make_base("x^2 + 2x + 2")

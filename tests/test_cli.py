@@ -52,6 +52,18 @@ class TestAnalyze:
         assert result["card_lower"] is None
         assert result["card_upper"] is None
 
+    @pytest.mark.parametrize("argv", [
+        ["--poly", "x^16-200x^2+40x-2"],
+        ["--poly", "x^12-200x^2+40x-2", "--precision", "1/2"],
+        ["--poly", "x^16-200x^2+40x-2", "--precision", "1/2"],
+    ])
+    def test_clustered_roots_are_certified(self, capsys, argv):
+        # A root pair at about 0.1 +- 3.0e-9 i, which no box around the
+        # float seeds certifies.
+        result = run_json(capsys, "analyze", *argv)["result"]
+        assert result["classification"] == "Mixed"
+        assert result["n_contracting"] == 2
+
     def test_manifest_fields(self, capsys):
         payload = run_json(capsys, "analyze", "--poly", "x-2")
         manifest = payload["manifest"]

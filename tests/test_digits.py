@@ -1,14 +1,18 @@
 """Digit sets, backward-division orbits, periodic points, and the
 height-reduction set."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from algdigits import (
     Cycle,
     DigitSetError,
+    PrecisionError,
     ResourceCapError,
     Terminated,
     Truncated,
@@ -26,7 +30,9 @@ from algdigits import (
     zero_orbit_set,
 )
 from algdigits.base import Classification
-from algdigits.digits import _coordinate_bound
+from algdigits.digits import (PeriodicSet, _coordinate_bound,
+                              _require_expanding, _sort_key)
+from algdigits.intervals import Box
 
 from oracles import (
     height_values_naive,
@@ -221,9 +227,105 @@ class TestPeriodicPoints:
         assert set(lone.cycles) == set(many.cycles)
 
 
+def full_box_walk(base, digits=None, *, candidate_cap: int = 10**7):
+    """Reference: periodic_points as it was before it kept to the
+    conjugate region, following the orbit of every point of the
+    coordinate box |x_i| <= limit."""
+    _require_expanding(base)
+    digit_set = as_digit_set(base, digits)
+    bounds = orbit_bound(base, digit_set)
+    c = bounds.c
+
+    limit = int(c) if base.degree == 1 else _coordinate_bound(base, c)
+    count = (2 * limit + 1) ** base.degree
+    if count > candidate_cap:
+        raise ResourceCapError(f"{count} candidates exceed cap {candidate_cap}")
+
+    def lattice():
+        points = range(-limit, limit + 1)
+        if base.degree == 1:
+            return map(base.element, points)
+        return itertools.product(points, repeat=base.degree)
+
+    status: dict = {}
+    cycles: set = set()
+
+    def resolve(x) -> None:
+        path = []
+        pos = {}
+        while x not in status and x not in pos:
+            pos[x] = len(path)
+            path.append(x)
+            _, x = digit_set.step(x)
+        if x in pos:
+            cycle = tuple(path[pos[x]:])
+            shift = min(range(len(cycle)), key=lambda i: _sort_key(cycle[i]))
+            cycles.add(cycle[shift:] + cycle[:shift])
+            for i, st in enumerate(path):
+                status[st] = i >= pos[x]
+        else:
+            # Merged into an already-resolved state.  The first walk to
+            # touch any cycle always closes it (stepping from a periodic
+            # state never leaves its cycle), so by the time a merge is
+            # possible the cycle is registered; statuses are only a memo.
+            for st in path:
+                status[st] = False
+
+    for x in lattice():
+        resolve(x)
+
+    ordered_cycles = tuple(sorted(cycles, key=lambda cyc: _sort_key(cyc[0])))
+    elements = tuple(sorted({x for cyc in ordered_cycles for x in cyc}, key=_sort_key))
+    return PeriodicSet(elements, ordered_cycles, bounds, count)
+
+
+@st.composite
+def _expanding_with_crs(draw):
+    """A monic quadratic or cubic with small coefficients and |M(0)| <= 4,
+    and a complete residue system whose digits are ring elements: digit
+    r + |M(0)| k_0 + k_1 alpha + ... for random small k."""
+    degree = draw(st.sampled_from([2, 3]))
+    const = draw(st.sampled_from([-4, -3, -2, 2, 3, 4]))
+    middle = draw(st.lists(st.integers(-2, 2), min_size=degree - 1,
+                           max_size=degree - 1))
+    m = abs(const)
+    digits = []
+    for r in range(m):
+        shift = draw(st.lists(st.integers(-1, 1), min_size=degree,
+                              max_size=degree))
+        digits.append((r + m * shift[0],) + tuple(shift[1:]))
+    return [const] + middle + [1], digits
+
+
+class TestRegionWalk:
+    """periodic_points walks only the box points inside the certified
+    conjugate region, and still finds what the full-box walk finds."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.filter_too_much])
+    @given(case=_expanding_with_crs())
+    def test_matches_full_box_walk(self, case):
+        coeffs, digits = case
+        try:
+            base = make_base(coeffs)
+        except ValueError:
+            assume(False)
+        assume(base.classification is Classification.EXPANDING_INTEGER)
+        try:
+            reference = full_box_walk(base, digits, candidate_cap=20000)
+        except ResourceCapError:
+            assume(False)
+        pset = periodic_points(base, digits)
+        assert pset.elements == reference.elements
+        assert pset.cycles == reference.cycles
+        assert pset.candidates_scanned == reference.candidates_scanned
+
+
 class TestLatticeScan:
-    """periodic_points follows the orbit of every point of the coordinate
-    box |x_i| <= limit; nothing is filtered out beforehand."""
+    """candidates_scanned is the size of the coordinate box |x_i| <=
+    limit, and it is what the cap is checked against, even though only
+    its points in the conjugate region start a walk."""
 
     def test_scans_full_lattice(self):
         for base, digits in [(GAUSS, None), (SQRT2, [0, 1]),
@@ -237,6 +339,17 @@ class TestLatticeScan:
             with pytest.raises(ResourceCapError):
                 periodic_points(base, digits,
                                 candidate_cap=pset.candidates_scanned - 1)
+
+    def test_coordinate_bound_failure_names_the_width(self, monkeypatch):
+        # Boxes that never exclude 0 for f'(alpha_k): the bound gives up
+        # and says how fine the root boxes got.
+        base = make_base("x^2 + 2x + 2")
+        monkeypatch.setattr(base, "conjugate_boxes",
+                            lambda x: [Box.point(0)] * 2)
+        monkeypatch.setattr(base, "refine", lambda: None)
+        with pytest.raises(PrecisionError,
+                           match="still reaches 0 at width 1/1099511627776"):
+            _coordinate_bound(base, Fraction(3))
 
     def test_wide_digits_match_quadratic_oracle(self):
         # Digits far from 0 make the coordinate box much larger than the

@@ -192,7 +192,8 @@ class TestModularFactorization:
                  + [rng.choice([1, 3])])
             h = _mul(f, g)
             cases.append(h)
-            cases.append([c * rng.choice([2, 3, 10]) for c in h])
+            content = rng.choice([2, 3, 10])
+            cases.append([c * content for c in h])
             cases.append(_mul(h, f))
             for cs in cases:
                 if cs[0] == 0:

@@ -203,6 +203,13 @@ class TestTransducer:
         with pytest.raises(DigitSetError):
             transduce(t, 5, (0,))
 
+    def test_flush_cap_names_its_limit(self):
+        t = build_transducer(DS52)
+        with pytest.raises(ResourceCapError,
+                           match="within max_flush=0 zero digits; "
+                                 "carry 2 remains"):
+            transduce(t, 2, (), max_flush=0)
+
     def test_unclosed_set_rejected(self):
         from algdigits.rational import RationalDigitSet
         # {0, 1, 5} is a CRS mod 3 but 1 + b = -1 has no correction in it

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from algdigits import IntPolynomial
+from algdigits import IntPolynomial, PrecisionError
 from algdigits.intervals import Box
-from algdigits.roots import (_correction, _float_seeds, certified_roots,
-                             contract_roots)
+from algdigits.roots import (_certify, _correction, _float_seeds,
+                             certified_roots, contract_roots)
 
 
 @st.composite
@@ -106,3 +106,33 @@ class TestCertifiedRoots:
                 want = (z[0] ** d + a[0]) / mpmath.fprod(z[0] - w for w in z[1:])
                 got = mpmath.mpc(*_correction(a, zr, zi, 0))
                 assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("coeffs, width", [
+        # x^12 - 200x^2 + 40x - 2 and x^16 - 200x^2 + 40x - 2 have a root
+        # pair at about 0.1 +- 3.0e-9 i.  Its float seeds lie off by about
+        # 3e-9, nearer each other than their roots, and the 2^-25 grid
+        # of the width 1/2 is coarser than the pair.
+        ([-2, 40, -200] + [0] * 9 + [1], Fraction(1, 2)),
+        ([-2, 40, -200] + [0] * 13 + [1], Fraction(1, 2)),
+        ([-2, 40, -200] + [0] * 13 + [1], Fraction(1, 2**40)),
+    ])
+    def test_clustered_pair_is_certified(self, coeffs, width):
+        boxes = certified_roots(coeffs, width)
+        pair = [box for box in boxes
+                if abs(box.mid[0] - Fraction(1, 10)) < Fraction(1, 10**6)]
+        assert len(pair) == 2
+        assert pair[0].disjoint(pair[1])
+        for box in boxes:
+            assert box.width <= width
+        # the pair survives refinement, each box nesting in the old one
+        finer = contract_roots(coeffs, boxes, width / 2**20)
+        for old, new in zip(boxes, finer):
+            assert old.intersect(new) == new
+
+    def test_certify_failure_names_grid_and_radius(self):
+        # P'(0) = 0 for x^2 + 1: no Newton step moves the seed 0, and no
+        # box around it excludes the zero of P'.
+        with pytest.raises(PrecisionError,
+                           match=r"up to the 2\^-480 grid; the last radius "
+                                 r"tried was about 2\^-466"):
+            _certify([1, 0, 1], (Fraction(0), Fraction(0)), 30)

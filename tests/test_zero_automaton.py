@@ -246,6 +246,20 @@ class TestReference:
         assert auto.to_json_dict() == reference.to_json_dict()
         assert auto.level == level
 
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(coeffs=_monic_low_degree(), height=st.integers(1, 2))
+    def test_untrimmed_equals_reference_on_random_bases(self, coeffs,
+                                                        height):
+        try:
+            base = make_base(coeffs)
+            auto = build_zero_automaton(base, height, max_states=150)
+            reference = _reference(base, height, max_states=150)
+        except (InvalidPolynomialError, UnitCircleError, ResourceCapError):
+            assume(False)
+        assert auto.to_json_dict() == reference.to_json_dict()
+        assert auto.level == reference.level
+
     def test_rational_state_cap_names_the_height(self):
         with pytest.raises(ResourceCapError,
                            match="state cap 2 exceeded at height 2"):
