@@ -51,74 +51,6 @@ _HEIGHT_REDUCIBLE_CLASSES = {
 }
 
 
-class _RootStore:
-    """Certified root rectangles with on-demand refinement.
-
-    Exactly ``unit_flags.count(True)`` roots have modulus exactly one
-    (decided symbolically before construction); their modulus interval is
-    reported as the point [1, 1].  All other moduli are separated from 1
-    by refinement, which must succeed because they genuinely differ
-    from 1.
-    """
-
-    def __init__(self, coeffs: tuple[int, ...], n_unit: int, width: Fraction):
-        self.coeffs = list(coeffs)
-        boxes = certified_roots(self.coeffs, width)
-        for _ in range(80):
-            straddle = [i for i, b in enumerate(boxes)
-                        if _modulus_contains_one(b)]
-            if len(straddle) == n_unit:
-                break
-            width = width / 16
-            boxes = contract_roots(self.coeffs, boxes, width)
-        else:
-            raise PrecisionError(
-                "could not separate conjugate moduli from 1; "
-                f"{len(straddle)} straddle but {n_unit} lie on the circle")
-        flags = [_modulus_contains_one(b) for b in boxes]
-        order = sorted(range(len(boxes)),
-                       key=lambda i: (_sort_rank(boxes[i], flags[i]),
-                                      boxes[i].re.lo, boxes[i].im.lo))
-        self.boxes = [boxes[i] for i in order]
-        self.unit_flags = [flags[i] for i in order]
-        self.width = width
-        self._powers: tuple[Fraction, list[list[Box]]] | None = None
-
-    def refine(self, width: Fraction) -> None:
-        """Contract every box further, to width <= width; each new box
-        lies inside the old one."""
-        new = contract_roots(self.coeffs, self.boxes, width)
-        for i, fresh in enumerate(new):
-            if not self.unit_flags[i] and _modulus_contains_one(fresh):
-                raise PrecisionError("refined modulus interval regressed")
-        self.boxes = new
-        self.width = width
-        self._powers = None
-
-    def moduli(self) -> list[tuple[Fraction, Fraction]]:
-        out = []
-        for box, unit in zip(self.boxes, self.unit_flags):
-            if unit:
-                out.append((Fraction(1), Fraction(1)))
-            else:
-                out.append(box.abs_bounds())
-        return out
-
-    def power_boxes(self, degree: int) -> list[list[Box]]:
-        """[k][i] = certified box for alpha_k ** i, i < degree."""
-        cached = self._powers
-        if cached is not None and cached[0] == self.width:
-            return cached[1]
-        table = []
-        for box in self.boxes:
-            row = [Box.point(1)]
-            for _ in range(1, degree):
-                row.append(row[-1] * box)
-            table.append(row)
-        self._powers = (self.width, table)
-        return table
-
-
 def _modulus_contains_one(box: Box) -> bool:
     lo, hi = box.abs_bounds()
     return lo <= 1 <= hi
@@ -142,72 +74,86 @@ def _sort_rank(box: Box, unit: bool) -> int:
     return 0 if lo > 1 else 2
 
 
+def _classify(coeffs, boxes: list[Box], n_unit: int, width: Fraction):
+    """(boxes, unit flags, width reached): the root boxes contracted
+    until exactly n_unit of their moduli contain 1, in canonical order
+    (expanding, then unit-circle, then contracting).  The n_unit roots on
+    the circle are known exactly beforehand; every other modulus differs
+    from 1, so contraction separates it."""
+    flags = [_modulus_contains_one(b) for b in boxes]
+    for _ in range(80):
+        if flags.count(True) == n_unit:
+            break
+        width = width / 16
+        boxes = contract_roots(coeffs, boxes, width)
+        flags = [_modulus_contains_one(b) for b in boxes]
+    if flags.count(True) != n_unit:
+        raise PrecisionError(
+            "could not separate conjugate moduli from 1; "
+            f"{flags.count(True)} straddle but {n_unit} lie on the circle "
+            f"at width {width}")
+    order = sorted(range(len(boxes)),
+                   key=lambda i: (_sort_rank(boxes[i], flags[i]),
+                                  boxes[i].re.lo, boxes[i].im.lo))
+    return [boxes[i] for i in order], [flags[i] for i in order], width
+
+
 class AlgebraicBase:
     """A classified base alpha given by its minimal polynomial.
 
     Construct through :func:`make_base`.  Instances are immutable from
     the caller's point of view; the only internal mutation is monotone
-    refinement of the cached root rectangles, which is deterministic.
+    refinement of the root rectangles, which is deterministic.
+
+    root_boxes holds a certified rectangle for each conjugate, in
+    canonical order, and unit_flags marks the ones proven to lie on the
+    unit circle.  A degree-one base alpha = a/b holds its exact root as
+    the point rectangle, so achieved_width is 0 and no conjugate query
+    needs a case of its own.
     """
 
-    def __init__(self, min_poly: IntPolynomial, irreducibility: str,
+    def __init__(self, poly: IntPolynomial, irreducibility: str,
                  precision: Fraction):
-        self.min_poly = min_poly
+        d = poly.degree
+        self.min_poly = poly
         self.irreducibility = irreducibility
         self.requested_precision = precision
-        self.degree = min_poly.degree
-        self.leading_coefficient = min_poly.leading_coefficient
-        self.constant_term = min_poly.constant_term
-        self.residue_modulus = abs(min_poly.constant_term)
+        self.degree = d
+        self.leading_coefficient = poly.leading_coefficient
+        self.constant_term = poly.constant_term
+        self.residue_modulus = abs(poly.constant_term)
         self.rational_view: tuple[int, int] | None = None
-        self._store: _RootStore | None = None
-        self._classify()
-
-    # -- construction helpers ---------------------------------------------
-
-    def _classify(self) -> None:
-        poly = self.min_poly
-        d = self.degree
         if d == 1:
-            lead, const = poly.coeffs[1], poly.coeffs[0]
+            const, lead = poly.coeffs
             a = abs(const)
             b = -lead if const > 0 else lead
             self.rational_view = (a, b)
-            self.n_unit = 1 if a == abs(b) else 0
-            self.n_expanding = 1 if a > abs(b) else 0
-            self.n_contracting = 1 if a < abs(b) else 0
-            if a == abs(b):
-                self.classification = Classification.ROOT_OF_UNITY
-            elif a < abs(b):
-                self.classification = Classification.MIXED
-            elif abs(b) == 1:
-                self.classification = Classification.EXPANDING_INTEGER
-            else:
-                self.classification = Classification.RATIONAL
-            return
-
-        rev = tuple(reversed(poly.coeffs))
-        n_unit = 0
-        if rev == poly.coeffs or rev == tuple(-c for c in poly.coeffs):
-            if poly(1) == 0 or poly(-1) == 0:
-                raise InvalidPolynomialError(
-                    "self-reciprocal polynomial with a root at +-1 is reducible")
-            if rev != poly.coeffs:
-                raise InvalidPolynomialError(
-                    "anti-palindromic polynomial of degree >= 2 is reducible")
-            if d % 2 == 1:
-                raise InvalidPolynomialError(
-                    "odd-degree palindromic polynomial is divisible by x + 1")
-            half = palindromic_half(poly)
-            n_unit = 2 * count_real_roots_between(half, -2, 2)
-        self._store = _RootStore(poly.coeffs, n_unit, self.requested_precision)
-        flags = self._store.unit_flags
-        moduli = self._store.moduli()
+            n_unit = 1 if a == abs(b) else 0
+            boxes, width = [Box.point(Fraction(a, b))], Fraction(0)
+        else:
+            rev = tuple(reversed(poly.coeffs))
+            n_unit = 0
+            if rev == poly.coeffs or rev == tuple(-c for c in poly.coeffs):
+                if poly(1) == 0 or poly(-1) == 0:
+                    raise InvalidPolynomialError(
+                        "self-reciprocal polynomial with a root at +-1 is reducible")
+                if rev != poly.coeffs:
+                    raise InvalidPolynomialError(
+                        "anti-palindromic polynomial of degree >= 2 is reducible")
+                if d % 2 == 1:
+                    raise InvalidPolynomialError(
+                        "odd-degree palindromic polynomial is divisible by x + 1")
+                half = palindromic_half(poly)
+                n_unit = 2 * count_real_roots_between(half, -2, 2)
+            boxes, width = certified_roots(poly.coeffs, precision), precision
+        self.root_boxes, self.unit_flags, self.achieved_width = _classify(
+            poly.coeffs, boxes, n_unit, width)
+        self._powers: list[list[Box]] | None = None
         self.n_unit = n_unit
-        self.n_expanding = sum(1 for (lo, _), u in zip(moduli, flags)
-                               if not u and lo > 1)
-        self.n_contracting = d - self.n_unit - self.n_expanding
-        if self.n_unit == d:
+        self.n_expanding = sum(1 for lo, _hi in self.conjugate_moduli()
+                               if lo > 1)
+        self.n_contracting = d - n_unit - self.n_expanding
+        if n_unit == d:
             # Kronecker: a monic integer polynomial with every root on
             # the unit circle has only roots of unity as roots.
             self.classification = (Classification.ROOT_OF_UNITY
@@ -216,6 +162,7 @@ class AlgebraicBase:
         elif self.n_expanding == d:
             self.classification = (Classification.EXPANDING_INTEGER
                                    if poly.is_monic
+                                   else Classification.RATIONAL if d == 1
                                    else Classification.EXPANDING_NON_INTEGER)
         else:
             self.classification = Classification.MIXED
@@ -244,28 +191,39 @@ class AlgebraicBase:
     def conjugates(self) -> list[Box]:
         """Certified rectangles for the conjugates, canonical order
         (expanding, then unit-circle, then contracting)."""
-        if self.degree == 1:
-            return [Box.point(self.alpha_fraction)]
-        return list(self._store.boxes)
+        return list(self.root_boxes)
 
     def conjugate_moduli(self) -> list[tuple[Fraction, Fraction]]:
         """Certified [lo, hi] enclosures of each conjugate modulus.  Roots
-        proven to lie on the unit circle report exactly [1, 1]."""
-        if self.degree == 1:
-            m = abs(self.alpha_fraction)
-            return [(m, m)]
-        return self._store.moduli()
+        proven to lie on the unit circle report exactly [1, 1]; the
+        modulus of a point rectangle is exact."""
+        return [(Fraction(1), Fraction(1)) if unit else box.abs_bounds()
+                for box, unit in zip(self.root_boxes, self.unit_flags)]
 
     def refine(self) -> None:
-        """Shrink the certified rectangles (deterministic, monotone)."""
-        if self._store is not None:
-            self._store.refine(self._store.width / 16)
+        """Contract every rectangle to a sixteenth of the width, each new
+        one inside the old (deterministic, monotone).  A point rectangle
+        stays as it is."""
+        width = self.achieved_width / 16
+        boxes = contract_roots(self.min_poly.coeffs, self.root_boxes, width)
+        for fresh, unit in zip(boxes, self.unit_flags):
+            if not unit and _modulus_contains_one(fresh):
+                raise PrecisionError("refined modulus interval regressed")
+        self.root_boxes = boxes
+        self.achieved_width = width
+        self._powers = None
 
-    @property
-    def achieved_width(self) -> Fraction:
-        if self._store is None:
-            return Fraction(0)
-        return self._store.width
+    def _power_table(self) -> list[list[Box]]:
+        """[k][i] = certified box for alpha_k ** i, i < degree, built once
+        for the current root rectangles."""
+        if self._powers is None:
+            self._powers = []
+            for box in self.root_boxes:
+                row = [Box.point(1)]
+                for _ in range(1, self.degree):
+                    row.append(row[-1] * box)
+                self._powers.append(row)
+        return self._powers
 
     # -- elements of Z[alpha] ----------------------------------------------
 
@@ -382,14 +340,14 @@ class AlgebraicBase:
 
     def conjugate_boxes(self, x) -> list[Box]:
         """Certified rectangles for sigma_k(x), each conjugate embedding,
-        at the current width of the root rectangles."""
+        at the current width of the root rectangles.  x is a coordinate
+        tuple, or one rational value (an integer, or a degree-one element)."""
         self._require_elements()
-        if self.degree == 1:
-            return [Box.point(x)]
+        coords = x if isinstance(x, tuple) else (x,)
         out = []
-        for row in self._store.power_boxes(self.degree):
+        for row in self._power_table():
             acc = Box.point(0)
-            for c, p in zip(x, row):
+            for c, p in zip(coords, row):
                 acc = acc + p.scale(c)
             out.append(acc)
         return out
@@ -407,10 +365,8 @@ class AlgebraicBase:
         the range follows from exact integer comparisons and isqrt."""
         bits = grid_bits(self.achieved_width)
         unit = 1 << (bits + 1)
-        rows = ([[Box.point(1)]] if self._store is None
-                else self._store.power_boxes(self.degree))
         tests = []
-        for row, radius in zip(rows, radii):
+        for row, radius in zip(self._power_table(), radii):
             if radius is not None:
                 parts = []
                 for box in row:
@@ -484,3 +440,10 @@ def make_base(poly, precision: Fraction = DEFAULT_PRECISION, *,
             f"{poly!s} factors over Z; not a minimal polynomial")
     irreducibility = "assumed" if irreducible is None else "verified"
     return AlgebraicBase(poly, irreducibility, Fraction(precision))
+
+
+def _as_base(base) -> AlgebraicBase:
+    """base itself when it is an AlgebraicBase, else make_base(base)."""
+    if isinstance(base, AlgebraicBase):
+        return base
+    return make_base(base)

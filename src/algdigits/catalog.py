@@ -14,17 +14,11 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 
-from .base import AlgebraicBase, Classification, card_bounds, make_base
+from .base import Classification, _as_base, card_bounds, make_base
 from .digits import is_number_system, validate_crs
 from .errors import InvalidPolynomialError, PrecisionError, UnsupportedBaseError
 from .polynomials import IntPolynomial, parse_polynomial
 from .record import Record
-
-
-def _as_base(base) -> AlgebraicBase:
-    if isinstance(base, AlgebraicBase):
-        return base
-    return make_base(base)
 
 
 def quadratic_cns(a1: int, a2: int) -> bool:
@@ -61,13 +55,11 @@ def m1_obstruction(base) -> bool:
 
 def all_conjugates_gt(base, threshold) -> bool:
     """Certified strict comparison of every conjugate modulus against
-    the threshold.  Degree-one bases compare exactly; otherwise the
-    intervals are refined until each one clears or fails, and a modulus
-    that may equal the threshold exactly raises PrecisionError."""
+    the threshold.  The intervals are refined until each one clears or
+    fails (a degree-one modulus is exact and decides at once), and a
+    modulus that may equal the threshold exactly raises PrecisionError."""
     base = _as_base(base)
     t = Fraction(threshold)
-    if base.degree == 1:
-        return abs(base.alpha_fraction) > t
     for _ in range(16):
         moduli = base.conjugate_moduli()
         if all(lo > t for lo, _hi in moduli):

@@ -20,18 +20,12 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from .base import AlgebraicBase, make_base
+from .base import AlgebraicBase, _as_base
 from .errors import ResourceCapError, UnitCircleError, UnsupportedBaseError
 from .polynomials import IntPolynomial
 from .record import Record
 
 DEFAULT_MAX_STATES = 1_000_000
-
-
-def _coerce(base) -> AlgebraicBase:
-    if isinstance(base, AlgebraicBase):
-        return base
-    return make_base(base)
 
 
 class WordSearchResult(Record):
@@ -241,7 +235,7 @@ def build_zero_automaton(base, height: int, *,
     leaves the invariant band, and an undecided one is kept and, if it
     cannot return to 0, removed by trim().  The untrimmed automaton is
     deterministic for a given width."""
-    base = _coerce(base)
+    base = _as_base(base)
     if height < 1:
         raise ValueError("height must be at least 1")
     if base.n_unit > 0:
@@ -317,7 +311,7 @@ def min_height(base, h_max: int | None = None, *,
     its largest coefficient, so the default search cap is exactly that
     height and the search always succeeds there.  An explicit h_max
     below the true minimum raises ResourceCapError."""
-    base = _coerce(base)
+    base = _as_base(base)
     cap = base.min_poly.height() if h_max is None else h_max
     searched = []
     for h in range(1, cap + 1):

@@ -166,9 +166,9 @@ def height_values_naive(reps, s: int) -> set:
 def zero_automaton_reference(base, height: int, max_states: int):
     """(states, transitions, level) of the untrimmed Z(height) for a
     monic AlgebraicBase of degree >= 2, pruning each successor with
-    Fraction-endpoint Box arithmetic on the base's certified power boxes:
-    it is dropped only when some expanding conjugate provably exceeds
-    H/(|alpha_k| - 1)."""
+    Fraction-endpoint Box arithmetic on powers of the certified boxes of
+    base.conjugates(): it is dropped only when some expanding conjugate
+    provably exceeds H/(|alpha_k| - 1)."""
     # Imported here so the brute-force oracles above stay importable
     # without the package on the path.
     from algdigits.errors import ResourceCapError
@@ -179,7 +179,9 @@ def zero_automaton_reference(base, height: int, max_states: int):
     bound_hi = {k: (Fraction(height) / (moduli[k][0] - 1)) ** 2
                 for k in expanding}
 
-    table = base._store.power_boxes(base.degree)
+    table = [list(itertools.accumulate([box] * (base.degree - 1), Box.__mul__,
+                                       initial=Box.point(1)))
+             for box in base.conjugates()]
 
     def sigma_abs_sq(coords, k):
         acc = Box.point(0)

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+import algdigits.base
 from algdigits import (Classification, InvalidPolynomialError, PrecisionError,
                        UnsupportedBaseError, card_bounds, make_base)
+from algdigits.intervals import Box, Interval
 
 from oracles import multiquadratic_poly
 
@@ -231,6 +233,29 @@ class TestIntervalData:
             assert lo * lo <= 2 <= hi * hi
 
     def test_exact_point_for_rational(self):
+        # The root of a degree-one base is the point rectangle at width 0:
+        # its modulus is exact, refining keeps it, and sigma(x) = x.
         base = make_base([-3, 2])
         (lo, hi), = base.conjugate_moduli()
         assert lo == hi == Fraction(3, 2)
+        assert base.conjugates() == [Box.point(Fraction(3, 2))]
+        base.refine()
+        assert base.conjugates() == [Box.point(Fraction(3, 2))]
+        assert base.achieved_width == 0
+        x = base.element(Fraction(7, 4))
+        assert base.conjugate_boxes(x) == [Box.point(x)]
+
+    def test_separation_failure_names_the_width(self, monkeypatch):
+        # Root boxes that never shrink keep both moduli straddling 1: the
+        # separation gives up after 80 sixteenfold steps and names the
+        # width it reached.
+        wide = Box(Interval(-1, 1), Interval(-1, 1))
+        monkeypatch.setattr(algdigits.base, "certified_roots",
+                            lambda coeffs, width: [wide, wide])
+        monkeypatch.setattr(algdigits.base, "contract_roots",
+                            lambda coeffs, boxes, width: boxes)
+        width = Fraction(1, 2**40) / 16**80
+        with pytest.raises(PrecisionError,
+                           match=f"2 straddle but 0 lie on the circle at "
+                                 f"width {width}$"):
+            make_base("x^2 + 2x + 2")

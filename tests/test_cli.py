@@ -534,6 +534,25 @@ class TestStartup:
                 assert all(name.split(".")[0] != "sympy"
                            for name in names), path.name
 
+    def test_only_base_reaches_the_interval_layers(self):
+        # roots is imported by base alone, intervals by base and roots:
+        # every other module asks AlgebraicBase for conjugate data.
+        allowed = {"roots": {"base.py"}, "intervals": {"base.py", "roots.py"}}
+        package = Path(algdigits.__file__).parent
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] + [alias.name
+                                                   for alias in node.names]
+                else:
+                    continue
+                for name in names:
+                    layer = name.split(".")[-1]
+                    assert path.name in allowed.get(layer, {path.name}), (
+                        f"{path.name} imports {layer}")
+
     def test_no_runtime_dependencies(self):
         # sympy is needed only by the tests, as the factoring oracle.
         tomllib = pytest.importorskip("tomllib")

@@ -217,6 +217,19 @@ class TestTransducer:
         with pytest.raises(DigitSetError):
             AdditionTransducer(handmade)
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(ab=_rational_base(), data=st.data())
+    def test_output_value_matches_value_of(self, ab, data):
+        # a/b over all three regimes: from carry c the output is a word
+        # over the same digits whose value is the input's plus c.
+        ds = digit_set_rational(*ab)
+        word = data.draw(st.lists(st.sampled_from(ds.digits), max_size=12))
+        t = build_transducer(ds)
+        for start in t.states:
+            out = transduce(t, start, word)
+            assert all(d in ds for d in out)
+            assert value_of(out, ds.alpha) == value_of(word, ds.alpha) + start
+
     def test_add_subtract_random(self):
         rng = random.Random(7)
         for ds in (DS52, DS3M2, DS73):

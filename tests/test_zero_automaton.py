@@ -1,6 +1,8 @@
 """The automaton recognizing digit words that evaluate to zero, and the
 minimal-height search built on it."""
 
+import math
+
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -264,6 +266,33 @@ class TestReference:
         with pytest.raises(ResourceCapError,
                            match="state cap 2 exceeded at height 2"):
             build_zero_automaton("2x - 5", 2, max_states=2)
+
+
+class TestLanguageProperty:
+    """The language of Z(H), H 1-2, up to length 5 equals the exact word
+    enumeration on random bases with no unit-circle conjugate."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(coeffs=_monic_low_degree(), height=st.integers(1, 2))
+    def test_monic_language_equals_word_oracle(self, coeffs, height):
+        try:
+            auto = build_zero_automaton(coeffs, height, max_states=150)
+        except (InvalidPolynomialError, UnitCircleError, ResourceCapError):
+            assume(False)
+        got = set().union(*(auto.language(n) for n in range(1, 6)))
+        assert got == zero_words_monic(coeffs, height, 5)
+
+    # alpha = p/q: expanding, contracting and negative degree-one bases,
+    # whose one root is an exact point.
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(p=st.integers(-7, 7), q=st.integers(1, 5),
+           height=st.integers(1, 2))
+    def test_rational_language_equals_word_oracle(self, p, q, height):
+        assume(p != 0 and abs(p) != q and math.gcd(p, q) == 1)
+        auto = build_zero_automaton([-p, q], height)
+        got = set().union(*(auto.language(n) for n in range(1, 6)))
+        assert got == zero_words_rational(p, q, height, 5)
 
 
 class TestOnePass:
