@@ -3,8 +3,8 @@
 
 from fractions import Fraction
 
-from algdigits import (build_transducer, digit_set_rational, expand_int,
-                       value_of, verify_digit_properties)
+from algdigits import (AdditionTransducer, digit_set_rational, expand_int,
+                       transduce, value_of, verify_digit_properties)
 
 # ----------------------------------------------------------------------
 # The three regimes
@@ -37,14 +37,14 @@ for k in (4, -4):
 # ----------------------------------------------------------------------
 # Adding b is a 3-state transduction; the carry flushes in <= 2 steps
 
-trans = build_transducer(ds52)
+trans = AdditionTransducer(ds52)
 print("\ncarry states:", trans.states)
 word = expand_int(ds52, 7)
-plus = trans.transduce(word)            # value + b
-minus = trans.transduce(word, subtract=True)
+plus = transduce(trans, ds52.b, word)    # value + b
+minus = transduce(trans, -ds52.b, word)  # value - b
 print(f"7 = {word}; +2 -> {plus} = {value_of(plus, ds52.alpha)}; "
       f"-2 -> {minus} = {value_of(minus, ds52.alpha)}")
 
 print("\ntransition table (carry, in, out, carry'):")
-for row in build_transducer(digit_set_rational(3, -2)).transitions():
+for row in AdditionTransducer(digit_set_rational(3, -2)).transitions():
     print("  ", row)

@@ -18,9 +18,8 @@ from .errors import (AlgdigitsError, DigitSetError, InvalidPolynomialError,
                      UnitCircleError, UnsupportedBaseError)
 from .polynomials import IntPolynomial, divides_over_q, parse_polynomial
 from .rational import (AdditionTransducer, RationalDigitSet, Regime,
-                       build_transducer, digit_set_rational, expand_all,
-                       expand_int, strip_leading_zeros,
-                       transduce, value_of, verify_digit_properties)
+                       digit_set_rational, expand_all, expand_int, transduce,
+                       value_of, verify_digit_properties)
 from .zero_automaton import (DEFAULT_MAX_STATES, MinHeightReport,
                              WordSearchResult, ZeroAutomaton,
                              build_zero_automaton, min_height)
@@ -36,13 +35,13 @@ __all__ = [
     "PolynomialSyntaxError", "PrecisionError", "RationalDigitSet", "Regime",
     "ResourceCapError", "SweepRow", "Terminated", "Truncated",
     "UnitCircleError", "UnsupportedBaseError", "WordSearchResult",
-    "ZeroAutomaton", "all_conjugates_gt", "as_digit_set", "build_transducer",
+    "ZeroAutomaton", "all_conjugates_gt", "as_digit_set",
     "build_zero_automaton", "card_bounds", "classify_f_index",
     "digit_set_rational", "divides_over_q", "expand_all", "expand_int",
     "f2_analysis", "height_reduce", "is_number_system", "j_step",
     "kovacs_sufficient", "m1_obstruction", "make_base", "min_height",
     "orbit", "orbit_bound", "parse_polynomial", "periodic_points",
-    "quadratic_cns", "spans_ring", "strip_leading_zeros", "sweep_quadratic",
+    "quadratic_cns", "spans_ring", "sweep_quadratic",
     "transduce", "validate_crs", "value_of", "verify_digit_properties",
     "zero_orbit_set",
 ]

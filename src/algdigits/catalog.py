@@ -239,14 +239,13 @@ class SweepRow(Record):
         return self.criterion == self.brute_force
 
 
-def sweep_quadratic(a2_max: int, *, a1_min: int = -3,
-                    candidate_cap: int = 10**7) -> list:
+def sweep_quadratic(a2_max: int, *, candidate_cap: int = 10**7) -> list:
     """Compare the quadratic criterion against periodic-point brute
     force over every irreducible expanding x^2 + a1*x + a2 with
-    2 <= a2 <= a2_max and a1_min <= a1 <= a2 + 2."""
+    2 <= a2 <= a2_max and -3 <= a1 <= a2 + 2."""
     rows = []
     for a2 in range(2, a2_max + 1):
-        for a1 in range(a1_min, a2 + 3):
+        for a1 in range(-3, a2 + 3):
             poly = IntPolynomial((a2, a1, 1))
             try:
                 base = make_base(poly)

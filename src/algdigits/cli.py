@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -25,11 +24,10 @@ from .catalog import classify_f_index, f2_analysis, sweep_quadratic
 from .digits import as_digit_set, orbit, periodic_points, zero_orbit_set
 from .errors import DigitSetError, PolynomialSyntaxError
 from .jsonio import canonical_dumps
-from .rational import (build_transducer, digit_set_rational, expand_int,
+from .rational import (AdditionTransducer, digit_set_rational, expand_int,
                        transduce, value_of, verify_digit_properties)
 from .zero_automaton import DEFAULT_MAX_STATES, build_zero_automaton, min_height
 
-PRECISION_ENV = "ALGDIGITS_PRECISION"
 # The finest accepted width.  Output fractions at 2^-4096 stay far below
 # Python's 4300-digit limit on int-to-str conversion, and a finer width
 # is refused before any root is refined to it.
@@ -64,20 +62,10 @@ def _parse_precision(text: str) -> Fraction:
     return value
 
 
-def _default_precision() -> Fraction | None:
-    raw = os.environ.get(PRECISION_ENV)
-    if raw is None:
-        return None
-    return _parse_precision(raw)
-
-
 def _make_base(args):
-    kwargs = {}
-    precision = (_parse_precision(args.precision) if args.precision
-                 else _default_precision())
-    if precision is not None:
-        kwargs["precision"] = precision
-    return make_base(args.poly, **kwargs)
+    if args.precision:
+        return make_base(args.poly, _parse_precision(args.precision))
+    return make_base(args.poly)
 
 
 def _json_int(v) -> int:
@@ -224,7 +212,7 @@ def _cmd_periodic(args) -> int:
         "bounds": {
             "k_sigma": [str(v) for v in pset.bounds.k_sigma],
             "per_conjugate": [str(v) for v in pset.bounds.per_conjugate],
-            "c": str(pset.bounds.c_alpha_r),
+            "c": str(pset.bounds.c),
         },
     }
     return _emit(args, {"candidate_cap": args.candidate_cap,
@@ -283,13 +271,9 @@ def _cmd_rational(args) -> int:
         return _emit(args, limits, result)
 
     # transduce
-    trans = build_transducer(ds)
     word = tuple(int(v) for v in args.values)
-    for d in word:
-        if d not in ds:
-            raise DigitSetError(f"{d} is not a digit of the set")
     start = -ds.b if args.subtract else ds.b
-    out = transduce(trans, start, word)
+    out = transduce(AdditionTransducer(ds), start, word)
     in_val = value_of(word, ds.alpha)
     out_val = value_of(out, ds.alpha)
     result = {

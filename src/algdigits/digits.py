@@ -176,11 +176,7 @@ class BoundsReport(Record):
 
     __slots__ = ("k_sigma",        # upper bound for max |sigma(r)|, per conjugate
                  "per_conjugate",  # 1 + K_sigma / (|sigma(alpha)| - 1), upper bounds
-                 "c_alpha_r")      # a Fraction
-
-    @property
-    def c(self) -> Fraction:
-        return self.c_alpha_r
+                 "c")              # a Fraction
 
 
 class PeriodicSet(Record):

@@ -15,24 +15,24 @@ from fractions import Fraction
 from .record import Record
 
 
-def sqrt_lower(q: Fraction, bits: int = 64) -> Fraction:
-    """A rational r with r*r <= q and q - r*r small (about 2^-bits rel)."""
+def sqrt_lower(q: Fraction) -> Fraction:
+    """A rational r with r*r <= q and q - r*r small (about 2^-64 rel)."""
     if q < 0:
         raise ValueError("sqrt of a negative rational")
     if q == 0:
         return Fraction(0)
-    scale = 1 << bits
+    scale = 1 << 64
     n = q.numerator * q.denominator * scale * scale
     return Fraction(math.isqrt(n), q.denominator * scale)
 
 
-def sqrt_upper(q: Fraction, bits: int = 64) -> Fraction:
-    """A rational r with r*r >= q (tight to about 2^-bits)."""
+def sqrt_upper(q: Fraction) -> Fraction:
+    """A rational r with r*r >= q (tight to about 2^-64)."""
     if q < 0:
         raise ValueError("sqrt of a negative rational")
     if q == 0:
         return Fraction(0)
-    scale = 1 << bits
+    scale = 1 << 64
     n = q.numerator * q.denominator * scale * scale
     s = math.isqrt(n)
     if s * s < n:
@@ -108,13 +108,6 @@ class Interval(Record):
             return Interval(Fraction(0), max(a, b))
         return Interval(min(a, b), max(a, b))
 
-    def abs(self) -> "Interval":
-        if self.lo >= 0:
-            return self
-        if self.hi <= 0:
-            return -self
-        return Interval(Fraction(0), max(-self.lo, self.hi))
-
     def intersect(self, other: "Interval") -> "Interval | None":
         lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
         if lo > hi:
@@ -184,9 +177,9 @@ class Box(Record):
     def abs_sq(self) -> Interval:
         return self.re.square() + self.im.square()
 
-    def abs_bounds(self, bits: int = 64) -> tuple[Fraction, Fraction]:
+    def abs_bounds(self) -> tuple[Fraction, Fraction]:
         sq = self.abs_sq()
-        return (sqrt_lower(sq.lo, bits), sqrt_upper(sq.hi, bits))
+        return (sqrt_lower(sq.lo), sqrt_upper(sq.hi))
 
     def contains(self, re, im=0) -> bool:
         return self.re.contains(re) and self.im.contains(im)

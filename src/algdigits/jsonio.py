@@ -9,9 +9,23 @@ therefore serialize to identical bytes.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
+from .errors import ResourceCapError
+
 _EXACT_INT = 2**53
+
+
+def _decimal(n: int) -> str:
+    """str(n), or ResourceCapError naming Python's int-to-str limit."""
+    try:
+        return str(n)
+    except ValueError:
+        raise ResourceCapError(
+            f"an output integer of {n.bit_length()} bits exceeds the limit "
+            f"of {sys.get_int_max_str_digits()} decimal digits for "
+            f"int-to-str conversion") from None
 
 
 def encode_value(value):
@@ -19,11 +33,11 @@ def encode_value(value):
     if value is None or isinstance(value, bool):
         return value
     if isinstance(value, int):
-        return value if abs(value) < _EXACT_INT else str(value)
+        return value if abs(value) < _EXACT_INT else _decimal(value)
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return encode_value(int(value))
-        return f"{value.numerator}/{value.denominator}"
+        return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
     if isinstance(value, float) or isinstance(value, str):
         return value
     if isinstance(value, dict):

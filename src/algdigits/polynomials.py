@@ -88,19 +88,6 @@ class IntPolynomial(Record):
 
     # -- structural predicates -------------------------------------------
 
-    def reciprocal(self) -> "IntPolynomial":
-        """x^d * P(1/x): the coefficient sequence reversed."""
-        return IntPolynomial(tuple(reversed(self.coeffs)))
-
-    def is_self_reciprocal(self) -> bool:
-        """True when x^d P(1/x) = +-P(x).
-
-        For an irreducible real polynomial this is necessary for having
-        any root on the unit circle.
-        """
-        rev = tuple(reversed(self.coeffs))
-        return rev == self.coeffs or rev == tuple(-c for c in self.coeffs)
-
     def is_squarefree(self) -> bool:
         if self.degree < 1:
             return False

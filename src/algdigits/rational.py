@@ -148,14 +148,6 @@ def value_of(digits_lsb, alpha: Fraction) -> Fraction:
     return acc
 
 
-def strip_leading_zeros(digits_lsb) -> tuple:
-    """Drop high-order zeros (the tail of an LSB-first word)."""
-    out = list(digits_lsb)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
 def expand_int(ds: RationalDigitSet, k: int, max_steps: int = 10**6) -> tuple:
     """The finite expansion of the integer k, least significant digit
     first: the digits of its backward-division record up to the first
@@ -211,14 +203,6 @@ class AdditionTransducer:
                 f"carry propagation left the digit set at digit {d}")
         return e, t * ds.b
 
-    def transduce(self, digits_lsb, *, subtract: bool = False,
-                  max_flush: int = 4) -> tuple:
-        """Feed an expansion least significant digit first; the output
-        is an expansion of (value + b), or (value - b) when subtract is
-        set.  Flushing the final carry takes at most two zero digits."""
-        carry = -self.digit_set.b if subtract else self.digit_set.b
-        return transduce(self, carry, digits_lsb, max_flush=max_flush)
-
     def transitions(self) -> list:
         """All transitions as (state, input, output, next) tuples, for
         export."""
@@ -238,23 +222,21 @@ class AdditionTransducer:
         return "\n".join(lines)
 
 
-def build_transducer(digit_set: RationalDigitSet) -> AdditionTransducer:
-    """The carry automaton that adds or subtracts b over this digit
-    set."""
-    return AdditionTransducer(digit_set)
-
-
 def transduce(transducer: AdditionTransducer, start: int, word, *,
               max_flush: int = 4) -> tuple:
     """Run the carry automaton from the given start state over an
     LSB-first word, then flush any remaining carry with zero digits.
     Starting from carry b computes word + b, from -b computes word - b,
-    from 0 copies the word through."""
+    from 0 copies the word through.  Every input symbol must be a digit,
+    whatever the carry; flushing the final carry takes at most two zero
+    digits."""
     if start not in transducer.states:
         raise DigitSetError(f"{start} is not a carry state")
     carry = start
     out = []
     for d in word:
+        if d not in transducer.digit_set:
+            raise DigitSetError(f"{d} is not a digit of the set")
         e, carry = transducer.step(carry, d)
         out.append(e)
     flushes = 0

@@ -63,10 +63,6 @@ class ZeroAutomaton(Record):
                 return False
         return state == self.zero
 
-    def accepts_lsb(self, word) -> bool:
-        """Least significant digit first (the mirrored language)."""
-        return self.accepts(tuple(reversed(tuple(word))))
-
     def language(self, length: int):
         """All accepted words of exactly the given length, in
         lexicographic order."""
@@ -163,10 +159,11 @@ class ZeroAutomaton(Record):
             vec = nxt
         return vec.get(self.zero, 0)
 
-    def growth_rate(self, iterations: int = 200) -> tuple:
+    def growth_rate(self) -> tuple:
         """(estimate, residual) for the dominant growth factor of the
-        accepted-word counts, by power iteration on the predecessor lists
-        (one entry per edge) of the trim automaton; every sum is an fsum."""
+        accepted-word counts, by 200 steps of power iteration on the
+        predecessor lists (one entry per edge) of the trim automaton;
+        every sum is an fsum."""
         auto = self if self.trimmed else self.trim()
         if not auto.states:
             return 0.0, 0.0
@@ -183,7 +180,7 @@ class ZeroAutomaton(Record):
 
         vec = [1.0 / len(preds)] * len(preds)
         est = 0.0
-        for _ in range(iterations):
+        for _ in range(200):
             nxt = apply(vec)
             size = norm(nxt)
             if size == 0.0:

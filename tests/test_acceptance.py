@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from algdigits import (
+    AdditionTransducer,
     Cycle,
     F2Verdict,
     UnitCircleError,
@@ -19,7 +20,6 @@ from algdigits import (
     divides_over_q,
     expand_int,
     f2_analysis,
-    build_transducer,
     height_reduce,
     j_step,
     m1_obstruction,
@@ -27,6 +27,7 @@ from algdigits import (
     min_height,
     orbit,
     sweep_quadratic,
+    transduce,
     validate_crs,
     value_of,
     verify_digit_properties,
@@ -94,16 +95,16 @@ def test_criterion_3_rational_base_five_halves(report):
         word = expand_int(ds, k * ds.b)
         if value_of(word, ds.alpha) != k * ds.b:
             expand_ok = False
-    trans = build_transducer(ds)
+    trans = AdditionTransducer(ds)
     rng = random.Random(20250825)
     trans_ok = True
     for _ in range(1000):
         word = tuple(rng.choice(ds.digits)
                      for _ in range(rng.randrange(0, 16)))
-        subtract = rng.random() < 0.5
-        out = trans.transduce(word, subtract=subtract)
+        shift = -ds.b if rng.random() < 0.5 else ds.b
+        out = transduce(trans, shift, word)
         delta = value_of(out, ds.alpha) - value_of(word, ds.alpha)
-        if delta != (-ds.b if subtract else ds.b) or len(out) > len(word) + 2:
+        if delta != shift or len(out) > len(word) + 2:
             trans_ok = False
     elapsed = time.monotonic() - start
     ok = set_ok and props_ok and expand_ok and trans_ok and elapsed < 30.0

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 import algdigits
 from algdigits.cli import main
+from algdigits.errors import ResourceCapError
+from algdigits.jsonio import encode_value
 
 
 def run(capsys, *argv):
@@ -110,16 +112,21 @@ class TestAnalyze:
         for lo, hi in result["conjugate_moduli"]:
             assert 0 < Fraction(lo) <= Fraction(hi)
 
-    def test_precision_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("ALGDIGITS_PRECISION", "2^-30")
-        payload = run_json(capsys, "analyze", "--poly", "x^2-2")
-        assert payload["manifest"]["limits"]["precision"] == "1/1073741824"
+    def test_argv_decides_the_output(self, capsys, monkeypatch):
+        # No environment variable reaches a computation: the argv echoed
+        # in the manifest fixes every byte.
+        argv = ["periodic", "--poly", "x^3+3"]
+        plain = run(capsys, *argv)
+        monkeypatch.setenv("ALGDIGITS_PRECISION", "1/2")
+        assert run(capsys, *argv) == plain
+        assert plain[0] == 0
 
-    def test_precision_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("ALGDIGITS_PRECISION", "2^-30")
-        payload = run_json(capsys, "analyze", "--poly", "x^2-2",
-                           "--precision", "2^-10")
-        assert payload["manifest"]["limits"]["precision"] == "1/1024"
+    def test_empty_precision_means_the_default_width(self, capsys):
+        default = run_json(capsys, "analyze", "--poly", "x^2-2")
+        empty = run_json(capsys, "analyze", "--poly", "x^2-2",
+                         "--precision", "")
+        assert empty["result"] == default["result"]
+        assert empty["manifest"]["limits"] == default["manifest"]["limits"]
 
 
 class TestClassify:
@@ -235,6 +242,14 @@ class TestRational:
         assert result["check"] is True
         assert result["delta"] == -2
 
+    @pytest.mark.parametrize("sign", [[], ["--subtract"]])
+    def test_transduce_non_digit_exits_2(self, capsys, sign):
+        code, out, err = run(capsys, "rational", "--base", "5/2",
+                             "transduce", "1", "3", *sign)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "DigitSetError", "message": "3 is not a digit of the set"}
+
 
 class TestZeroAutomaton:
     def test_summary(self, capsys):
@@ -294,6 +309,34 @@ class TestCount:
                           "--height", "2", "--length", "7")["result"]
         assert result["count"] == 115
         assert 2.4 < result["growth_rate"] < 2.6
+
+
+class TestOutputLimit:
+    @pytest.fixture(autouse=True)
+    def default_limit(self):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield
+        sys.set_int_max_str_digits(saved)
+
+    def test_encode_value_names_the_limit(self):
+        assert encode_value(10**4300 - 1) == "9" * 4300
+        for value in (10**4300, -10**4300, Fraction(1, 10**4300)):
+            with pytest.raises(ResourceCapError,
+                               match="of 14285 bits exceeds the limit of "
+                                     "4300 decimal digits"):
+                encode_value(value)
+
+    def test_huge_count_exits_3(self, capsys):
+        # The count has 16,203 bits, about 4,880 decimal digits.
+        code, out, err = run(capsys, "count", "--poly", "x-2", "--height",
+                             "6", "--length", "6000")
+        assert code == 3 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ResourceCapError"
+        assert error["message"] == (
+            "an output integer of 16203 bits exceeds the limit of 4300 "
+            "decimal digits for int-to-str conversion")
 
 
 class TestSweep:
@@ -396,14 +439,9 @@ class TestErrors:
 
     @pytest.mark.parametrize("precision", ["2^40", "2^0", "5", "1", "0",
                                            "-1/2", "1/0"])
-    def test_precision_of_one_or_more_exits_2(self, capsys, monkeypatch,
-                                              precision):
+    def test_precision_of_one_or_more_exits_2(self, capsys, precision):
         code, out, err = run(capsys, "analyze", "--poly", "x^2-2",
                              f"--precision={precision}")
-        assert code == 2 and out == ""
-        assert json.loads(err)["error"]["type"] == "ValueError"
-        monkeypatch.setenv("ALGDIGITS_PRECISION", precision)
-        code, out, err = run(capsys, "analyze", "--poly", "x^2-2")
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["type"] == "ValueError"
 
@@ -412,17 +450,13 @@ class TestErrors:
                                            "1/" + str(2 ** 4096 + 1)],
                              ids=["2^-4097", "2^-20000", "1/(2^4096+1)"])
     def test_precision_finer_than_the_limit_exits_2(self, capsys,
-                                                    monkeypatch, precision):
+                                                    precision):
         # Refused while parsing, before any root is refined to the width.
         code, out, err = run(capsys, "analyze", "--poly", "x^2-2",
                              f"--precision={precision}")
         assert code == 2 and out == ""
         message = json.loads(err)["error"]["message"]
         assert "2^-4096" in message and precision in message
-        monkeypatch.setenv("ALGDIGITS_PRECISION", precision)
-        code, out, err = run(capsys, "analyze", "--poly", "x^2-2")
-        assert code == 2 and out == ""
-        assert "2^-4096" in json.loads(err)["error"]["message"]
 
     @pytest.mark.parametrize("precision", ["1e-30000000", "1E+99999999999",
                                            "0.5e-010000"])
@@ -533,6 +567,18 @@ class TestStartup:
                     continue
                 assert all(name.split(".")[0] != "sympy"
                            for name in names), path.name
+
+    def test_library_never_reads_the_environment(self):
+        # Settings come from argv alone, so the manifest can show them.
+        readers = {"environ", "environb", "getenv", "getenvb"}
+        package = Path(algdigits.__file__).parent
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute):
+                    assert node.attr not in readers, path.name
+                elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                    names = {alias.name for alias in node.names}
+                    assert not names & readers, path.name
 
     def test_only_base_reaches_the_interval_layers(self):
         # roots is imported by base alone, intervals by base and roots:

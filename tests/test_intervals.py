@@ -31,9 +31,10 @@ class TestInterval:
         assert Interval(F(1), F(3)).square().lo == 1
 
     def test_abs(self):
-        assert Interval(F(-3), F(2)).abs().lo == 0
-        assert Interval(F(-3), F(2)).abs().hi == 3
-        assert Interval(F(-3), F(-1)).abs().lo == 1
+        # |x| over an interval, through the modulus bounds of a real box.
+        zero = Interval.point(0)
+        assert Box(Interval(F(-3), F(2)), zero).abs_bounds() == (0, 3)
+        assert Box(Interval(F(-3), F(-1)), zero).abs_bounds() == (1, 3)
 
     def test_scale_shift_neg(self):
         i = Interval(F(1), F(2))

@@ -74,10 +74,14 @@ class TestBasics:
         assert p.derivative().coeffs == (-1, 2)
 
     def test_reciprocal(self):
-        p = IntPolynomial((2, 3, 1))
-        assert p.reciprocal().coeffs == (1, 3, 2)
-        assert IntPolynomial((1, 0, 1)).is_self_reciprocal()
-        assert not p.is_self_reciprocal()
+        # make_base compares the reversed coefficients itself: only a
+        # self-reciprocal polynomial gets a Sturm count of unit roots.
+        assert make_base("x^2+1").n_unit == 2
+        assert make_base("x^2+3x+1").n_unit == 0
+        assert make_base("x^2+x+2").n_unit == 0
+        # Anti-palindromic: x^3 P(1/x) = -P(x), so P(1) = 0.
+        with pytest.raises(InvalidPolynomialError, match="root at"):
+            make_base("x^3-2x^2+2x-1", assume_irreducible=True)
 
     def test_squarefree(self):
         assert IntPolynomial((-2, 0, 1)).is_squarefree()

@@ -16,12 +16,10 @@ from algdigits import (
     Regime,
     ResourceCapError,
     Terminated,
-    build_transducer,
     digit_set_rational,
     expand_all,
     expand_int,
     make_base,
-    strip_leading_zeros,
     transduce,
     value_of,
     verify_digit_properties,
@@ -96,10 +94,6 @@ class TestValueHelpers:
         assert value_of((1, 2), Fraction(3, 2)) == 4
         assert value_of((), Fraction(5, 2)) == 0
         assert value_of((2, 2), Fraction(5, 2)) == 7
-
-    def test_strip(self):
-        assert strip_leading_zeros((0, 1, 0, 0)) == (0, 1)
-        assert strip_leading_zeros((0, 0)) == ()
 
 
 class TestExpandInt:
@@ -178,33 +172,43 @@ class TestOneEngine:
 
 class TestTransducer:
     def test_states(self):
-        t = build_transducer(DS52)
+        t = AdditionTransducer(DS52)
         assert t.states == (2, -2, 0)
 
     def test_step_errors(self):
-        t = build_transducer(DS52)
+        t = AdditionTransducer(DS52)
         with pytest.raises(DigitSetError):
             t.step(0, 3)       # 3 is a shifted-out digit
         with pytest.raises(DigitSetError):
             t.step(5, 0)
 
     def test_fixture_negative_b(self):
-        t = build_transducer(DS3M2)
-        assert t.transduce((0,)) == (1, 2)
+        t = AdditionTransducer(DS3M2)
+        assert transduce(t, DS3M2.b, (0,)) == (1, 2)
         assert value_of((1, 2), Fraction(-3, 2)) == -2
 
     def test_copy_through(self):
-        t = build_transducer(DS52)
+        t = AdditionTransducer(DS52)
         word = (2, 4, -2)
         assert transduce(t, 0, word) == word
 
     def test_bad_start(self):
-        t = build_transducer(DS52)
+        t = AdditionTransducer(DS52)
         with pytest.raises(DigitSetError):
             transduce(t, 5, (0,))
 
+    @pytest.mark.parametrize("start", [2, -2, 0])
+    def test_non_digit_input_rejected_at_every_carry(self, start):
+        # 3 is a shifted-out digit of 5/2.  From carry 2, step alone would
+        # take it, since 3 + 2 - 5 = 0 is a digit.
+        t = AdditionTransducer(DS52)
+        for word in ((3,), (1, 3, 0)):
+            with pytest.raises(DigitSetError,
+                               match="^3 is not a digit of the set$"):
+                transduce(t, start, word)
+
     def test_flush_cap_names_its_limit(self):
-        t = build_transducer(DS52)
+        t = AdditionTransducer(DS52)
         with pytest.raises(ResourceCapError,
                            match="within max_flush=0 zero digits; "
                                  "carry 2 remains"):
@@ -224,7 +228,7 @@ class TestTransducer:
         # over the same digits whose value is the input's plus c.
         ds = digit_set_rational(*ab)
         word = data.draw(st.lists(st.sampled_from(ds.digits), max_size=12))
-        t = build_transducer(ds)
+        t = AdditionTransducer(ds)
         for start in t.states:
             out = transduce(t, start, word)
             assert all(d in ds for d in out)
@@ -233,18 +237,18 @@ class TestTransducer:
     def test_add_subtract_random(self):
         rng = random.Random(7)
         for ds in (DS52, DS3M2, DS73):
-            t = build_transducer(ds)
+            t = AdditionTransducer(ds)
             for _ in range(200):
                 word = tuple(rng.choice(ds.digits)
                              for _ in range(rng.randrange(0, 12)))
                 v = value_of(word, ds.alpha)
-                added = t.transduce(word, max_flush=2)
+                added = transduce(t, ds.b, word, max_flush=2)
                 assert value_of(added, ds.alpha) == v + ds.b
-                subbed = t.transduce(word, subtract=True, max_flush=2)
+                subbed = transduce(t, -ds.b, word, max_flush=2)
                 assert value_of(subbed, ds.alpha) == v - ds.b
 
     def test_transitions_export(self):
-        t = build_transducer(DS3M2)
+        t = AdditionTransducer(DS3M2)
         rows = t.transitions()
         assert len(rows) == 9
         assert (0, 1, 1, 0) in rows

@@ -69,11 +69,6 @@ class TestBaseTwo:
         assert found.height == 2
         assert found.value_check
 
-    def test_accepts_lsb(self):
-        auto = build_zero_automaton("x - 2", 2)
-        assert auto.accepts_lsb((-2, 1))
-        assert auto.accepts_lsb((2, -1, 0))
-        assert not auto.accepts_lsb((1, -2))
 
 
 LANGUAGE_CASES = [
