@@ -12,7 +12,7 @@ from .digits import (BoundsReport, Cycle, DigitSet, ExpansionRecord,
                      HeightReduction, PeriodicSet, Terminated, Truncated,
                      as_digit_set, height_reduce, is_number_system, j_step,
                      orbit, orbit_bound, periodic_points, spans_ring,
-                     validate_crs, zero_orbit_set)
+                     validate_crs)
 from .errors import (AlgdigitsError, DigitSetError, InvalidPolynomialError,
                      PolynomialSyntaxError, PrecisionError, ResourceCapError,
                      UnitCircleError, UnsupportedBaseError)
@@ -43,5 +43,4 @@ __all__ = [
     "orbit", "orbit_bound", "parse_polynomial", "periodic_points",
     "quadratic_cns", "spans_ring", "sweep_quadratic",
     "transduce", "validate_crs", "value_of", "verify_digit_properties",
-    "zero_orbit_set",
 ]

@@ -131,18 +131,10 @@ class AlgebraicBase:
             n_unit = 1 if a == abs(b) else 0
             boxes, width = [Box.point(Fraction(a, b))], Fraction(0)
         else:
-            rev = tuple(reversed(poly.coeffs))
             n_unit = 0
-            if rev == poly.coeffs or rev == tuple(-c for c in poly.coeffs):
-                if poly(1) == 0 or poly(-1) == 0:
-                    raise InvalidPolynomialError(
-                        "self-reciprocal polynomial with a root at +-1 is reducible")
-                if rev != poly.coeffs:
-                    raise InvalidPolynomialError(
-                        "anti-palindromic polynomial of degree >= 2 is reducible")
-                if d % 2 == 1:
-                    raise InvalidPolynomialError(
-                        "odd-degree palindromic polynomial is divisible by x + 1")
+            # An irreducible palindromic polynomial of degree >= 2 has
+            # even degree and no root at +-1, as palindromic_half needs.
+            if tuple(reversed(poly.coeffs)) == poly.coeffs:
                 half = palindromic_half(poly)
                 n_unit = 2 * count_real_roots_between(half, -2, 2)
             boxes, width = certified_roots(poly.coeffs, precision), precision
@@ -418,23 +410,20 @@ def card_bounds(base: AlgebraicBase) -> CardBounds:
     return CardBounds(lower, upper)
 
 
-def make_base(poly, precision: Fraction = DEFAULT_PRECISION, *,
-              assume_irreducible: bool = False) -> AlgebraicBase:
+def make_base(poly, precision: Fraction = DEFAULT_PRECISION) -> AlgebraicBase:
     """Build a classified base from a minimal polynomial.
 
     poly may be an IntPolynomial, a coefficient list (ascending), or
     text.  The polynomial must be nonconstant, primitive, squarefree,
     with nonzero constant term.  Irreducibility is verified exactly at
     every degree; it is recorded as "assumed" only when the factoring
-    recombination budget runs out, or when assume_irreducible=True
-    skips the check."""
+    recombination budget runs out."""
     if not isinstance(poly, IntPolynomial):
         poly = parse_polynomial(poly)
     require_min_poly_shape(poly)
     if poly.leading_coefficient < 0:
         poly = IntPolynomial(tuple(-c for c in poly.coeffs))
-    irreducible = (None if assume_irreducible
-                   else poly.degree == 1 or is_irreducible_z(poly))
+    irreducible = poly.degree == 1 or is_irreducible_z(poly)
     if irreducible is False:
         raise InvalidPolynomialError(
             f"{poly!s} factors over Z; not a minimal polynomial")

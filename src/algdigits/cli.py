@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import __version__
 from .base import card_bounds, make_base
 from .catalog import classify_f_index, f2_analysis, sweep_quadratic
-from .digits import as_digit_set, orbit, periodic_points, zero_orbit_set
+from .digits import as_digit_set, orbit, periodic_points
 from .errors import DigitSetError, PolynomialSyntaxError
 from .jsonio import canonical_dumps
 from .rational import (AdditionTransducer, digit_set_rational, expand_int,
@@ -103,6 +103,16 @@ def _cap(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
     return value
+
+
+def _int_value(token: str) -> int:
+    """One of the integer values of `rational`; a bad one is a usage
+    error naming the argument, in argparse's words."""
+    try:
+        return int(token)
+    except ValueError:
+        raise UsageError("algdigits rational: argument values: invalid int "
+                         f"value: {token!r}") from None
 
 
 def _parse_rational_base(text: str) -> tuple[int, int]:
@@ -190,10 +200,14 @@ def _cmd_classify(args) -> int:
 def _cmd_expand(args) -> int:
     base = _make_base(args)
     digit_set = as_digit_set(base, _parse_digit_list(args.digits))
-    value = base.element(json.loads(args.value)
-                         if args.value.strip().startswith("[")
-                         else int(args.value))
-    record = orbit(value, digit_set, args.max_steps)
+    try:
+        value = (json.loads(args.value) if args.value.strip().startswith("[")
+                 else int(args.value))
+    except ValueError:  # json.JSONDecodeError is one
+        raise UsageError(f"algdigits expand: argument --value: invalid "
+                         f"integer or coordinate list: {args.value!r}"
+                         ) from None
+    record = orbit(base.element(value), digit_set, args.max_steps)
     result = _record_out(record)
     result["replay_ok"] = record.replay(base)
     return _emit(args, {"max_steps": args.max_steps}, result)
@@ -224,8 +238,7 @@ def _cmd_is_ns(args) -> int:
     digit_set = as_digit_set(base, _parse_digit_list(args.digits))
     pset = periodic_points(base, digit_set, candidate_cap=args.candidate_cap)
     is_ns = digit_set.contains_zero and pset.elements == (base.zero,)
-    spans = set(pset.elements) == set(zero_orbit_set(base, digit_set,
-                                                     args.max_steps))
+    spans = len(pset.cycles) == 1 and base.zero in pset.cycles[0]
     result = {
         "is_number_system": is_ns,
         "spans_ring": spans,
@@ -233,8 +246,7 @@ def _cmd_is_ns(args) -> int:
         "periodic_count": len(pset.elements),
     }
     return _emit(args, {"candidate_cap": args.candidate_cap,
-                        "max_steps": args.max_steps, "jobs": args.jobs},
-                 result)
+                        "jobs": args.jobs}, result)
 
 
 def _cmd_rational(args) -> int:
@@ -258,7 +270,7 @@ def _cmd_rational(args) -> int:
             raise DigitSetError("expand needs at least one integer argument")
         rows = []
         for raw in args.values:
-            k = int(raw)
+            k = _int_value(raw)
             word = expand_int(ds, k, args.max_steps)
             rows.append({
                 "value": k,
@@ -271,7 +283,7 @@ def _cmd_rational(args) -> int:
         return _emit(args, limits, result)
 
     # transduce
-    word = tuple(int(v) for v in args.values)
+    word = tuple(_int_value(v) for v in args.values)
     start = -ds.b if args.subtract else ds.b
     out = transduce(AdditionTransducer(ds), start, word)
     in_val = value_of(word, ds.alpha)
@@ -307,7 +319,7 @@ def _cmd_zero_automaton(args) -> int:
         "trimmed": auto.trimmed,
         "n_states": auto.n_states,
         "n_edges": auto.n_edges,
-        "has_nontrivial_word": auto.has_nontrivial_word(),
+        "has_nontrivial_word": found is not None,
         "shortest_nonzero_word": list(found.word) if found else None,
     }
     return _emit(args, {"max_states": args.max_states, "jobs": args.jobs},
@@ -419,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_poly(p)
     p.add_argument("--digits", default=None)
     p.add_argument("--candidate-cap", type=_cap, default=10**7)
-    p.add_argument("--max-steps", type=_cap, default=10000)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_is_ns)
 

@@ -306,25 +306,15 @@ def is_number_system(base: AlgebraicBase, digits=None, *,
     return pset.elements == (base.zero,)
 
 
-def zero_orbit_set(base: AlgebraicBase, digits=None,
-                   max_steps: int = 10000) -> frozenset:
-    """The forward orbit {J^n(0) : n >= 0} as a set."""
-    digit_set = as_digit_set(base, digits)
-    record = orbit(base.zero, digit_set, max_steps)
-    if isinstance(record.tail, Truncated):
-        raise ResourceCapError(f"orbit of 0 exceeded {max_steps} steps")
-    if record.terminated:
-        return frozenset(record.states)
-    return frozenset(record.states[:-1])
-
-
 def spans_ring(base: AlgebraicBase, digits=None, *,
-               candidate_cap: int = 10**7, max_steps: int = 10000) -> bool:
+               candidate_cap: int = 10**7) -> bool:
     """True when R[alpha] = Z[alpha]: the periodic points are exactly the
-    forward orbit of 0."""
+    forward orbit of 0.  Every orbit ends in a cycle, and cycles are
+    disjoint, so that holds exactly when the periodic points form one
+    cycle and 0 lies on it."""
     digit_set = as_digit_set(base, digits)
     pset = periodic_points(base, digit_set, candidate_cap=candidate_cap)
-    return set(pset.elements) == set(zero_orbit_set(base, digit_set, max_steps))
+    return len(pset.cycles) == 1 and base.zero in pset.cycles[0]
 
 
 # -- height reduction -------------------------------------------------------

@@ -105,13 +105,6 @@ class ZeroAutomaton(Record):
         return ZeroAutomaton(self.base, self.height, states, transitions,
                              level, True)
 
-    def has_nontrivial_word(self) -> bool:
-        """True when some accepted word uses a nonzero digit.  On a trim
-        automaton every edge lies on an accepting path, so this reduces
-        to an edge scan."""
-        auto = self if self.trimmed else self.trim()
-        return any(d != 0 for (_y, d) in auto.transitions)
-
     def shortest_nonzero_word(self):
         """A shortest accepted word containing a nonzero digit (MSB
         first), as a WordSearchResult, or None.  The leading digit is

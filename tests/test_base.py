@@ -95,8 +95,6 @@ class TestRejections:
         coeffs[0] = -2
         coeffs[25] = 1  # x^25 - 2, irreducible by Eisenstein
         assert make_base(coeffs).irreducibility == "verified"
-        flagged = make_base(coeffs, assume_irreducible=True)
-        assert flagged.irreducibility == "assumed"
 
     def test_verified_tag(self):
         assert make_base("x - 2").irreducibility == "verified"

@@ -1,8 +1,10 @@
 """End-to-end checks of the command-line interface: JSON shape, exit
 codes, determinism."""
 
+import argparse
 import ast
 import contextlib
+import inspect
 import io
 import json
 import platform
@@ -12,13 +14,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import algdigits
 from algdigits.cli import main
 from algdigits.errors import ResourceCapError
 from algdigits.jsonio import encode_value
+from algdigits.zero_automaton import build_zero_automaton
 
 
 def run(capsys, *argv):
@@ -251,12 +254,42 @@ class TestRational:
             "type": "DigitSetError", "message": "3 is not a digit of the set"}
 
 
+@st.composite
+def _small_base(draw):
+    """Ascending coefficients of a base of degree 1-3 with small
+    coefficients: a/b in degree one, monic above."""
+    degree = draw(st.integers(1, 3))
+    lead = draw(st.integers(1, 3)) if degree == 1 else 1
+    return draw(st.lists(st.integers(-3, 3), min_size=degree,
+                         max_size=degree)) + [lead]
+
+
 class TestZeroAutomaton:
     def test_summary(self, capsys):
         result = run_json(capsys, "zero-automaton", "--poly", "x-2",
                           "--height", "2", "--trim")["result"]
         assert result["has_nontrivial_word"] is True
         assert result["shortest_nonzero_word"] == [-1, 2]
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.filter_too_much])
+    @given(coeffs=_small_base(), height=st.integers(1, 2),
+           trim=st.booleans())
+    def test_nontrivial_word_is_a_nonzero_trimmed_edge(self, coeffs, height,
+                                                        trim):
+        # has_nontrivial_word comes from the shortest-word search; in a
+        # trim Z(H) every edge lies on a path from 0 back to 0.
+        argv = ["zero-automaton", f"--poly={coeffs}", f"--height={height}",
+                "--max-states=300"] + (["--trim"] if trim else [])
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assume(code == 0)
+        trimmed = build_zero_automaton(coeffs, height).trim()
+        assert (json.loads(out.getvalue())["result"]["has_nontrivial_word"]
+                == any(d != 0 for (_y, d) in trimmed.transitions))
 
     def test_export_json(self, capsys):
         code, out, err = run(capsys, "zero-automaton", "--poly", "x-2",
@@ -381,14 +414,6 @@ class TestErrors:
         assert code == 3
         assert json.loads(err)["error"]["type"] == "ResourceCapError"
 
-    def test_orbit_step_cap_names_the_cap(self, capsys):
-        code, out, err = run(capsys, "is-ns", "--poly", "x+2", "--digits",
-                             "1,2", "--max-steps", "0")
-        assert code == 3 and out == ""
-        assert json.loads(err)["error"] == {
-            "type": "ResourceCapError",
-            "message": "orbit of 0 exceeded 0 steps"}
-
     def test_bad_digits_exit_2(self, capsys):
         code, _out, err = run(capsys, "periodic", "--poly", "x+2",
                               "--digits", "0,2")
@@ -506,6 +531,55 @@ class TestUsage:
             error = json.loads(err)["error"]
             assert error["type"] == "UsageError"
             assert flag is None or flag in error["message"]
+
+    @pytest.mark.parametrize("argv,message", [
+        (["rational", "--base", "5/2", "transduce", "x"],
+         "algdigits rational: argument values: invalid int value: 'x'"),
+        (["rational", "--base", "5/2", "expand", "7", "y"],
+         "algdigits rational: argument values: invalid int value: 'y'"),
+        (["expand", "--poly", "x+2", "--value", "x"],
+         "algdigits expand: argument --value: invalid integer or "
+         "coordinate list: 'x'"),
+        (["expand", "--poly", "x+2", "--value", "[1,x]"],
+         "algdigits expand: argument --value: invalid integer or "
+         "coordinate list: '[1,x]'")])
+    def test_bad_integer_token_names_its_argument(self, capsys, argv,
+                                                  message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == {"type": "UsageError",
+                                            "message": message}
+
+    # sweep-quadratic prints CSV, with no manifest to echo --jobs in; the
+    # flag stays so that the same argv keeps parsing.
+    UNREAD = {("sweep-quadratic", "jobs")}
+
+    def test_every_option_is_read(self):
+        """Each option a subcommand declares is read as args.<dest> by
+        its handler, or by _make_base when the handler calls it: an
+        option nothing reads changes no output."""
+        def reads(func):
+            tree = ast.parse(inspect.getsource(func))
+            attrs = {node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute)
+                     and isinstance(node.value, ast.Name)
+                     and node.value.id == "args"}
+            names = {node.id for node in ast.walk(tree)
+                     if isinstance(node, ast.Name)}
+            return attrs, names
+
+        cli = algdigits.cli
+        base_attrs, _ = reads(cli._make_base)
+        sub = next(action for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        unread = set()
+        for command, parser in sub.choices.items():
+            attrs, names = reads(parser.get_default("func"))
+            if "_make_base" in names:
+                attrs |= base_attrs
+            unread |= {(command, action.dest) for action in parser._actions
+                       if action.dest != "help" and action.dest not in attrs}
+        assert unread == self.UNREAD
 
     def test_help_still_prints_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:

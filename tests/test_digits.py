@@ -27,7 +27,6 @@ from algdigits import (
     periodic_points,
     spans_ring,
     validate_crs,
-    zero_orbit_set,
 )
 from algdigits.base import Classification
 from algdigits.digits import (PeriodicSet, _coordinate_bound,
@@ -394,16 +393,60 @@ class TestVerdicts:
     def test_no_zero_digit_is_never_ns(self):
         assert not is_number_system(BASE_NEG2, [1, 2])
 
-    def test_zero_orbit(self):
-        assert zero_orbit_set(BASE_NEG2) == frozenset({Fraction(0)})
-        assert zero_orbit_set(BASE_NEG2, [1, 2]) == {Fraction(0), Fraction(1)}
-
     def test_spans_ring(self):
         # 0 -> 1 -> 0 cycle covers the full periodic set {0, 1}
         assert spans_ring(BASE_NEG2, [1, 2])
         assert not is_number_system(BASE_NEG2, [1, 2])
         assert spans_ring(BASE_NEG2)
         assert not spans_ring(BASE_POS2)
+
+
+@st.composite
+def _expanding_any_degree_with_crs(draw):
+    """An expanding base of degree 1-3 with small coefficients (a/b for
+    degree one, monic above) and a random complete residue system; about
+    half of the systems keep 0 as the digit of class 0."""
+    degree = draw(st.integers(1, 3))
+    const = draw(st.sampled_from([-5, -4, -3, -2, 2, 3, 4, 5]))
+    if degree == 1:
+        coeffs = [const, draw(st.integers(1, abs(const) - 1))]
+    else:
+        coeffs = ([const] + draw(st.lists(st.integers(-2, 2),
+                                          min_size=degree - 1,
+                                          max_size=degree - 1)) + [1])
+    keep_zero = draw(st.booleans())
+    m = abs(const)
+    digits = []
+    for r in range(m):
+        shift = draw(st.lists(st.integers(-1, 1), min_size=degree,
+                              max_size=degree))
+        if r == 0 and keep_zero:
+            shift = [0] * degree
+        digit = (r + m * shift[0],) + tuple(shift[1:])
+        digits.append(digit[0] if degree == 1 else digit)
+    return coeffs, digits
+
+
+class TestSpansRingProperty:
+    """spans_ring, read off the periodic cycles, equals its definition:
+    the periodic points are exactly the forward orbit of 0."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.filter_too_much])
+    @given(case=_expanding_any_degree_with_crs())
+    def test_equals_orbit_of_zero(self, case):
+        coeffs, digits = case
+        try:
+            base = make_base(coeffs)
+            ds = as_digit_set(base, digits)
+            pset = periodic_points(base, ds, candidate_cap=20000)
+        except (ValueError, ResourceCapError):
+            assume(False)
+        record = orbit(base.zero, ds)
+        assert not isinstance(record.tail, Truncated)
+        zero_orbit = record.states if record.terminated else record.states[:-1]
+        assert spans_ring(base, ds) == (set(pset.elements) == set(zero_orbit))
 
 
 class TestHeightReduce:

@@ -56,7 +56,6 @@ class TestBaseTwo:
     def test_h1_only_trivial(self):
         auto = build_zero_automaton("x - 2", 1).trim()
         assert auto.states == (0,)
-        assert not auto.has_nontrivial_word()
         assert auto.shortest_nonzero_word() is None
 
     def test_h2_shortest(self):
