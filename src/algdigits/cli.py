@@ -8,25 +8,22 @@ computed object.  sweep-quadratic prints CSV.
 
 Exit codes: 0 success, 2 invalid input (ValueError family), 3 resource
 or precision caps (RuntimeError family).
+
+The layers are reached only as attributes of their lazily registered
+modules (``digits.periodic_points``), so a subcommand compiles only the
+layers it runs, --version none of them and a usage error only jsonio.
+``json`` and ``fractions`` are imported inside the helpers that use them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
-from fractions import Fraction
 
-from . import __version__
-from .base import card_bounds, make_base
-from .catalog import classify_f_index, f2_analysis, sweep_quadratic
-from .digits import as_digit_set, orbit, periodic_points
-from .errors import DigitSetError, PolynomialSyntaxError
-from .jsonio import canonical_dumps
-from .rational import (AdditionTransducer, digit_set_rational, expand_int,
-                       transduce, value_of, verify_digit_properties)
-from .zero_automaton import DEFAULT_MAX_STATES, build_zero_automaton, min_height
+from . import (__version__, base, catalog, digits, jsonio, rational,
+               zero_automaton)
+from .errors import DEFAULT_MAX_STATES, DigitSetError, PolynomialSyntaxError
 
 # The finest accepted width.  Output fractions at 2^-4096 stay far below
 # Python's 4300-digit limit on int-to-str conversion, and a finer width
@@ -40,6 +37,8 @@ _HUGE_EXPONENT = re.compile(r"[eE][-+]?0*[1-9]\d{4,}$")
 def _parse_precision(text: str) -> Fraction:
     """An interval width '2^k' or a fraction, strictly between 0 and 1
     and no finer than 2^-FINEST_PRECISION_BITS."""
+    from fractions import Fraction
+
     s = text.strip()
     try:
         if s.startswith("2^"):
@@ -64,11 +63,13 @@ def _parse_precision(text: str) -> Fraction:
 
 def _make_base(args):
     if args.precision:
-        return make_base(args.poly, _parse_precision(args.precision))
-    return make_base(args.poly)
+        return base.make_base(args.poly, _parse_precision(args.precision))
+    return base.make_base(args.poly)
 
 
 def _json_int(v) -> int:
+    import json
+
     if type(v) is not int:  # bools, floats and null are not digits
         raise DigitSetError(f"digit entry {json.dumps(v)} is not an integer")
     return v
@@ -81,6 +82,8 @@ def _parse_digit_list(text: str | None):
         return None
     s = text.strip()
     if s.startswith("["):
+        import json
+
         try:
             data = json.loads(s)
         except json.JSONDecodeError as exc:
@@ -93,16 +96,26 @@ def _parse_digit_list(text: str | None):
         raise DigitSetError(f"bad digit list {text!r}") from exc
 
 
-def _cap(text: str) -> int:
-    """argparse type of the caps: an integer >= 0."""
+def _int_at_least(text: str, low: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(
+            f"must be at least {low}, got {value}")
     return value
+
+
+def _cap(text: str) -> int:
+    """argparse type of the caps: an integer >= 0."""
+    return _int_at_least(text, 0)
+
+
+def _jobs(text: str) -> int:
+    """argparse type of --jobs: an integer >= 1."""
+    return _int_at_least(text, 1)
 
 
 def _int_value(token: str) -> int:
@@ -116,6 +129,8 @@ def _int_value(token: str) -> int:
 
 
 def _parse_rational_base(text: str) -> tuple[int, int]:
+    from fractions import Fraction
+
     try:
         f = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -151,8 +166,8 @@ def _manifest(args, limits: dict) -> dict:
 
 
 def _emit(args, limits: dict, result) -> int:
-    print(canonical_dumps({"manifest": _manifest(args, limits),
-                           "result": result}))
+    print(jsonio.canonical_dumps({"manifest": _manifest(args, limits),
+                                  "result": result}))
     return 0
 
 
@@ -160,46 +175,49 @@ def _emit(args, limits: dict, result) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    base = _make_base(args)
-    moduli = [[lo, hi] for lo, hi in base.conjugate_moduli()]
+    alpha = _make_base(args)
+    moduli = [[lo, hi] for lo, hi in alpha.conjugate_moduli()]
     result = {
-        "poly": str(base.min_poly),
-        "coeffs": base.min_poly.to_list(),
-        "degree": base.degree,
-        "monic": base.is_monic,
-        "irreducibility": base.irreducibility,
-        "classification": base.classification.value,
-        "supports_height_reduction": base.supports_height_reduction,
-        "n_expanding": base.n_expanding,
-        "n_unit": base.n_unit,
-        "n_contracting": base.n_contracting,
+        "poly": str(alpha.min_poly),
+        "coeffs": alpha.min_poly.to_list(),
+        "degree": alpha.degree,
+        "monic": alpha.is_monic,
+        "irreducibility": alpha.irreducibility,
+        "classification": alpha.classification.value,
+        "supports_height_reduction": alpha.supports_height_reduction,
+        "n_expanding": alpha.n_expanding,
+        "n_unit": alpha.n_unit,
+        "n_contracting": alpha.n_contracting,
         "conjugate_moduli": moduli,
-        "rational_view": list(base.rational_view) if base.rational_view else None,
-        "residue_modulus": base.residue_modulus,
+        "rational_view": (list(alpha.rational_view) if alpha.rational_view
+                          else None),
+        "residue_modulus": alpha.residue_modulus,
     }
     try:
-        bounds = card_bounds(base)
+        bounds = base.card_bounds(alpha)
         result["card_lower"] = bounds.lower
         result["card_upper"] = bounds.upper
     except ValueError:
         result["card_lower"] = None
         result["card_upper"] = None
-    return _emit(args, {"precision": str(base.requested_precision)}, result)
+    return _emit(args, {"precision": str(alpha.requested_precision)}, result)
 
 
 def _cmd_classify(args) -> int:
-    base = _make_base(args)
-    report = classify_f_index(base)
-    f2 = f2_analysis(base)
+    alpha = _make_base(args)
+    report = catalog.classify_f_index(alpha)
+    f2 = catalog.f2_analysis(alpha)
     result = report.to_json_dict()
-    result["poly"] = str(base.min_poly)
+    result["poly"] = str(alpha.min_poly)
     result["f2"] = {"verdict": f2.verdict.value, "reason": f2.reason}
-    return _emit(args, {"precision": str(base.requested_precision)}, result)
+    return _emit(args, {"precision": str(alpha.requested_precision)}, result)
 
 
 def _cmd_expand(args) -> int:
-    base = _make_base(args)
-    digit_set = as_digit_set(base, _parse_digit_list(args.digits))
+    import json
+
+    alpha = _make_base(args)
+    digit_set = digits.as_digit_set(alpha, _parse_digit_list(args.digits))
     try:
         value = (json.loads(args.value) if args.value.strip().startswith("[")
                  else int(args.value))
@@ -207,16 +225,17 @@ def _cmd_expand(args) -> int:
         raise UsageError(f"algdigits expand: argument --value: invalid "
                          f"integer or coordinate list: {args.value!r}"
                          ) from None
-    record = orbit(base.element(value), digit_set, args.max_steps)
+    record = digits.orbit(alpha.element(value), digit_set, args.max_steps)
     result = _record_out(record)
-    result["replay_ok"] = record.replay(base)
+    result["replay_ok"] = record.replay(alpha)
     return _emit(args, {"max_steps": args.max_steps}, result)
 
 
 def _cmd_periodic(args) -> int:
-    base = _make_base(args)
-    digit_set = as_digit_set(base, _parse_digit_list(args.digits))
-    pset = periodic_points(base, digit_set, candidate_cap=args.candidate_cap)
+    alpha = _make_base(args)
+    digit_set = digits.as_digit_set(alpha, _parse_digit_list(args.digits))
+    pset = digits.periodic_points(alpha, digit_set,
+                                  candidate_cap=args.candidate_cap)
     result = {
         "elements": pset.elements,
         "cycles": pset.cycles,
@@ -234,11 +253,12 @@ def _cmd_periodic(args) -> int:
 
 
 def _cmd_is_ns(args) -> int:
-    base = _make_base(args)
-    digit_set = as_digit_set(base, _parse_digit_list(args.digits))
-    pset = periodic_points(base, digit_set, candidate_cap=args.candidate_cap)
-    is_ns = digit_set.contains_zero and pset.elements == (base.zero,)
-    spans = len(pset.cycles) == 1 and base.zero in pset.cycles[0]
+    alpha = _make_base(args)
+    digit_set = digits.as_digit_set(alpha, _parse_digit_list(args.digits))
+    pset = digits.periodic_points(alpha, digit_set,
+                                  candidate_cap=args.candidate_cap)
+    is_ns = digit_set.contains_zero and pset.elements == (alpha.zero,)
+    spans = len(pset.cycles) == 1 and alpha.zero in pset.cycles[0]
     result = {
         "is_number_system": is_ns,
         "spans_ring": spans,
@@ -251,11 +271,11 @@ def _cmd_is_ns(args) -> int:
 
 def _cmd_rational(args) -> int:
     a, b = _parse_rational_base(args.base)
-    ds = digit_set_rational(a, b, _parse_digit_list(args.digits))
+    ds = rational.digit_set_rational(a, b, _parse_digit_list(args.digits))
     limits = {"max_steps": args.max_steps}
 
     if args.action == "verify":
-        props = verify_digit_properties(ds)
+        props = rational.verify_digit_properties(ds)
         result = {
             "a": a, "b": b,
             "regime": ds.regime.value,
@@ -271,12 +291,12 @@ def _cmd_rational(args) -> int:
         rows = []
         for raw in args.values:
             k = _int_value(raw)
-            word = expand_int(ds, k, args.max_steps)
+            word = rational.expand_int(ds, k, args.max_steps)
             rows.append({
                 "value": k,
                 "digits_lsb": list(word),
                 "length": len(word),
-                "check": value_of(word, ds.alpha) == k,
+                "check": rational.value_of(word, ds.alpha) == k,
             })
         result = {"a": a, "b": b, "regime": ds.regime.value,
                   "expansions": rows}
@@ -285,9 +305,9 @@ def _cmd_rational(args) -> int:
     # transduce
     word = tuple(_int_value(v) for v in args.values)
     start = -ds.b if args.subtract else ds.b
-    out = transduce(AdditionTransducer(ds), start, word)
-    in_val = value_of(word, ds.alpha)
-    out_val = value_of(out, ds.alpha)
+    out = rational.transduce(rational.AdditionTransducer(ds), start, word)
+    in_val = rational.value_of(word, ds.alpha)
+    out_val = rational.value_of(out, ds.alpha)
     result = {
         "a": a, "b": b,
         "input_lsb": list(word),
@@ -302,19 +322,20 @@ def _cmd_rational(args) -> int:
 
 
 def _cmd_zero_automaton(args) -> int:
-    base = _make_base(args)
-    auto = build_zero_automaton(base, args.height, max_states=args.max_states)
+    alpha = _make_base(args)
+    auto = zero_automaton.build_zero_automaton(alpha, args.height,
+                                               max_states=args.max_states)
     if args.trim:
         auto = auto.trim()
     if args.export == "json":
-        print(canonical_dumps(auto.to_json_dict()))
+        print(jsonio.canonical_dumps(auto.to_json_dict()))
         return 0
     if args.export == "dot":
         print(auto.to_dot())
         return 0
     found = auto.shortest_nonzero_word()
     result = {
-        "poly": str(base.min_poly),
+        "poly": str(alpha.min_poly),
         "H": args.height,
         "trimmed": auto.trimmed,
         "n_states": auto.n_states,
@@ -327,10 +348,11 @@ def _cmd_zero_automaton(args) -> int:
 
 
 def _cmd_min_height(args) -> int:
-    base = _make_base(args)
-    report = min_height(base, args.max_h, max_states=args.max_states)
+    alpha = _make_base(args)
+    report = zero_automaton.min_height(alpha, args.max_h,
+                                       max_states=args.max_states)
     result = {
-        "poly": str(base.min_poly),
+        "poly": str(alpha.min_poly),
         "h_star": report.h_star,
         "word": list(report.word),
         "witness": str(report.witness),
@@ -343,12 +365,12 @@ def _cmd_min_height(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    base = _make_base(args)
-    auto = build_zero_automaton(base, args.height,
-                                max_states=args.max_states).trim()
+    alpha = _make_base(args)
+    auto = zero_automaton.build_zero_automaton(
+        alpha, args.height, max_states=args.max_states).trim()
     est, residual = auto.growth_rate()
     result = {
-        "poly": str(base.min_poly),
+        "poly": str(alpha.min_poly),
         "H": args.height,
         "length": args.length,
         "count": auto.count_words(args.length),
@@ -360,7 +382,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_sweep_quadratic(args) -> int:
-    rows = sweep_quadratic(args.a2_max, candidate_cap=args.candidate_cap)
+    rows = catalog.sweep_quadratic(args.a2_max,
+                                   candidate_cap=args.candidate_cap)
     print("a1,a2,criterion,brute_force,agree")
     for row in rows:
         print(f"{row.a1},{row.a2},{row.criterion},{row.brute_force},"
@@ -423,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_poly(p)
     p.add_argument("--digits", default=None)
     p.add_argument("--candidate-cap", type=_cap, default=10**7)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(func=_cmd_periodic)
 
     p = sub.add_parser("is-ns",
@@ -431,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_poly(p)
     p.add_argument("--digits", default=None)
     p.add_argument("--candidate-cap", type=_cap, default=10**7)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(func=_cmd_is_ns)
 
     p = sub.add_parser("rational",
@@ -454,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trim", action="store_true")
     p.add_argument("--export", choices=["dot", "json"], default=None)
     p.add_argument("--max-states", type=_cap, default=DEFAULT_MAX_STATES)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(func=_cmd_zero_automaton)
 
     p = sub.add_parser("min-height",
@@ -462,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_poly(p)
     p.add_argument("--max-h", type=_cap, default=None)
     p.add_argument("--max-states", type=_cap, default=DEFAULT_MAX_STATES)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(func=_cmd_min_height)
 
     p = sub.add_parser("count", help="count zero words of a given length")
@@ -470,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--max-states", type=_cap, default=DEFAULT_MAX_STATES)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("sweep-quadratic",
@@ -478,14 +501,14 @@ def build_parser() -> argparse.ArgumentParser:
                             "(CSV)")
     p.add_argument("--a2-max", type=int, required=True)
     p.add_argument("--candidate-cap", type=_cap, default=10**7)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(func=_cmd_sweep_quadratic)
 
     return parser
 
 
 def _fail(exc: Exception, code: int) -> int:
-    print(canonical_dumps({"error": {"type": type(exc).__name__,
+    print(jsonio.canonical_dumps({"error": {"type": type(exc).__name__,
                                      "message": str(exc)}}),
           file=sys.stderr)
     return code

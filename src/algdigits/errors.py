@@ -44,3 +44,8 @@ class PrecisionError(AlgdigitsError, RuntimeError):
 
 class ResourceCapError(AlgdigitsError, RuntimeError):
     """A configured enumeration/state/step cap was exceeded."""
+
+
+# The default state cap of the zero automaton Z(H).  It lives here, not
+# in zero_automaton, so that the CLI parser reads it without loading Z(H).
+DEFAULT_MAX_STATES = 1_000_000

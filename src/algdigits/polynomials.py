@@ -12,6 +12,7 @@ import json
 import math
 import re
 
+from . import factoring
 from .errors import InvalidPolynomialError, PolynomialSyntaxError
 from .record import Record
 
@@ -189,7 +190,8 @@ def require_min_poly_shape(poly: IntPolynomial) -> None:
     """Raise unless poly is nonconstant, primitive, squarefree, with a
     nonzero constant term."""
     if poly.degree < 1:
-        raise InvalidPolynomialError(f"degree must be >= 1, got {poly!s}")
+        raise InvalidPolynomialError(
+            f"degree must be >= 1, got the constant {poly!s}")
     if poly.constant_term == 0:
         raise InvalidPolynomialError("constant term is zero (alpha = 0 is not a base)")
     if not poly.is_primitive:
@@ -254,8 +256,8 @@ def is_irreducible_z(poly: IntPolynomial) -> bool | None:
     """Irreducibility over Q, at any degree.  Degree 2 and 3 factor
     exactly when they have a rational root p/q (p | constant term,
     q | leading coefficient); other degrees use exact modular
-    factorization with Hensel lifting (``factoring``), imported locally
-    so that low degrees skip compiling it.  None when the recombination
+    factorization with Hensel lifting (``factoring``), a lazily loaded
+    module that low degrees never compile.  None when the recombination
     budget of ``factoring`` runs out before a verdict."""
     cs, d = poly.coeffs, poly.degree
     if d in (2, 3) and max(abs(cs[0]), abs(cs[-1])) <= _ROOT_TEST_MAX:
@@ -265,17 +267,13 @@ def is_irreducible_z(poly: IntPolynomial) -> bool | None:
             for p in _divisors(cs[0]) for q in qs for s in (1, -1))
     if not poly.is_squarefree():
         return False
-    from .factoring import is_irreducible
-
-    return is_irreducible(cs)
+    return factoring.is_irreducible(cs)
 
 
 def count_real_roots_between(poly: IntPolynomial, lo: int, hi: int) -> int:
     """Exact count of distinct real roots of poly in [lo, hi], endpoints
     included (Sturm)."""
-    from .factoring import count_real_roots
-
-    return count_real_roots(poly.coeffs, lo, hi)
+    return factoring.count_real_roots(poly.coeffs, lo, hi)
 
 
 def palindromic_half(poly: IntPolynomial) -> IntPolynomial:

@@ -21,11 +21,10 @@ import math
 from collections import deque
 
 from .base import AlgebraicBase, _as_base
-from .errors import ResourceCapError, UnitCircleError, UnsupportedBaseError
+from .errors import (DEFAULT_MAX_STATES, ResourceCapError, UnitCircleError,
+                     UnsupportedBaseError)
 from .polynomials import IntPolynomial
 from .record import Record
-
-DEFAULT_MAX_STATES = 1_000_000
 
 
 class WordSearchResult(Record):

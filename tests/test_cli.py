@@ -434,6 +434,14 @@ class TestErrors:
         assert json.loads(err)["error"] == {"type": "DigitSetError",
                                             "message": message}
 
+    @pytest.mark.parametrize("poly", ["5", "[5]", "0x^2+5"])
+    def test_constant_polynomial_names_the_degree(self, capsys, poly):
+        code, out, err = run(capsys, "analyze", "--poly", poly)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "InvalidPolynomialError",
+            "message": "degree must be >= 1, got the constant 5"}
+
     def test_huge_coefficient_is_analyzed(self, capsys):
         # The roots are near 1.4e200; the coefficient is too large for a float.
         poly = "[-2" + "0" * 400 + ",0,1]"
@@ -509,6 +517,10 @@ class TestUsage:
         for argv, flag in (
                 (["frobnicate"], None),
                 (["periodic", "--poly", "x-2", "--jobs", "many"], "--jobs"),
+                (["periodic", "--poly", "x^2-2", "--jobs", "0"], "--jobs"),
+                (["count", "--poly", "x-2", "--height", "1", "--length", "2",
+                  "--jobs=-5"], "--jobs"),
+                (["sweep-quadratic", "--a2-max", "2", "--jobs=-1"], "--jobs"),
                 (["expand", "--poly", "x+2", "--value", "5",
                   "--max-steps=-1"], "--max-steps"),
                 (["rational", "--base", "5/2", "--max-steps=-1", "expand",
@@ -588,7 +600,58 @@ class TestUsage:
         assert capsys.readouterr().out.startswith("usage: algdigits count")
 
 
+def _loaded_after(argv: list) -> tuple[int, list, list]:
+    """Run main(argv) in a fresh interpreter; its exit code, the algdigits
+    modules it loaded (the rest stay lazy) and which of json, fractions
+    and decimal it imported."""
+    code = ("import contextlib, io, sys\n"
+            "from importlib.util import _LazyModule\n"
+            "from algdigits.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    try:\n"
+            f"        code = main({argv!r})\n"
+            "    except SystemExit as exc:\n"
+            "        code = exc.code\n"
+            "loaded = sorted(n.split('.', 1)[1] for n, m in sys.modules.items()"
+            " if n.startswith('algdigits.') and type(m) is not _LazyModule)\n"
+            "stdlib = [m for m in ('json', 'fractions', 'decimal')"
+            " if m in sys.modules]\n"
+            "print(code, ' '.join(loaded), '|', ' '.join(stdlib))\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    exit_code, rest = proc.stdout.split(" ", 1)
+    layers, stdlib = rest.split("|")
+    return int(exit_code), layers.split(), stdlib.split()
+
+
 class TestStartup:
+    def test_version_loads_no_library_layer(self):
+        code, layers, stdlib = _loaded_after(["--version"])
+        assert code == 0 and layers == ["cli", "errors"]
+        assert stdlib == []
+
+    def test_usage_error_loads_only_the_error_printer(self):
+        code, layers, _stdlib = _loaded_after(["zero-automaton", "--poly",
+                                               "x^2-2", "--height", "two"])
+        assert code == 2 and layers == ["cli", "errors", "jsonio"]
+
+    @pytest.mark.parametrize("argv, unloaded", [
+        (["is-ns", "--poly", "x^2+2x+2"],
+         {"catalog", "rational", "zero_automaton"}),
+        (["zero-automaton", "--poly", "x^2-x-1", "--height", "1"],
+         {"catalog", "rational", "digits"}),
+        (["count", "--poly", "x^2-x-1", "--height", "1", "--length", "4"],
+         {"catalog", "rational", "digits"}),
+        (["rational", "--base", "5/2", "expand", "7"],
+         {"catalog", "zero_automaton"}),
+    ])
+    def test_subcommand_loads_only_its_layers(self, argv, unloaded):
+        code, layers, _stdlib = _loaded_after(argv)
+        assert code == 0 and {"cli", "base", "jsonio"} <= set(layers)
+        assert not unloaded & set(layers), layers
+
     def test_rational_does_not_import_sympy(self):
         code = ("import sys\n"
                 "from algdigits.cli import main\n"

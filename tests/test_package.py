@@ -1,0 +1,90 @@
+"""The package registers every library module lazily and serves the
+public names from them: the names resolve, list, star-import, pickle and
+copy as they would from eagerly imported modules."""
+
+import copy
+import importlib
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import algdigits
+
+PACKAGE = Path(algdigits.__file__).parent
+
+
+def _python(code: str, stdin: bytes = b"") -> str:
+    """Run code in a fresh interpreter; its stdout."""
+    proc = subprocess.run([sys.executable, "-c", code], input=stdin,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout.decode()
+
+
+def test_every_module_but_cli_is_registered_lazily():
+    # A module missing from the table would be imported eagerly, and the
+    # benchmark's traced run, which wraps the modules it finds in
+    # sys.modules, would not see it.
+    files = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__", "cli"}
+    lazy = _python(
+        "import sys\n"
+        "from importlib.util import _LazyModule\n"
+        "import algdigits\n"
+        "print(' '.join(sorted(n.split('.', 1)[1] for n, m in"
+        " sys.modules.items() if n.startswith('algdigits.')"
+        " and type(m) is _LazyModule)))\n")
+    assert set(lazy.split()) == files
+
+
+@pytest.mark.parametrize("name", algdigits.__all__)
+def test_public_name_is_its_modules_object(name):
+    value = getattr(algdigits, name)
+    owners = [layer for layer, names in algdigits._LAYERS.items()
+              if name in names]
+    assert len(owners) == 1
+    module = importlib.import_module(f"algdigits.{owners[0]}")
+    assert value is getattr(module, name)
+    if hasattr(value, "__module__"):
+        assert value.__module__ == module.__name__
+    assert name in dir(algdigits)
+
+
+def test_all_is_sorted_and_unique():
+    assert algdigits.__all__ == sorted(set(algdigits.__all__))
+
+
+def test_default_state_cap_is_one_value():
+    # It lives in errors, so that the CLI parser reads it without
+    # loading zero_automaton.
+    from algdigits.cli import build_parser
+    args = build_parser().parse_args(["count", "--poly", "x-2", "--height",
+                                      "1", "--length", "1"])
+    assert (args.max_states == algdigits.DEFAULT_MAX_STATES
+            == algdigits.zero_automaton.DEFAULT_MAX_STATES == 1_000_000)
+
+
+def test_star_import():
+    namespace: dict = {}
+    exec("from algdigits import *", namespace)
+    assert set(algdigits.__all__) <= set(namespace)
+    assert namespace["make_base"] is algdigits.base.make_base
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        algdigits.no_such_name  # noqa: B018
+    assert not hasattr(algdigits, "no_such_name")
+
+
+def test_record_survives_pickle_and_copy():
+    poly = algdigits.parse_polynomial("x^2+2x+2")
+    assert pickle.loads(pickle.dumps(poly)) == poly
+    assert copy.copy(poly) == poly and copy.deepcopy(poly) == poly
+    # Unpickling in a fresh interpreter loads the lazy module it names.
+    out = _python("import pickle, sys\n"
+                  "print(pickle.loads(sys.stdin.buffer.read()))\n",
+                  stdin=pickle.dumps(poly))
+    assert out.strip() == str(poly)
