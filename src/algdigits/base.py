@@ -51,11 +51,6 @@ _HEIGHT_REDUCIBLE_CLASSES = {
 }
 
 
-def _modulus_contains_one(box: Box) -> bool:
-    lo, hi = box.abs_bounds()
-    return lo <= 1 <= hi
-
-
 def _integer(c) -> int:
     """c as an int; ValueError for anything that is not an integer,
     bools and floats included."""
@@ -67,33 +62,28 @@ def _integer(c) -> int:
     raise ValueError(f"coordinate {c!r} is not an integer")
 
 
-def _sort_rank(box: Box, unit: bool) -> int:
-    if unit:
-        return 1
-    lo, _hi = box.abs_bounds()
-    return 0 if lo > 1 else 2
-
-
 def _classify(coeffs, boxes: list[Box], n_unit: int, width: Fraction):
     """(boxes, unit flags, width reached): the root boxes contracted
     until exactly n_unit of their moduli contain 1, in canonical order
     (expanding, then unit-circle, then contracting).  The n_unit roots on
     the circle are known exactly beforehand; every other modulus differs
     from 1, so contraction separates it."""
-    flags = [_modulus_contains_one(b) for b in boxes]
+    moduli = [box.abs_bounds() for box in boxes]
     for _ in range(80):
-        if flags.count(True) == n_unit:
+        if sum(lo <= 1 <= hi for lo, hi in moduli) == n_unit:
             break
         width = width / 16
         boxes = contract_roots(coeffs, boxes, width)
-        flags = [_modulus_contains_one(b) for b in boxes]
+        moduli = [box.abs_bounds() for box in boxes]
+    flags = [lo <= 1 <= hi for lo, hi in moduli]
     if flags.count(True) != n_unit:
         raise PrecisionError(
             "could not separate conjugate moduli from 1; "
             f"{flags.count(True)} straddle but {n_unit} lie on the circle "
             f"at width {width}")
+    # Rank 0 expanding (lo > 1), 1 on the circle, 2 contracting (hi < 1).
     order = sorted(range(len(boxes)),
-                   key=lambda i: (_sort_rank(boxes[i], flags[i]),
+                   key=lambda i: ((moduli[i][0] <= 1) + (moduli[i][1] < 1),
                                   boxes[i].re.lo, boxes[i].im.lo))
     return [boxes[i] for i in order], [flags[i] for i in order], width
 
@@ -199,8 +189,10 @@ class AlgebraicBase:
         width = self.achieved_width / 16
         boxes = contract_roots(self.min_poly.coeffs, self.root_boxes, width)
         for fresh, unit in zip(boxes, self.unit_flags):
-            if not unit and _modulus_contains_one(fresh):
-                raise PrecisionError("refined modulus interval regressed")
+            if not unit:
+                lo, hi = fresh.abs_bounds()
+                if lo <= 1 <= hi:
+                    raise PrecisionError("refined modulus interval regressed")
         self.root_boxes = boxes
         self.achieved_width = width
         self._powers = None

@@ -90,7 +90,7 @@ def f2_analysis(base) -> F2Analysis:
     and the rationals -2, -1, 1 are in; |M(1)| = 1 excludes when
     |M(0)| = 2."""
     base = _as_base(base)
-    m0 = abs(base.constant_term)
+    m0 = base.residue_modulus
     if base.classification is Classification.ROOT_OF_UNITY:
         return F2Analysis(F2Verdict.IN_F2,
                           "roots of unity admit the digit set {0, 1}",
@@ -144,7 +144,7 @@ def classify_f_index(base) -> FIndexReport:
     applied criterion as (name, verdict, justification)."""
     base = _as_base(base)
     bounds = card_bounds(base)
-    m0 = abs(base.constant_term)
+    m0 = base.residue_modulus
     lower: int = bounds.lower
     upper: int | None = bounds.upper
     exact: int | None = None

@@ -84,14 +84,13 @@ def _parse_digit_list(text: str | None):
     if s.startswith("["):
         import json
 
-        try:
-            data = json.loads(s)
-        except json.JSONDecodeError as exc:
+        try:  # a deep list may load, then overflow _json_int's json.dumps
+            return [tuple(_json_int(c) for c in v) if isinstance(v, list)
+                    else _json_int(v) for v in json.loads(s)]
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise DigitSetError(f"bad digit list: {exc}") from exc
-        return [tuple(_json_int(c) for c in v) if isinstance(v, list)
-                else _json_int(v) for v in data]
     try:
-        return [int(tok) for tok in s.split(",") if tok.strip()]
+        return [int(tok) for tok in s.split(",")]
     except ValueError as exc:
         raise DigitSetError(f"bad digit list {text!r}") from exc
 
@@ -109,12 +108,12 @@ def _int_at_least(text: str, low: int) -> int:
 
 
 def _cap(text: str) -> int:
-    """argparse type of the caps: an integer >= 0."""
+    """argparse type of the caps and --length: an integer >= 0."""
     return _int_at_least(text, 0)
 
 
-def _jobs(text: str) -> int:
-    """argparse type of --jobs: an integer >= 1."""
+def _positive(text: str) -> int:
+    """argparse type of --jobs and --height: an integer >= 1."""
     return _int_at_least(text, 1)
 
 
@@ -143,15 +142,9 @@ def _parse_rational_base(text: str) -> tuple[int, int]:
 
 def _record_out(record) -> dict:
     tail = record.tail
-    if tail.kind == "cycle":
-        tail_out = {"kind": "cycle", "entry": tail.entry,
-                    "elements": tail.elements}
-    elif tail.kind == "truncated":
-        tail_out = {"kind": "truncated", "steps": tail.steps}
-    else:
-        tail_out = {"kind": "terminated"}
+    tail_out = {name: getattr(tail, name) for name in tail.__slots__}
     return {"start": record.start, "digits": record.digits,
-            "states": record.states, "tail": tail_out}
+            "states": record.states, "tail": {"kind": tail.kind, **tail_out}}
 
 
 def _manifest(args, limits: dict) -> dict:
@@ -221,7 +214,7 @@ def _cmd_expand(args) -> int:
     try:
         value = (json.loads(args.value) if args.value.strip().startswith("[")
                  else int(args.value))
-    except ValueError:  # json.JSONDecodeError is one
+    except (ValueError, RecursionError):  # json.JSONDecodeError is one
         raise UsageError(f"algdigits expand: argument --value: invalid "
                          f"integer or coordinate list: {args.value!r}"
                          ) from None
@@ -257,8 +250,7 @@ def _cmd_is_ns(args) -> int:
     digit_set = digits.as_digit_set(alpha, _parse_digit_list(args.digits))
     pset = digits.periodic_points(alpha, digit_set,
                                   candidate_cap=args.candidate_cap)
-    is_ns = digit_set.contains_zero and pset.elements == (alpha.zero,)
-    spans = len(pset.cycles) == 1 and alpha.zero in pset.cycles[0]
+    is_ns, spans = digits.verdicts(digit_set, pset)
     result = {
         "is_number_system": is_ns,
         "spans_ring": spans,
@@ -446,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_poly(p)
     p.add_argument("--digits", default=None)
     p.add_argument("--candidate-cap", type=_cap, default=10**7)
-    p.add_argument("--jobs", type=_jobs, default=1)
+    p.add_argument("--jobs", type=_positive, default=1)
     p.set_defaults(func=_cmd_periodic)
 
     p = sub.add_parser("is-ns",
@@ -454,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_poly(p)
     p.add_argument("--digits", default=None)
     p.add_argument("--candidate-cap", type=_cap, default=10**7)
-    p.add_argument("--jobs", type=_jobs, default=1)
+    p.add_argument("--jobs", type=_positive, default=1)
     p.set_defaults(func=_cmd_is_ns)
 
     p = sub.add_parser("rational",
@@ -473,11 +465,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zero-automaton",
                        help="the automaton of height-H zero words")
     _add_poly(p)
-    p.add_argument("--height", type=int, required=True)
+    p.add_argument("--height", type=_positive, required=True)
     p.add_argument("--trim", action="store_true")
     p.add_argument("--export", choices=["dot", "json"], default=None)
     p.add_argument("--max-states", type=_cap, default=DEFAULT_MAX_STATES)
-    p.add_argument("--jobs", type=_jobs, default=1)
+    p.add_argument("--jobs", type=_positive, default=1)
     p.set_defaults(func=_cmd_zero_automaton)
 
     p = sub.add_parser("min-height",
@@ -485,15 +477,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_poly(p)
     p.add_argument("--max-h", type=_cap, default=None)
     p.add_argument("--max-states", type=_cap, default=DEFAULT_MAX_STATES)
-    p.add_argument("--jobs", type=_jobs, default=1)
+    p.add_argument("--jobs", type=_positive, default=1)
     p.set_defaults(func=_cmd_min_height)
 
     p = sub.add_parser("count", help="count zero words of a given length")
     _add_poly(p)
-    p.add_argument("--height", type=int, required=True)
-    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--height", type=_positive, required=True)
+    p.add_argument("--length", type=_cap, required=True)
     p.add_argument("--max-states", type=_cap, default=DEFAULT_MAX_STATES)
-    p.add_argument("--jobs", type=_jobs, default=1)
+    p.add_argument("--jobs", type=_positive, default=1)
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("sweep-quadratic",
@@ -501,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(CSV)")
     p.add_argument("--a2-max", type=int, required=True)
     p.add_argument("--candidate-cap", type=_cap, default=10**7)
-    p.add_argument("--jobs", type=_jobs, default=1)
+    p.add_argument("--jobs", type=_positive, default=1)
     p.set_defaults(func=_cmd_sweep_quadratic)
 
     return parser

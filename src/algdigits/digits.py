@@ -21,17 +21,14 @@ from .record import Record
 _EXPANDING_OK = {Classification.EXPANDING_INTEGER, Classification.RATIONAL}
 
 
-class DigitSet:
+class DigitSet(Record):
     """A complete residue system modulo alpha, indexed by residue class.
 
     Digits are elements of Z[alpha] (integers for degree-one bases,
     power-basis coordinate tuples otherwise); they need not be rational
-    integers."""
+    integers.  by_residue is a dict, so a DigitSet cannot be hashed."""
 
-    def __init__(self, base: AlgebraicBase, digits: tuple, by_residue: dict):
-        self.base = base
-        self.digits = digits
-        self.by_residue = by_residue
+    __slots__ = ("base", "digits", "by_residue")
 
     @classmethod
     def canonical(cls, base: AlgebraicBase) -> "DigitSet":
@@ -54,9 +51,6 @@ class DigitSet:
 
     def __iter__(self):
         return iter(self.digits)
-
-    def __repr__(self) -> str:
-        return f"DigitSet({self.base.min_poly!s}, {list(self.digits)!r})"
 
 
 def validate_crs(base: AlgebraicBase, candidates) -> DigitSet:
@@ -281,40 +275,44 @@ def periodic_points(base: AlgebraicBase, digits=None, *,
             # earlier walk: the first walk to touch a cycle closes it,
             # since stepping from a periodic state never leaves its cycle.
             cycle = tuple(path)[path[x]:]
-            shift = cycle.index(min(cycle, key=_sort_key))
+            shift = cycle.index(min(cycle))
             cycles.add(cycle[shift:] + cycle[:shift])
 
-    ordered_cycles = tuple(sorted(cycles, key=lambda cyc: _sort_key(cyc[0])))
-    elements = tuple(sorted({x for cyc in ordered_cycles for x in cyc}, key=_sort_key))
+    # The points are all ints or all coordinate tuples, so they sort
+    # natively; cycles are disjoint, so their first elements order them.
+    ordered_cycles = tuple(sorted(cycles))
+    elements = tuple(sorted({x for cyc in ordered_cycles for x in cyc}))
     return PeriodicSet(elements, ordered_cycles, bounds, count)
 
 
-def _sort_key(x):
-    if isinstance(x, tuple):
-        return x
-    return (x,)
+def verdicts(digit_set: DigitSet, pset: PeriodicSet) -> tuple[bool, bool]:
+    """(is a number system, R[alpha] = Z[alpha]) for a digit set R and
+    its periodic points.  The first holds when 0 is a digit and the only
+    periodic point; the second when the periodic points are the forward
+    orbit of 0, which, as every orbit ends in a cycle and cycles are
+    disjoint, means one cycle through 0."""
+    zero = digit_set.base.zero
+    return (digit_set.contains_zero and pset.elements == (zero,),
+            len(pset.cycles) == 1 and zero in pset.cycles[0])
 
 
 def is_number_system(base: AlgebraicBase, digits=None, *,
                      candidate_cap: int = 10**7) -> bool:
-    """True when every element of Z[alpha] has a finite expansion, i.e.
-    0 is a digit and the only periodic point is 0."""
+    """True when every element of Z[alpha] has a finite expansion (see
+    verdicts); False at once when 0 is not a digit."""
     digit_set = as_digit_set(base, digits)
     if not digit_set.contains_zero:
         return False
     pset = periodic_points(base, digit_set, candidate_cap=candidate_cap)
-    return pset.elements == (base.zero,)
+    return verdicts(digit_set, pset)[0]
 
 
 def spans_ring(base: AlgebraicBase, digits=None, *,
                candidate_cap: int = 10**7) -> bool:
-    """True when R[alpha] = Z[alpha]: the periodic points are exactly the
-    forward orbit of 0.  Every orbit ends in a cycle, and cycles are
-    disjoint, so that holds exactly when the periodic points form one
-    cycle and 0 lies on it."""
+    """True when R[alpha] = Z[alpha] (see verdicts)."""
     digit_set = as_digit_set(base, digits)
     pset = periodic_points(base, digit_set, candidate_cap=candidate_cap)
-    return len(pset.cycles) == 1 and base.zero in pset.cycles[0]
+    return verdicts(digit_set, pset)[1]
 
 
 # -- height reduction -------------------------------------------------------

@@ -158,9 +158,6 @@ class Box(Record):
     def __sub__(self, other: "Box") -> "Box":
         return Box(self.re - other.re, self.im - other.im)
 
-    def __neg__(self) -> "Box":
-        return Box(-self.re, -self.im)
-
     def __mul__(self, other: "Box") -> "Box":
         return Box(self.re * other.re - self.im * other.im,
                    self.re * other.im + self.im * other.re)

@@ -44,10 +44,6 @@ def encode_value(value):
         return {str(k): encode_value(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [encode_value(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return [encode_value(v) for v in sorted(value, key=repr)]
-    if hasattr(value, "to_json_dict"):
-        return encode_value(value.to_json_dict())
     return str(value)
 
 

@@ -146,9 +146,10 @@ def parse_polynomial(text) -> IntPolynomial:
     if src[0] == "[":
         try:
             data = json.loads(src)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise PolynomialSyntaxError(f"bad coefficient list: {exc}") from exc
-        if not isinstance(data, list) or not all(isinstance(c, int) for c in data):
+        # type(), not isinstance: a bool is no coefficient.
+        if not isinstance(data, list) or not all(type(c) is int for c in data):
             raise PolynomialSyntaxError("coefficient list must contain integers only")
         return IntPolynomial(tuple(data))
 

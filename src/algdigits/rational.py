@@ -28,6 +28,7 @@ from fractions import Fraction
 from .base import make_base
 from .digits import Cycle, ExpansionRecord, orbit, validate_crs
 from .errors import DigitSetError, ResourceCapError
+from .record import Record
 
 
 class Regime(str, Enum):
@@ -36,27 +37,19 @@ class Regime(str, Enum):
     REDUNDANT = "redundant"
 
 
-class RationalDigitSet:
-    def __init__(self, a: int, b: int, regime: Regime, digits: tuple,
-                 shifted: tuple):
-        self.a = a
-        self.b = b
-        self.regime = regime
-        self.digits = digits
-        self.shifted = shifted  # the set B of shifted multiples (positive regime only)
-        self._lookup = frozenset(digits)
+class RationalDigitSet(Record):
+    """A digit set for base a/b; shifted is the set B of shifted
+    multiples (positive regime only).  Membership reads digits, which
+    has at most 2a - 1 entries."""
 
-    def __repr__(self) -> str:
-        return (f"RationalDigitSet(a={self.a!r}, b={self.b!r}, "
-                f"regime={self.regime!r}, digits={self.digits!r}, "
-                f"shifted={self.shifted!r})")
+    __slots__ = ("a", "b", "regime", "digits", "shifted")
 
     @property
     def alpha(self) -> Fraction:
         return Fraction(self.a, self.b)
 
     def __contains__(self, d) -> bool:
-        return d in self._lookup
+        return d in self.digits
 
     def __iter__(self):
         return iter(self.digits)

@@ -427,6 +427,17 @@ class TestErrors:
          "residue collision mod 3: 0 and 3 both lie in class 0"),
         (["rational", "--base", "3/2", "--digits", "0,1", "verify"],
          "need exactly 3 digits, one per residue class mod 3, got 2"),
+        (["is-ns", "--poly", "x+3", "--digits", "0,x"],
+         "bad digit list '0,x'"),
+        (["is-ns", "--poly", "x+3", "--digits=0,,1,2"],
+         "bad digit list '0,,1,2'"),
+        (["rational", "--base", "5/2", "--digits=0,1,2,3,4,", "verify"],
+         "bad digit list '0,1,2,3,4,'"),
+        (["is-ns", "--poly", "x+3", "--digits="], "bad digit list ''"),
+        (["is-ns", "--poly", "x+3", "--digits", "[0,"],
+         "bad digit list: Expecting value: line 1 column 4 (char 3)"),
+        (["rational", "--base", "5/2", "expand"],
+         "expand needs at least one integer argument"),
     ])
     def test_digit_set_messages(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -441,6 +452,32 @@ class TestErrors:
         assert json.loads(err)["error"] == {
             "type": "InvalidPolynomialError",
             "message": "degree must be >= 1, got the constant 5"}
+
+    @pytest.mark.parametrize("poly", ["[true,2]", "[2,false,1]", "[[2],1]"])
+    def test_json_coefficients_are_integers_not_bools(self, capsys, poly):
+        code, out, err = run(capsys, "analyze", "--poly", poly)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "PolynomialSyntaxError",
+            "message": "coefficient list must contain integers only"}
+
+    @pytest.mark.parametrize("argv, error", [
+        (["expand", "--poly", "x+2", "--value", None], "UsageError"),
+        (["rational", "--base", "5/2", "--digits", None, "verify"],
+         "DigitSetError"),
+        (["analyze", "--poly", None], "PolynomialSyntaxError")],
+        ids=["value", "digits", "poly"])
+    def test_deeply_nested_json_is_invalid_input(self, capsys, argv, error):
+        # Too deep for json (a RecursionError), or deep enough to load
+        # and then too deep to print back in a message.
+        limit = sys.getrecursionlimit()
+        for depth in [*range(limit - 300, limit + 20, 3), 50000]:
+            nest = "[" * depth + "]" * depth
+            code, out, err = run(capsys, *[nest if a is None else a
+                                           for a in argv])
+            assert (code, out) == (2, ""), depth
+            assert set(json.loads(err)["error"]) == {"type", "message"}
+        assert json.loads(err)["error"]["type"] == error
 
     def test_huge_coefficient_is_analyzed(self, capsys):
         # The roots are near 1.4e200; the coefficient is too large for a float.
@@ -537,7 +574,13 @@ class TestUsage:
                 (["sweep-quadratic", "--a2-max", "2",
                   "--candidate-cap=-1"], "--candidate-cap"),
                 (["expand", "--poly", "x+2", "--value", "5",
-                  "--max-steps", "many"], "--max-steps")):
+                  "--max-steps", "many"], "--max-steps"),
+                (["zero-automaton", "--poly", "x-2", "--height", "0"],
+                 "--height"),
+                (["count", "--poly", "x-2", "--height=-1", "--length", "2"],
+                 "--height"),
+                (["count", "--poly", "[2,2,1]", "--height", "1",
+                  "--length", "-1"], "--length")):
             code, out, err = run(capsys, *argv)
             assert code == 2 and out == ""
             error = json.loads(err)["error"]

@@ -30,7 +30,7 @@ from algdigits import (
 )
 from algdigits.base import Classification
 from algdigits.digits import (PeriodicSet, _coordinate_bound,
-                              _require_expanding, _sort_key)
+                              _require_expanding)
 from algdigits.intervals import Box
 
 from oracles import (
@@ -258,7 +258,7 @@ def full_box_walk(base, digits=None, *, candidate_cap: int = 10**7):
             _, x = digit_set.step(x)
         if x in pos:
             cycle = tuple(path[pos[x]:])
-            shift = min(range(len(cycle)), key=lambda i: _sort_key(cycle[i]))
+            shift = min(range(len(cycle)), key=cycle.__getitem__)
             cycles.add(cycle[shift:] + cycle[:shift])
             for i, st in enumerate(path):
                 status[st] = i >= pos[x]
@@ -273,8 +273,8 @@ def full_box_walk(base, digits=None, *, candidate_cap: int = 10**7):
     for x in lattice():
         resolve(x)
 
-    ordered_cycles = tuple(sorted(cycles, key=lambda cyc: _sort_key(cyc[0])))
-    elements = tuple(sorted({x for cyc in ordered_cycles for x in cyc}, key=_sort_key))
+    ordered_cycles = tuple(sorted(cycles))
+    elements = tuple(sorted({x for cyc in ordered_cycles for x in cyc}))
     return PeriodicSet(elements, ordered_cycles, bounds, count)
 
 

@@ -11,8 +11,9 @@ import pytest
 
 from algdigits import (CardBounds, Cycle, ExpansionRecord, F2Analysis,
                        F2Verdict, FIndexReport, HeightReduction,
-                       IntPolynomial, MinHeightReport, SweepRow, Terminated,
-                       Truncated, WordSearchResult, digit_set_rational,
+                       IntPolynomial, MinHeightReport, RationalDigitSet,
+                       Regime, SweepRow, Terminated, Truncated,
+                       WordSearchResult, as_digit_set, digit_set_rational,
                        make_base, periodic_points)
 from algdigits.intervals import Box, Interval
 
@@ -58,6 +59,11 @@ CASES = [
      "MinHeightReport(h_star=1, word=(1, -2), "
      "witness=IntPolynomial(coeffs=(-2, 1)), value_check=True, "
      "searched=((1, 3),))"),
+    (RationalDigitSet(5, 2, Regime.POSITIVE_B, (-2, 0, 1, 2, 4), (-2, 3)),
+     RationalDigitSet(a=5, b=2, regime=Regime.POSITIVE_B,
+                      digits=(-2, 0, 1, 2, 4), shifted=(-2, 3)),
+     "RationalDigitSet(a=5, b=2, regime=<Regime.POSITIVE_B: 'positive-b'>, "
+     "digits=(-2, 0, 1, 2, 4), shifted=(-2, 3))"),
 ]
 
 
@@ -129,12 +135,15 @@ def test_library_results_are_records():
         pset.elements = ()
 
 
-def test_rational_digit_set_is_a_plain_mutable_class():
+def test_digit_sets_compare_by_value():
     ds = digit_set_rational(5, 2)
-    assert repr(ds) == ("RationalDigitSet(a=5, b=2, "
-                        "regime=<Regime.POSITIVE_B: 'positive-b'>, "
-                        "digits=(-2, 0, 1, 2, 4), shifted=(-2, 3))")
     assert 4 in ds and 3 not in ds and len(ds) == 5
-    assert ds != digit_set_rational(5, 2)  # compared by identity
-    ds.a = 7
-    assert ds.a == 7
+    assert ds == RationalDigitSet(5, 2, Regime.POSITIVE_B, (-2, 0, 1, 2, 4),
+                                  (-2, 3))
+    gauss = make_base("x^2+2x+2")
+    crs = as_digit_set(gauss)
+    assert crs == as_digit_set(gauss, [0, 1]) != as_digit_set(gauss, [0, 3])
+    with pytest.raises(AttributeError):
+        crs.digits = ()
+    with pytest.raises(TypeError):  # by_residue is a dict
+        hash(crs)
