@@ -27,8 +27,6 @@ from .polynomials import (IntPolynomial, count_real_roots_between,
 from .record import Record
 from .roots import DEFAULT_WIDTH, certified_roots, contract_roots, grid_bits
 
-DEFAULT_PRECISION = DEFAULT_WIDTH
-
 
 class Classification(Enum):
     EXPANDING_INTEGER = "ExpandingInteger"
@@ -97,17 +95,16 @@ class AlgebraicBase:
 
     root_boxes holds a certified rectangle for each conjugate, in
     canonical order, and unit_flags marks the ones proven to lie on the
-    unit circle.  A degree-one base alpha = a/b holds its exact root as
-    the point rectangle, so achieved_width is 0 and no conjugate query
-    needs a case of its own.
+    unit circle.  The rectangles start at width DEFAULT_WIDTH, or finer
+    where classification needs it; refine() tightens them.  A degree-one
+    base alpha = a/b holds its exact root as the point rectangle, so
+    achieved_width is 0 and no conjugate query needs a case of its own.
     """
 
-    def __init__(self, poly: IntPolynomial, irreducibility: str,
-                 precision: Fraction):
+    def __init__(self, poly: IntPolynomial, irreducibility: str):
         d = poly.degree
         self.min_poly = poly
         self.irreducibility = irreducibility
-        self.requested_precision = precision
         self.degree = d
         self.leading_coefficient = poly.leading_coefficient
         self.constant_term = poly.constant_term
@@ -127,7 +124,8 @@ class AlgebraicBase:
             if tuple(reversed(poly.coeffs)) == poly.coeffs:
                 half = palindromic_half(poly)
                 n_unit = 2 * count_real_roots_between(half, -2, 2)
-            boxes, width = certified_roots(poly.coeffs, precision), precision
+            width = DEFAULT_WIDTH
+            boxes = certified_roots(poly.coeffs, width)
         self.root_boxes, self.unit_flags, self.achieved_width = _classify(
             poly.coeffs, boxes, n_unit, width)
         self._powers: list[list[Box]] | None = None
@@ -318,8 +316,7 @@ class AlgebraicBase:
         an element: d_m alpha^m + ... + d_0."""
         acc = self.zero
         for d in digits_msb_first:
-            acc = self.add(self.mul_alpha(acc),
-                           d if not isinstance(d, int) else self.element(d))
+            acc = self.add(self.mul_alpha(acc), self.element(d))
         return acc
 
     def conjugate_boxes(self, x) -> list[Box]:
@@ -402,7 +399,7 @@ def card_bounds(base: AlgebraicBase) -> CardBounds:
     return CardBounds(lower, upper)
 
 
-def make_base(poly, precision: Fraction = DEFAULT_PRECISION) -> AlgebraicBase:
+def make_base(poly) -> AlgebraicBase:
     """Build a classified base from a minimal polynomial.
 
     poly may be an IntPolynomial, a coefficient list (ascending), or
@@ -420,7 +417,7 @@ def make_base(poly, precision: Fraction = DEFAULT_PRECISION) -> AlgebraicBase:
         raise InvalidPolynomialError(
             f"{poly!s} factors over Z; not a minimal polynomial")
     irreducibility = "assumed" if irreducible is None else "verified"
-    return AlgebraicBase(poly, irreducibility, Fraction(precision))
+    return AlgebraicBase(poly, irreducibility)
 
 
 def _as_base(base) -> AlgebraicBase:

@@ -18,54 +18,11 @@ layers it runs, --version none of them and a usage error only jsonio.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 
 from . import (__version__, base, catalog, digits, jsonio, rational,
                zero_automaton)
 from .errors import DEFAULT_MAX_STATES, DigitSetError, PolynomialSyntaxError
-
-# The finest accepted width.  Output fractions at 2^-4096 stay far below
-# Python's 4300-digit limit on int-to-str conversion, and a finer width
-# is refused before any root is refined to it.
-FINEST_PRECISION_BITS = 4096
-# A decimal exponent of 10^4 or more in size, refused before Fraction
-# builds 10^e (which takes a minute at 1e-30000000).
-_HUGE_EXPONENT = re.compile(r"[eE][-+]?0*[1-9]\d{4,}$")
-
-
-def _parse_precision(text: str) -> Fraction:
-    """An interval width '2^k' or a fraction, strictly between 0 and 1
-    and no finer than 2^-FINEST_PRECISION_BITS."""
-    from fractions import Fraction
-
-    s = text.strip()
-    try:
-        if s.startswith("2^"):
-            # Clamped, so that a huge exponent never builds 2^k.
-            k = int(s[2:])
-            value = Fraction(2) ** min(0, max(k, -FINEST_PRECISION_BITS - 1))
-        elif _HUGE_EXPONENT.search(s):
-            raise ValueError(f"precision {text!r} has a decimal exponent "
-                             f"of 10^4 or more in size")
-        else:
-            value = Fraction(s)
-    except ZeroDivisionError as exc:
-        raise ValueError(f"bad precision {text!r}") from exc
-    if not 0 < value < 1:
-        raise ValueError(f"precision must lie strictly between 0 and 1, "
-                         f"got {text!r}")
-    if value < Fraction(1, 1 << FINEST_PRECISION_BITS):
-        raise ValueError(f"precision {text!r} is finer than the limit "
-                         f"2^-{FINEST_PRECISION_BITS}")
-    return value
-
-
-def _make_base(args):
-    if args.precision:
-        return base.make_base(args.poly, _parse_precision(args.precision))
-    return base.make_base(args.poly)
-
 
 def _json_int(v) -> int:
     import json
@@ -168,7 +125,7 @@ def _emit(args, limits: dict, result) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    alpha = _make_base(args)
+    alpha = base.make_base(args.poly)
     moduli = [[lo, hi] for lo, hi in alpha.conjugate_moduli()]
     result = {
         "poly": str(alpha.min_poly),
@@ -193,23 +150,23 @@ def _cmd_analyze(args) -> int:
     except ValueError:
         result["card_lower"] = None
         result["card_upper"] = None
-    return _emit(args, {"precision": str(alpha.requested_precision)}, result)
+    return _emit(args, {"precision": str(base.DEFAULT_WIDTH)}, result)
 
 
 def _cmd_classify(args) -> int:
-    alpha = _make_base(args)
+    alpha = base.make_base(args.poly)
     report = catalog.classify_f_index(alpha)
     f2 = catalog.f2_analysis(alpha)
     result = report.to_json_dict()
     result["poly"] = str(alpha.min_poly)
     result["f2"] = {"verdict": f2.verdict.value, "reason": f2.reason}
-    return _emit(args, {"precision": str(alpha.requested_precision)}, result)
+    return _emit(args, {"precision": str(base.DEFAULT_WIDTH)}, result)
 
 
 def _cmd_expand(args) -> int:
     import json
 
-    alpha = _make_base(args)
+    alpha = base.make_base(args.poly)
     digit_set = digits.as_digit_set(alpha, _parse_digit_list(args.digits))
     try:
         value = (json.loads(args.value) if args.value.strip().startswith("[")
@@ -225,7 +182,7 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_periodic(args) -> int:
-    alpha = _make_base(args)
+    alpha = base.make_base(args.poly)
     digit_set = digits.as_digit_set(alpha, _parse_digit_list(args.digits))
     pset = digits.periodic_points(alpha, digit_set,
                                   candidate_cap=args.candidate_cap)
@@ -246,7 +203,7 @@ def _cmd_periodic(args) -> int:
 
 
 def _cmd_is_ns(args) -> int:
-    alpha = _make_base(args)
+    alpha = base.make_base(args.poly)
     digit_set = digits.as_digit_set(alpha, _parse_digit_list(args.digits))
     pset = digits.periodic_points(alpha, digit_set,
                                   candidate_cap=args.candidate_cap)
@@ -314,7 +271,7 @@ def _cmd_rational(args) -> int:
 
 
 def _cmd_zero_automaton(args) -> int:
-    alpha = _make_base(args)
+    alpha = base.make_base(args.poly)
     auto = zero_automaton.build_zero_automaton(alpha, args.height,
                                                max_states=args.max_states)
     if args.trim:
@@ -340,7 +297,7 @@ def _cmd_zero_automaton(args) -> int:
 
 
 def _cmd_min_height(args) -> int:
-    alpha = _make_base(args)
+    alpha = base.make_base(args.poly)
     report = zero_automaton.min_height(alpha, args.max_h,
                                        max_states=args.max_states)
     result = {
@@ -357,7 +314,7 @@ def _cmd_min_height(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    alpha = _make_base(args)
+    alpha = base.make_base(args.poly)
     auto = zero_automaton.build_zero_automaton(
         alpha, args.height, max_states=args.max_states).trim()
     est, residual = auto.growth_rate()
@@ -390,8 +347,6 @@ def _add_poly(p: argparse.ArgumentParser) -> None:
     p.add_argument("--poly", required=True,
                    help="polynomial text ('x^2+2x+2') or coefficient list "
                         "('[2,2,1]', ascending)")
-    p.add_argument("--precision", default=None,
-                   help="interval width target, e.g. '2^-40' or '1/1000000'")
 
 
 class UsageError(ValueError):

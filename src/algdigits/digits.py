@@ -123,7 +123,7 @@ class ExpansionRecord(Record):
             return False
         for k, digit in enumerate(self.digits):
             recombined = base.add(base.mul_alpha(self.states[k + 1]),
-                                  base.element(digit) if isinstance(digit, int) else digit)
+                                  base.element(digit))
             if recombined != self.states[k]:
                 return False
         return True
@@ -253,10 +253,8 @@ def periodic_points(base: AlgebraicBase, digits=None, *,
     if count > candidate_cap:
         raise ResourceCapError(f"{count} candidates exceed cap {candidate_cap}")
 
-    points = range(-limit, limit + 1)
-    if base.degree == 1:
-        starts = map(base.element, points)
-    else:
+    points = starts = range(-limit, limit + 1)
+    if base.degree > 1:
         window = base.conjugate_window(bounds.per_conjugate)
         starts = ((x0,) + tail
                   for tail in itertools.product(points, repeat=base.degree - 1)

@@ -30,6 +30,9 @@ from .digits import Cycle, ExpansionRecord, orbit, validate_crs
 from .errors import DigitSetError, ResourceCapError
 from .record import Record
 
+# Zero digits transduce may append to flush its carry; two always do.
+MAX_FLUSH = 4
+
 
 class Regime(str, Enum):
     NEGATIVE_B = "negative-b"
@@ -215,8 +218,7 @@ class AdditionTransducer:
         return "\n".join(lines)
 
 
-def transduce(transducer: AdditionTransducer, start: int, word, *,
-              max_flush: int = 4) -> tuple:
+def transduce(transducer: AdditionTransducer, start: int, word) -> tuple:
     """Run the carry automaton from the given start state over an
     LSB-first word, then flush any remaining carry with zero digits.
     Starting from carry b computes word + b, from -b computes word - b,
@@ -234,9 +236,9 @@ def transduce(transducer: AdditionTransducer, start: int, word, *,
         out.append(e)
     flushes = 0
     while carry != 0:
-        if flushes >= max_flush:
+        if flushes >= MAX_FLUSH:
             raise ResourceCapError(
-                f"carry failed to flush within max_flush={max_flush} zero "
+                f"carry failed to flush within max_flush={MAX_FLUSH} zero "
                 f"digits; carry {carry} remains")
         e, carry = transducer.step(carry, 0)
         out.append(e)

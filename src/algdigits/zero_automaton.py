@@ -38,7 +38,6 @@ class WordSearchResult(Record):
 class ZeroAutomaton(Record):
     __slots__ = ("base", "height", "states",
                  "transitions",  # (state, digit) -> state
-                 "level",        # state -> index of the first breadth layer holding it
                  "trimmed")
 
     @property
@@ -100,9 +99,7 @@ class ZeroAutomaton(Record):
         states = tuple(s for s in self.states if s in alive)
         transitions = {(y, d): z for (y, d), z in self.transitions.items()
                        if y in alive and z in alive}
-        level = {s: self.level[s] for s in states}
-        return ZeroAutomaton(self.base, self.height, states, transitions,
-                             level, True)
+        return ZeroAutomaton(self.base, self.height, states, transitions, True)
 
     def shortest_nonzero_word(self):
         """A shortest accepted word containing a nonzero digit (MSB
@@ -235,8 +232,8 @@ def build_zero_automaton(base, height: int, *,
         raise UnsupportedBaseError(
             "irrational bases need a monic minimal polynomial here "
             "(denominator ideals are not supported)")
-    states, transitions, level = _monic_pass(base, height, max_states)
-    return ZeroAutomaton(base, height, states, transitions, level, False)
+    states, transitions = _monic_pass(base, height, max_states)
+    return ZeroAutomaton(base, height, states, transitions, False)
 
 
 def _monic_pass(base: AlgebraicBase, height: int, max_states: int):
@@ -255,32 +252,26 @@ def _monic_pass(base: AlgebraicBase, height: int, max_states: int):
          for lo, _hi in base.conjugate_moduli()])
 
     zero = base.zero
-    level = {zero: 1}
-    frontier = [zero]
+    seen = {zero}
+    queue = deque([zero])
     transitions = {}
-    depth = 1
-    while frontier:
-        depth += 1
-        nxt = []
-        for y in frontier:
-            ay = base.mul_alpha(y)
-            if rational:
-                if ay.denominator != 1:
-                    continue
-                ay = (ay.numerator,)
-            for d in window(ay, -height, height):
-                z = ay[0] + d if rational else base.add_int(ay, d)
-                transitions[(y, d)] = z
-                if z not in level:
-                    if len(level) >= max_states:
-                        raise ResourceCapError(
-                            f"state cap {max_states} exceeded at height "
-                            f"{height}")
-                    level[z] = depth
-                    nxt.append(z)
-        frontier = nxt
-    states = tuple(sorted(level))
-    return states, transitions, level
+    while queue:
+        y = queue.popleft()
+        ay = base.mul_alpha(y)
+        if rational:
+            if ay.denominator != 1:
+                continue
+            ay = (ay.numerator,)
+        for d in window(ay, -height, height):
+            z = ay[0] + d if rational else base.add_int(ay, d)
+            transitions[(y, d)] = z
+            if z not in seen:
+                if len(seen) >= max_states:
+                    raise ResourceCapError(
+                        f"state cap {max_states} exceeded at height {height}")
+                seen.add(z)
+                queue.append(z)
+    return tuple(sorted(seen)), transitions
 
 
 class MinHeightReport(Record):

@@ -132,23 +132,22 @@ def periodic_points_quadratic(a1: int, a2: int, digits, box: int) -> set:
     integer digit set, scanning all |u|, |v| <= box.  Inverts
     alpha*(p, q) = (-a2 q, p - a1 q) exactly."""
     guard = 20 * box + 200
+    digit_of = {dd % a2: dd for dd in reversed(digits)}  # first per class
     per: set = set()
-    for u in range(-box, box + 1):
-        for v in range(-box, box + 1):
-            x = (u, v)
-            trail: dict = {}
-            order: list = []
-            while x not in trail:
-                trail[x] = len(order)
-                order.append(x)
-                r = next(dd for dd in digits if (x[0] - dd) % a2 == 0)
-                qq = -((x[0] - r) // a2)
-                pp = x[1] + a1 * qq
-                x = (pp, qq)
-                if abs(pp) > guard or abs(qq) > guard:
-                    break
-            if x in trail:
-                per.update(order[trail[x]:])
+    for x in itertools.product(range(-box, box + 1), repeat=2):
+        trail: dict = {}
+        order: list = []
+        while x not in trail:
+            trail[x] = len(order)
+            order.append(x)
+            r = digit_of[x[0] % a2]
+            qq = -((x[0] - r) // a2)
+            pp = x[1] + a1 * qq
+            x = (pp, qq)
+            if abs(pp) > guard or abs(qq) > guard:
+                break
+        if x in trail:
+            per.update(order[trail[x]:])
     return per
 
 

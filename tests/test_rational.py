@@ -22,6 +22,7 @@ from algdigits import (
     make_base,
     transduce,
     value_of,
+    rational,
     verify_digit_properties,
 )
 
@@ -207,12 +208,13 @@ class TestTransducer:
                                match="^3 is not a digit of the set$"):
                 transduce(t, start, word)
 
-    def test_flush_cap_names_its_limit(self):
+    def test_flush_cap_names_its_limit(self, monkeypatch):
         t = AdditionTransducer(DS52)
+        monkeypatch.setattr(rational, "MAX_FLUSH", 0)
         with pytest.raises(ResourceCapError,
                            match="within max_flush=0 zero digits; "
                                  "carry 2 remains"):
-            transduce(t, 2, (), max_flush=0)
+            transduce(t, 2, ())
 
     def test_unclosed_set_rejected(self):
         from algdigits.rational import RationalDigitSet
@@ -242,10 +244,13 @@ class TestTransducer:
                 word = tuple(rng.choice(ds.digits)
                              for _ in range(rng.randrange(0, 12)))
                 v = value_of(word, ds.alpha)
-                added = transduce(t, ds.b, word, max_flush=2)
+                # The carry flushes within two zero digits.
+                added = transduce(t, ds.b, word)
                 assert value_of(added, ds.alpha) == v + ds.b
-                subbed = transduce(t, -ds.b, word, max_flush=2)
+                assert len(added) <= len(word) + 2
+                subbed = transduce(t, -ds.b, word)
                 assert value_of(subbed, ds.alpha) == v - ds.b
+                assert len(subbed) <= len(word) + 2
 
     def test_transitions_export(self):
         t = AdditionTransducer(DS3M2)

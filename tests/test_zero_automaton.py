@@ -27,9 +27,9 @@ from oracles import (growth_rate_dense, zero_automaton_rational_reference,
 
 def _reference(base: AlgebraicBase, height: int,
                max_states: int = 10**6) -> ZeroAutomaton:
-    states, transitions, level = zero_automaton_reference(base, height,
-                                                          max_states)
-    return ZeroAutomaton(base, height, states, transitions, level, False)
+    states, transitions, _ = zero_automaton_reference(base, height,
+                                                      max_states)
+    return ZeroAutomaton(base, height, states, transitions, False)
 
 
 class TestRejections:
@@ -110,12 +110,6 @@ class TestLanguage:
 
 
 class TestStructure:
-    def test_levels(self):
-        auto = build_zero_automaton("x^2 + 2x + 2", 2)
-        assert auto.level[auto.zero] == 1
-        for (y, _d), z in auto.transitions.items():
-            assert auto.level[z] <= auto.level[y] + 1
-
     def test_trim_idempotent(self):
         auto = build_zero_automaton("x - 2", 2).trim()
         again = auto.trim()
@@ -200,7 +194,6 @@ class TestStructure:
         many = build_zero_automaton("x^2 + 2x + 2", 2)
         assert lone.states == many.states
         assert lone.transitions == many.transitions
-        assert lone.level == many.level
 
 
 @st.composite
@@ -234,13 +227,11 @@ class TestReference:
     @pytest.mark.parametrize("height", [1, 2, 3])
     def test_rational_untrimmed_equals_reference(self, poly, height):
         base = make_base(poly)
-        states, transitions, level = zero_automaton_rational_reference(
+        states, transitions, _ = zero_automaton_rational_reference(
             base, height, 10**6)
-        reference = ZeroAutomaton(base, height, states, transitions, level,
-                                  False)
+        reference = ZeroAutomaton(base, height, states, transitions, False)
         auto = build_zero_automaton(base, height)
         assert auto.to_json_dict() == reference.to_json_dict()
-        assert auto.level == level
 
     @settings(max_examples=25, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
@@ -254,7 +245,6 @@ class TestReference:
         except (InvalidPolynomialError, UnitCircleError, ResourceCapError):
             assume(False)
         assert auto.to_json_dict() == reference.to_json_dict()
-        assert auto.level == reference.level
 
     def test_rational_state_cap_names_the_height(self):
         with pytest.raises(ResourceCapError,
