@@ -495,6 +495,36 @@ class TestErrors:
         assert code == 2 and out == ""
         assert set(json.loads(err)["error"]) == {"type", "message"}
 
+    @staticmethod
+    def _refused_precision(capsys, precision):
+        # The width is fixed, so every --precision value, however large,
+        # fine or long its exponent, is refused by the argument parser
+        # before any root is refined.
+        code, out, err = run(capsys, "analyze", "--poly", "x^2-2",
+                             f"--precision={precision}")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "UsageError",
+            "message": "algdigits: unrecognized arguments: "
+                       f"--precision={precision}"}
+
+    @pytest.mark.parametrize("precision", ["2^40", "2^0", "5", "1", "0",
+                                           "-1/2", "1/0"])
+    def test_precision_of_one_or_more_exits_2(self, capsys, precision):
+        self._refused_precision(capsys, precision)
+
+    @pytest.mark.parametrize("precision", ["2^-4097", "2^-20000",
+                                           "1/" + str(2 ** 4096 + 1)],
+                             ids=["2^-4097", "2^-20000", "1/(2^4096+1)"])
+    def test_precision_finer_than_the_limit_exits_2(self, capsys,
+                                                    precision):
+        self._refused_precision(capsys, precision)
+
+    @pytest.mark.parametrize("precision", ["1e-30000000", "1E+99999999999",
+                                           "0.5e-010000"])
+    def test_huge_decimal_exponent_exits_2(self, capsys, precision):
+        self._refused_precision(capsys, precision)
+
 
 class TestUsage:
     def test_missing_argument_is_one_json_error(self, capsys):
