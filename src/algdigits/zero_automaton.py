@@ -38,6 +38,7 @@ class WordSearchResult(Record):
 class ZeroAutomaton(Record):
     __slots__ = ("base", "height", "states",
                  "transitions",  # (state, digit) -> state
+                 "word",         # shortest_nonzero_word()
                  "trimmed")
 
     @property
@@ -99,40 +100,13 @@ class ZeroAutomaton(Record):
         states = tuple(s for s in self.states if s in alive)
         transitions = {(y, d): z for (y, d), z in self.transitions.items()
                        if y in alive and z in alive}
-        return ZeroAutomaton(self.base, self.height, states, transitions, True)
+        return ZeroAutomaton(self.base, self.height, states, transitions,
+                             self.word, True)
 
     def shortest_nonzero_word(self):
-        """A shortest accepted word containing a nonzero digit (MSB
-        first), as a WordSearchResult, or None.  The leading digit is
-        automatically nonzero: a word starting with 0 would have a
-        shorter accepted suffix with the same nonzero digit."""
-        start = (self.zero, False)
-        parent: dict = {start: None}
-        queue = deque([start])
-        target = (self.zero, True)
-        while queue:
-            node = queue.popleft()
-            y, dirty = node
-            for d in range(-self.height, self.height + 1):
-                z = self.transitions.get((y, d))
-                if z is None:
-                    continue
-                nxt = (z, dirty or d != 0)
-                if nxt not in parent:
-                    parent[nxt] = (node, d)
-                    if nxt == target:
-                        digits = []
-                        cur = nxt
-                        while parent[cur] is not None:
-                            cur, digit = parent[cur]
-                            digits.append(digit)
-                        word = tuple(reversed(digits))
-                        check = self.base.eval_word(word) == self.zero
-                        return WordSearchResult(word,
-                                                max(abs(d) for d in word),
-                                                check)
-                    queue.append(nxt)
-        return None
+        """A shortest accepted word containing a nonzero digit, as the
+        WordSearchResult that the build found, or None."""
+        return self.word
 
     def count_words(self, length: int) -> int:
         """Exact number of accepted words of the given length."""
@@ -154,8 +128,6 @@ class ZeroAutomaton(Record):
         predecessor lists (one entry per edge) of the trim automaton;
         every sum is an fsum."""
         auto = self if self.trimmed else self.trim()
-        if not auto.states:
-            return 0.0, 0.0
         index = {s: i for i, s in enumerate(auto.states)}
         preds: list[list[int]] = [[] for _ in auto.states]
         for (y, _d), z in auto.transitions.items():
@@ -167,13 +139,11 @@ class ZeroAutomaton(Record):
         def norm(vec):
             return math.sqrt(math.fsum([x * x for x in vec]))
 
+        # 0 keeps its loop of digit 0, so no step reaches the zero vector
         vec = [1.0 / len(preds)] * len(preds)
-        est = 0.0
         for _ in range(200):
             nxt = apply(vec)
             size = norm(nxt)
-            if size == 0.0:
-                return 0.0, 0.0
             est = size / norm(vec)
             vec = [x / size for x in nxt]
         residual = max(abs(x - est * v) for x, v in zip(apply(vec), vec))
@@ -224,6 +194,12 @@ def build_zero_automaton(base, height: int, *,
     base = _as_base(base)
     if height < 1:
         raise ValueError("height must be at least 1")
+    _require_supported(base)
+    return ZeroAutomaton(base, height, *_monic_pass(base, height, max_states),
+                         False)
+
+
+def _require_supported(base: AlgebraicBase) -> None:
     if base.n_unit > 0:
         raise UnitCircleError(
             f"{base.min_poly} has {base.n_unit} conjugate(s) on the unit "
@@ -232,29 +208,34 @@ def build_zero_automaton(base, height: int, *,
         raise UnsupportedBaseError(
             "irrational bases need a monic minimal polynomial here "
             "(denominator ideals are not supported)")
-    states, transitions = _monic_pass(base, height, max_states)
-    return ZeroAutomaton(base, height, states, transitions, False)
 
 
-def _monic_pass(base: AlgebraicBase, height: int, max_states: int):
-    """Breadth-first closure from 0 with certified pruning at the
-    base's current interval width.  A successor is dropped only when
-    base.conjugate_window proves that some expanding conjugate exceeds
-    H/(|alpha_k| - 1); every other successor is kept, which is sound.
+def _monic_pass(base: AlgebraicBase, height: int, max_states: int,
+                stop: bool = False):
+    """(states, transitions, word) of the breadth-first closure from 0
+    with certified pruning at the base's current interval width.  A
+    successor is dropped only when base.conjugate_window proves that
+    some expanding conjugate exceeds H/(|alpha_k| - 1); every other
+    successor is kept, which is sound.
 
     A degree-one base alpha = p/q has the integers as states.  alpha*y
     is one exactly when q | y; any other state is a dead end, since its
     denominator valuation only sinks further.  Its power table is the
-    exact point 1 and its modulus is exact, so the band test is exact."""
+    exact point 1 and its modulus is exact, so the band test is exact.
+
+    0 is left for another state only by nonzero digits, so the first
+    edge from a state y != 0 into 0 ends a shortest zero word with a
+    nonzero digit, or word is None; with stop, the pass returns there."""
     rational = base.degree == 1
     window = base.conjugate_window(
         [height / (lo - 1) if lo > 1 else None  # lo is a Fraction
          for lo, _hi in base.conjugate_moduli()])
 
     zero = base.zero
-    seen = {zero}
+    parent = {zero: None}  # state -> the state it was first reached from
     queue = deque([zero])
     transitions = {}
+    word = None
     while queue:
         y = queue.popleft()
         ay = base.mul_alpha(y)
@@ -265,13 +246,29 @@ def _monic_pass(base: AlgebraicBase, height: int, max_states: int):
         for d in window(ay, -height, height):
             z = ay[0] + d if rational else base.add_int(ay, d)
             transitions[(y, d)] = z
-            if z not in seen:
-                if len(seen) >= max_states:
+            if z not in parent:
+                if len(parent) >= max_states:
                     raise ResourceCapError(
                         f"state cap {max_states} exceeded at height {height}")
-                seen.add(z)
+                parent[z] = y
                 queue.append(z)
-    return tuple(sorted(seen)), transitions
+            elif word is None and z == zero and y != zero:
+                word = _path_word(base, parent, y)
+                if stop:
+                    return None, None, word
+    return tuple(sorted(parent)), transitions, word
+
+
+def _path_word(base: AlgebraicBase, parent: dict, y) -> WordSearchResult:
+    """The first-reached path 0 -> ... -> y -> 0 as digits z - alpha*x."""
+    digits, z = [], base.zero
+    while y is not None:
+        ay = base.mul_alpha(y)
+        digits.append(int(z - ay) if base.degree == 1 else z[0] - ay[0])
+        y, z = parent[y], y
+    word = tuple(reversed(digits))
+    return WordSearchResult(word, max(map(abs, word)),
+                            base.eval_word(word) == base.zero)
 
 
 class MinHeightReport(Record):
@@ -279,7 +276,7 @@ class MinHeightReport(Record):
                  "word",         # shortest witness, most significant first
                  "witness",      # the same word as an IntPolynomial vanishing at alpha
                  "value_check",
-                 "searched")     # (H, nontrivial trimmed edge count) per height
+                 "searched")     # (H, shortest word length or 0) per H from L
 
 
 def min_height(base, h_max: int | None = None, *,
@@ -287,21 +284,24 @@ def min_height(base, h_max: int | None = None, *,
     """The least H for which some nonzero digit word over {-H..H}
     evaluates to 0 at the base, with a shortest witness.
 
-    The minimal polynomial itself gives a zero word of height equal to
-    its largest coefficient, so the default search cap is exactly that
-    height and the search always succeeds there.  An explicit h_max
-    below the true minimum raises ResourceCapError."""
+    Each height runs the pass of Z(H) up to its first witness, from
+    L = max(|M(0)|, lc M) when irreducibility is verified, else from 1.
+    M itself is a zero word of height H(M), the default cap; a smaller
+    h_max may raise ResourceCapError."""
     base = _as_base(base)
-    cap = base.min_poly.height() if h_max is None else h_max
+    _require_supported(base)
+    m = base.min_poly
+    # By Gauss's lemma a nonzero P in Z[x] with P(alpha) = 0 is x^k M Q
+    # with Q in Z[x] and Q(0) != 0, so P has a coefficient M(0) Q(0) and
+    # one lc(M) lc(Q): no height below L has a zero word.
+    low = (max(abs(m.constant_term), m.leading_coefficient)
+           if base.irreducibility == "verified" else 1)
+    cap = m.height() if h_max is None else h_max
     searched = []
-    for h in range(1, cap + 1):
-        auto = build_zero_automaton(base, h, max_states=max_states).trim()
-        nontrivial = sum(1 for (_y, d) in auto.transitions if d != 0)
-        searched.append((h, nontrivial))
-        if nontrivial:
-            found = auto.shortest_nonzero_word()
-            if found is None or not found.value_check:
-                raise AssertionError("trim automaton lost its witness")
+    for h in range(low, cap + 1):
+        found = _monic_pass(base, h, max_states, stop=True)[2]
+        searched.append((h, len(found.word) if found else 0))
+        if found:
             witness = IntPolynomial(tuple(reversed(found.word)))
             return MinHeightReport(h, found.word, witness,
                                    found.value_check, tuple(searched))

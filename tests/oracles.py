@@ -5,9 +5,10 @@ exact integer arithmetic, no intervals, no pruning, and no shared code
 with the package internals.  Slow but obviously correct on the small
 instances the tests use.  The exceptions are zero_automaton_reference,
 which keeps the library's earlier Z(H) pruning on rational interval
-boxes as a reference for the integer fixed-point pruning that replaced it,
-and zero_automaton_rational_reference, the library's earlier separate
-Z(H) builder for degree-one bases.
+boxes as a reference for the integer fixed-point pruning that replaced it;
+zero_automaton_rational_reference, the library's earlier separate Z(H)
+builder for degree-one bases; and shortest_nonzero_word_reference, the
+library's earlier second breadth-first search for the shortest zero word.
 """
 
 from __future__ import annotations
@@ -266,6 +267,34 @@ def zero_automaton_rational_reference(base, height: int, max_states: int):
                     nxt.append(z)
         frontier = nxt
     return tuple(sorted(level)), transitions, level
+
+
+def shortest_nonzero_word_reference(auto):
+    """A shortest word (MSB first) with a nonzero digit that leads from 0
+    back to 0 in auto.transitions, or None: breadth-first search over
+    (state, seen a nonzero digit) nodes, digits in increasing order."""
+    zero = auto.zero
+    start, target = (zero, False), (zero, True)
+    parent: dict = {start: None}
+    queue = [start]
+    for node in queue:
+        y, dirty = node
+        for d in range(-auto.height, auto.height + 1):
+            z = auto.transitions.get((y, d))
+            if z is None:
+                continue
+            nxt = (z, dirty or d != 0)
+            if nxt in parent:
+                continue
+            parent[nxt] = (node, d)
+            if nxt == target:
+                digits = []
+                while parent[nxt] is not None:
+                    nxt, digit = parent[nxt]
+                    digits.append(digit)
+                return tuple(reversed(digits))
+            queue.append(nxt)
+    return None
 
 
 def multiquadratic_poly(radicands) -> list[int]:

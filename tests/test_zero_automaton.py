@@ -18,9 +18,10 @@ from algdigits import (
     make_base,
     min_height,
 )
-from algdigits.zero_automaton import ZeroAutomaton
+from algdigits.zero_automaton import ZeroAutomaton, _monic_pass
 
-from oracles import (growth_rate_dense, zero_automaton_rational_reference,
+from oracles import (growth_rate_dense, shortest_nonzero_word_reference,
+                     zero_automaton_rational_reference,
                      zero_automaton_reference, zero_words_monic,
                      zero_words_rational)
 
@@ -29,7 +30,7 @@ def _reference(base: AlgebraicBase, height: int,
                max_states: int = 10**6) -> ZeroAutomaton:
     states, transitions, _ = zero_automaton_reference(base, height,
                                                       max_states)
-    return ZeroAutomaton(base, height, states, transitions, False)
+    return ZeroAutomaton(base, height, states, transitions, None, False)
 
 
 class TestRejections:
@@ -229,7 +230,8 @@ class TestReference:
         base = make_base(poly)
         states, transitions, _ = zero_automaton_rational_reference(
             base, height, 10**6)
-        reference = ZeroAutomaton(base, height, states, transitions, False)
+        reference = ZeroAutomaton(base, height, states, transitions, None,
+                                  False)
         auto = build_zero_automaton(base, height)
         assert auto.to_json_dict() == reference.to_json_dict()
 
@@ -306,6 +308,89 @@ class TestOnePass:
         assert set(refined.states) <= set(one_pass.states)
 
 
+@st.composite
+def _small_base(draw):
+    """Ascending coefficients of a monic base of degree 1-3 with small
+    coefficients, or of a rational base p/q with q > 1."""
+    if draw(st.integers(0, 2)):
+        degree = draw(st.integers(1, 3))
+        const = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+        middle = draw(st.lists(st.integers(-3, 3), min_size=degree - 1,
+                               max_size=degree - 1))
+        return [const] + middle + [1]
+    return [-draw(st.integers(-5, 5)), draw(st.integers(2, 4))]
+
+
+def _small_build(coeffs, height):
+    """(base, Z(height)) with at most 400 states, or the example is
+    rejected: no base, a unit-circle conjugate, or too many states."""
+    try:
+        base = make_base(coeffs)
+        return base, build_zero_automaton(base, height, max_states=400)
+    except (InvalidPolynomialError, UnitCircleError, ResourceCapError):
+        assume(False)
+
+
+def _word(found):
+    return None if found is None else found.word
+
+
+class TestShortestWord:
+    """The pass that builds Z(H) finds the word that the earlier second
+    breadth-first search (oracles.shortest_nonzero_word_reference) finds
+    on the trimmed transitions."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(coeffs=_small_base(), height=st.integers(1, 3))
+    def test_carried_word_equals_reference(self, coeffs, height):
+        base, auto = _small_build(coeffs, height)
+        trimmed = auto.trim()
+        expected = shortest_nonzero_word_reference(trimmed)
+        assert _word(auto.shortest_nonzero_word()) == expected
+        assert _word(trimmed.shortest_nonzero_word()) == expected
+        if expected is not None:
+            found = auto.shortest_nonzero_word()
+            assert found.value_check and expected[0] != 0
+            assert found.height == max(map(abs, expected))
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(coeffs=_small_base(), height=st.integers(1, 3))
+    def test_stopped_pass_finds_a_word_where_the_reference_does(
+            self, coeffs, height):
+        base, auto = _small_build(coeffs, height)
+        stopped = _monic_pass(base, height, 400, stop=True)
+        assert (_word(stopped[2])
+                == shortest_nonzero_word_reference(auto.trim()))
+
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(coeffs=_small_base())
+    def test_no_zero_word_below_the_bound(self, coeffs):
+        # h* >= L = max(|M(0)|, lc M) for a verified minimal polynomial M:
+        # below L, neither the trimmed Z(H) nor the word oracle has a
+        # zero word with a nonzero digit.
+        base, _auto = _small_build(coeffs, 1)
+        assume(base.irreducibility == "verified")
+        m = base.min_poly
+        low = max(abs(m.constant_term), m.leading_coefficient)
+        for h in range(1, low):
+            _base, auto = _small_build(coeffs, h)
+            assert shortest_nonzero_word_reference(auto.trim()) is None
+            if base.degree == 1:
+                words = zero_words_rational(-m.coeffs[0], m.coeffs[1], h, 4)
+            else:
+                words = zero_words_monic(m.coeffs, h, 5)
+            assert not any(any(w) for w in words)
+        try:
+            report = min_height(base, max_states=400)
+        except ResourceCapError:
+            return
+        assert report.h_star >= low
+        assert report.searched[0][0] == low
+
+
 MIN_HEIGHT_CASES = [
     ("x^2 - x - 1", 1, (-1, 1, 1), (1, 1, -1)),
     ("x - 2", 2, (-1, 2), (2, -1)),
@@ -327,9 +412,31 @@ class TestMinHeight:
         assert base.eval_word(report.word) == base.zero
 
     def test_searched_trace(self):
+        # L = max(|M(0)|, lc M) = 3 is h*; the row holds the word's length
         report = min_height(make_base([-3, 2]))
-        assert [h for h, _n in report.searched] == [1, 2, 3]
-        assert [n == 0 for _h, n in report.searched] == [True, True, False]
+        assert list(report.searched) == [(3, 2)]
+
+    def test_witness_before_the_state_cap(self):
+        # the pass stops at its first witness, far below the 10^6 states
+        # a full Z(2) of x^6 + 2 would need
+        report = min_height("x^6 + 2")
+        assert (report.h_star, report.word) == (2, (-1, 0, 0, 0, 0, 0, -2))
+        assert report.searched == ((2, 7),)
+        assert min_height("x^5 + 2x^4 + 4x^3 + 4x^2 + 3x + 3").h_star == 3
+
+    def test_state_cap_counts_states_before_the_witness(self):
+        # Z(2) of x^3 + 2 has 557 states; its witness comes after 202
+        with pytest.raises(ResourceCapError):
+            build_zero_automaton("x^3 + 2", 2, max_states=300)
+        assert min_height("x^3 + 2", max_states=300).h_star == 2
+
+    @pytest.mark.parametrize("h_max", [0, 1, None])
+    def test_support_is_checked_before_any_height(self, h_max):
+        # L = 2 for 2x^2 - 3x + 2; its roots lie on the unit circle
+        with pytest.raises(UnitCircleError):
+            min_height("2x^2 - 3x + 2", h_max)
+        with pytest.raises(UnsupportedBaseError):
+            min_height("2x^2 - 4x + 3", h_max)
 
     def test_cap_exhausted(self):
         with pytest.raises(ResourceCapError):
