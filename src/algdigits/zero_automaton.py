@@ -293,7 +293,7 @@ def min_height(base, h_max: int | None = None, *,
     m = base.min_poly
     # By Gauss's lemma a nonzero P in Z[x] with P(alpha) = 0 is x^k M Q
     # with Q in Z[x] and Q(0) != 0, so P has a coefficient M(0) Q(0) and
-    # one lc(M) lc(Q): no height below L has a zero word.
+    # one lc(M) lc(Q): no height below L has a nonzero zero word.
     low = (max(abs(m.constant_term), m.leading_coefficient)
            if base.irreducibility == "verified" else 1)
     cap = m.height() if h_max is None else h_max

@@ -344,7 +344,7 @@ class TestShortestWord:
               suppress_health_check=[HealthCheck.too_slow])
     @given(coeffs=_small_base(), height=st.integers(1, 3))
     def test_carried_word_equals_reference(self, coeffs, height):
-        base, auto = _small_build(coeffs, height)
+        _base, auto = _small_build(coeffs, height)
         trimmed = auto.trim()
         expected = shortest_nonzero_word_reference(trimmed)
         assert _word(auto.shortest_nonzero_word()) == expected
@@ -417,8 +417,8 @@ class TestMinHeight:
         assert list(report.searched) == [(3, 2)]
 
     def test_witness_before_the_state_cap(self):
-        # the pass stops at its first witness, far below the 10^6 states
-        # a full Z(2) of x^6 + 2 would need
+        # the pass stops at its first witness; a full Z(2) of x^6 + 2
+        # has more than the default cap of 10^6 states
         report = min_height("x^6 + 2")
         assert (report.h_star, report.word) == (2, (-1, 0, 0, 0, 0, 0, -2))
         assert report.searched == ((2, 7),)
