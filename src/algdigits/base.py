@@ -20,7 +20,7 @@ from operator import index, mul
 
 from .errors import (InvalidPolynomialError, PrecisionError,
                      UnsupportedBaseError)
-from .intervals import Box, dyadic_outward
+from .intervals import Box
 from .polynomials import (IntPolynomial, count_real_roots_between,
                           is_irreducible_z, palindromic_half,
                           parse_polynomial, require_min_poly_shape)
@@ -339,11 +339,11 @@ class AlgebraicBase:
         is proven to exceed radii[k] (None leaves conjugate k free).  x is
         a coordinate tuple; a degree-one state is its one integer.
 
-        Each power box alpha_k^i is rounded outward once to integers
-        L <= U on the 2^-n grid, kept as midpoint L + U and radius U - L
-        over 2^(n+1).  sigma_k(x) is then an integer dot product, d shifts
-        its real midpoint by d 2^(n+1) (alpha^0 is the exact point 1), and
-        the range follows from exact integer comparisons and isqrt."""
+        Each power box alpha_k^i is rounded outward once to the 2^-n grid;
+        each side L <= U is kept as midpoint L + U and radius U - L over
+        2^(n+1).  sigma_k(x) is then an integer dot product, d shifts its
+        real midpoint by d 2^(n+1) (alpha^0 is the exact point 1), and the
+        range follows from exact integer comparisons and isqrt."""
         bits = grid_bits(self.achieved_width)
         unit = 1 << (bits + 1)
         tests = []
@@ -351,12 +351,12 @@ class AlgebraicBase:
             if radius is not None:
                 parts = []
                 for box in row:
-                    rl, ru = dyadic_outward(box.re, bits)
-                    il, iu = dyadic_outward(box.im, bits)
-                    parts.append((rl + ru, ru - rl, il + iu, iu - il))
-                sq = radius * radius
-                tests.append((*zip(*parts), sq.numerator << (2 * bits + 2),
-                              sq.denominator))
+                    g = box.outward(bits)
+                    parts.append((g.rl + g.rh, g.rh - g.rl,
+                                  g.il + g.ih, g.ih - g.il))
+                tests.append((*zip(*parts),
+                              radius.numerator ** 2 << (2 * bits + 2),
+                              radius.denominator ** 2))
 
         def window(x, lo: int, hi: int) -> range:
             mags = tuple(map(abs, x))

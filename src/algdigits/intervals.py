@@ -1,10 +1,13 @@
-"""Exact interval arithmetic with rational endpoints.
+"""Exact complex rectangles with integer endpoints over one denominator.
 
-Real intervals are closed, endpoints are fractions.Fraction, and every
-operation returns an interval guaranteed to contain the true result.
-Complex values are rectangles (a real interval for each part).  These
-rectangles carry the certified locations of conjugates; all pruning
-decisions elsewhere consume only their endpoints.
+A Box is [rl/den, rh/den] x [il/den, ih/den] for integers rl <= rh,
+il <= ih and den >= 1: a power of two for root rectangles and every sum
+and product built from them, b for the exact point a/b of a degree-one
+base.  Each operation is exact integer arithmetic, with no gcd of
+endpoints, and returns a box that contains the true result; outward()
+rounds onto a dyadic grid.  These rectangles carry the certified locations of
+conjugates.  Fractions appear only in the scalars that are printed or
+compared: the endpoint views re and im, width, and abs_bounds.
 """
 
 from __future__ import annotations
@@ -15,211 +18,190 @@ from fractions import Fraction
 from .record import Record
 
 
-def sqrt_lower(q: Fraction) -> Fraction:
-    """A rational r with r*r <= q and q - r*r small (about 2^-64 rel)."""
-    if q < 0:
-        raise ValueError("sqrt of a negative rational")
-    if q == 0:
-        return Fraction(0)
-    scale = 1 << 64
-    n = q.numerator * q.denominator * scale * scale
-    return Fraction(math.isqrt(n), q.denominator * scale)
+def sqrt_bound(q: Fraction, up: bool = False) -> Fraction:
+    """A rational r >= 0 with r*r <= q, or r*r >= q when up, for q >= 0:
+    isqrt(n d 2^128) / (d 2^64), rounded up when up, for q = n/d in
+    lowest terms; within about 2^-64 relative of sqrt(q)."""
+    d = q.denominator << 64
+    n = q.numerator * d << 64
+    r = math.isqrt(n)
+    return Fraction(r + (up and r * r < n), d)
 
 
-def sqrt_upper(q: Fraction) -> Fraction:
-    """A rational r with r*r >= q (tight to about 2^-64)."""
-    if q < 0:
-        raise ValueError("sqrt of a negative rational")
-    if q == 0:
-        return Fraction(0)
-    scale = 1 << 64
-    n = q.numerator * q.denominator * scale * scale
-    s = math.isqrt(n)
-    if s * s < n:
-        s += 1
-    return Fraction(s, q.denominator * scale)
+def _mul(al: int, ah: int, bl: int, bh: int) -> tuple[int, int]:
+    """(min, max) of the endpoint products: the interval product."""
+    products = (al * bl, al * bh, ah * bl, ah * bh)
+    return min(products), max(products)
 
 
-def dyadic_outward(iv: Interval, bits: int) -> tuple[int, int]:
-    """Integers (L, U) with L / 2^bits <= iv.lo and iv.hi <= U / 2^bits:
-    the interval rounded outward to the 2^-bits grid."""
-    lo, hi = iv.lo, iv.hi
-    return ((lo.numerator << bits) // lo.denominator,
-            -((-hi.numerator << bits) // hi.denominator))
+def _square(lo: int, hi: int) -> tuple[int, int]:
+    """The interval square, 0 at the bottom when it straddles zero."""
+    a, b = lo * lo, hi * hi
+    if lo <= 0 <= hi:
+        return 0, max(a, b)
+    return min(a, b), max(a, b)
 
 
-class Interval(Record):
-    """Closed interval [lo, hi] with rational endpoints."""
+def _over(a: "Box", b: "Box") -> tuple[tuple, tuple, int]:
+    """The endpoints of a and of b over their least common denominator,
+    and that denominator: the larger one for two powers of two."""
+    den = a.den if a.den == b.den else math.lcm(a.den, b.den)
+    fa, fb = den // a.den, den // b.den
+    return ((a.rl * fa, a.rh * fa, a.il * fa, a.ih * fa),
+            (b.rl * fb, b.rh * fb, b.il * fb, b.ih * fb), den)
+
+
+class Span(Record):
+    """One side of a Box as exact rationals: the read-only view re or im."""
 
     __slots__ = ("lo", "hi")
 
-    def __init__(self, lo, hi) -> None:
-        lo = Fraction(lo)
-        hi = Fraction(hi)
-        if lo > hi:
-            raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    @staticmethod
-    def point(q) -> "Interval":
-        q = Fraction(q)
-        return Interval(q, q)
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    def contains(self, q) -> bool:
-        return self.lo <= q <= self.hi
-
-    def __add__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo + other.lo, self.hi + other.hi)
-
-    def __sub__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo - other.hi, self.hi - other.lo)
-
-    def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
-
-    def __mul__(self, other: "Interval") -> "Interval":
-        products = (self.lo * other.lo, self.lo * other.hi,
-                    self.hi * other.lo, self.hi * other.hi)
-        return Interval(min(products), max(products))
-
-    def scale(self, q) -> "Interval":
-        q = Fraction(q)
-        if q >= 0:
-            return Interval(self.lo * q, self.hi * q)
-        return Interval(self.hi * q, self.lo * q)
-
-    def shift(self, q) -> "Interval":
-        q = Fraction(q)
-        return Interval(self.lo + q, self.hi + q)
-
-    def square(self) -> "Interval":
-        """Tighter than self * self when the interval straddles zero."""
-        a, b = self.lo * self.lo, self.hi * self.hi
-        if self.lo <= 0 <= self.hi:
-            return Interval(Fraction(0), max(a, b))
-        return Interval(min(a, b), max(a, b))
-
-    def intersect(self, other: "Interval") -> "Interval | None":
-        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        if lo > hi:
-            return None
-        return Interval(lo, hi)
-
-    def contains_strict(self, other: "Interval") -> bool:
-        """True when other lies in the open interior of self."""
-        return self.lo < other.lo and other.hi < self.hi
-
-    def disjoint(self, other: "Interval") -> bool:
-        return self.hi < other.lo or other.hi < self.lo
-
-    def reciprocal(self) -> "Interval":
-        if self.lo <= 0 <= self.hi:
-            raise ZeroDivisionError("interval contains zero")
-        return Interval(1 / self.hi, 1 / self.lo)
-
-    def __repr__(self) -> str:
-        return f"[{self.lo}, {self.hi}]"
-
 
 class Box(Record):
-    """Axis-aligned rectangle in the complex plane."""
+    """Axis-aligned rectangle in the complex plane, endpoints over den."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("rl", "rh", "il", "ih", "den")
 
-    def __init__(self, re: Interval, im: Interval) -> None:
+    def __init__(self, rl: int, rh: int, il: int, ih: int, den: int = 1):
         # Spelled out: boxes are built in every Horner step.
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
+        if rl > rh or il > ih or den < 1:
+            raise ValueError(f"box endpoints out of order: "
+                             f"[{rl}, {rh}] x [{il}, {ih}] / {den}")
+        put = object.__setattr__
+        put(self, "rl", rl)
+        put(self, "rh", rh)
+        put(self, "il", il)
+        put(self, "ih", ih)
+        put(self, "den", den)
 
     @staticmethod
     def point(re, im=0) -> "Box":
-        return Box(Interval.point(re), Interval.point(im))
+        """The exact point re + i im, for ints or Fractions."""
+        den = math.lcm(re.denominator, im.denominator)
+        x, y = (q.numerator * (den // q.denominator) for q in (re, im))
+        return Box(x, x, y, y, den)
+
+    @property
+    def re(self) -> Span:
+        return Span(Fraction(self.rl, self.den), Fraction(self.rh, self.den))
+
+    @property
+    def im(self) -> Span:
+        return Span(Fraction(self.il, self.den), Fraction(self.ih, self.den))
+
+    def _span(self) -> int:
+        return max(self.rh - self.rl, self.ih - self.il)
 
     @property
     def width(self) -> Fraction:
-        return max(self.re.width, self.im.width)
+        return Fraction(self._span(), self.den)
+
+    def wider(self, other) -> bool:
+        """Whether self is wider than other, a Box or a Fraction."""
+        if isinstance(other, Box):
+            return self._span() * other.den > other._span() * self.den
+        return self._span() * other.denominator > other.numerator * self.den
 
     @property
-    def mid(self) -> tuple[Fraction, Fraction]:
-        return (self.re.mid, self.im.mid)
+    def mid(self) -> "Box":
+        """The centre, as a point box."""
+        re, im = self.rl + self.rh, self.il + self.ih
+        return Box(re, re, im, im, 2 * self.den)
+
+    def __eq__(self, other):
+        if other.__class__ is not Box:
+            return NotImplemented
+        a, b, _ = _over(self, other)
+        return a == b
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
 
     def __add__(self, other: "Box") -> "Box":
-        return Box(self.re + other.re, self.im + other.im)
+        (a, b, c, d), (e, f, g, h), den = _over(self, other)
+        return Box(a + e, b + f, c + g, d + h, den)
 
     def __sub__(self, other: "Box") -> "Box":
-        return Box(self.re - other.re, self.im - other.im)
+        (a, b, c, d), (e, f, g, h), den = _over(self, other)
+        return Box(a - f, b - e, c - h, d - g, den)
 
     def __mul__(self, other: "Box") -> "Box":
-        return Box(self.re * other.re - self.im * other.im,
-                   self.re * other.im + self.im * other.re)
+        rr = _mul(self.rl, self.rh, other.rl, other.rh)
+        ii = _mul(self.il, self.ih, other.il, other.ih)
+        ri = _mul(self.rl, self.rh, other.il, other.ih)
+        ir = _mul(self.il, self.ih, other.rl, other.rh)
+        return Box(rr[0] - ii[1], rr[1] - ii[0], ri[0] + ir[0], ri[1] + ir[1],
+                   self.den * other.den)
 
     def scale(self, q) -> "Box":
-        return Box(self.re.scale(q), self.im.scale(q))
+        """q times self, for an int or a Fraction q."""
+        n, den = q.numerator, self.den * q.denominator
+        if n >= 0:
+            return Box(self.rl * n, self.rh * n, self.il * n, self.ih * n, den)
+        return Box(self.rh * n, self.rl * n, self.ih * n, self.il * n, den)
 
-    def shift_re(self, q) -> "Box":
-        return Box(self.re.shift(q), self.im)
-
-    def conjugate(self) -> "Box":
-        return Box(self.re, -self.im)
-
-    def abs_sq(self) -> Interval:
-        return self.re.square() + self.im.square()
+    def _abs_sq(self) -> tuple[int, int]:
+        """Bounds on |z|^2 over den^2."""
+        rl, rh = _square(self.rl, self.rh)
+        il, ih = _square(self.il, self.ih)
+        return rl + il, rh + ih
 
     def abs_bounds(self) -> tuple[Fraction, Fraction]:
-        sq = self.abs_sq()
-        return (sqrt_lower(sq.lo), sqrt_upper(sq.hi))
-
-    def contains(self, re, im=0) -> bool:
-        return self.re.contains(re) and self.im.contains(im)
+        lo, hi = self._abs_sq()
+        den = self.den * self.den
+        return (sqrt_bound(Fraction(lo, den)),
+                sqrt_bound(Fraction(hi, den), up=True))
 
     def contains_strict(self, other: "Box") -> bool:
-        return self.re.contains_strict(other.re) and self.im.contains_strict(other.im)
+        """True when other lies in the open interior of self."""
+        (a, b, c, d), (e, f, g, h), _ = _over(self, other)
+        return a < e and f < b and c < g and h < d
 
     def disjoint(self, other: "Box") -> bool:
-        return self.re.disjoint(other.re) or self.im.disjoint(other.im)
+        (a, b, c, d), (e, f, g, h), _ = _over(self, other)
+        return b < e or f < a or d < g or h < c
 
     def intersect(self, other: "Box") -> "Box | None":
-        re = self.re.intersect(other.re)
-        im = self.im.intersect(other.im)
-        if re is None or im is None:
+        (a, b, c, d), (e, f, g, h), den = _over(self, other)
+        rl, rh, il, ih = max(a, e), min(b, f), max(c, g), min(d, h)
+        if rl > rh or il > ih:
             return None
-        return Box(re, im)
+        return Box(rl, rh, il, ih, den)
 
-    def divide_into(self, numerator: "Box") -> "Box":
-        """numerator / self, valid only when 0 is certifiably outside
-        self.  Uses z/w = z * conj(w) / |w|^2."""
-        denom_sq = self.abs_sq()
-        if denom_sq.lo <= 0:
-            raise ZeroDivisionError("divisor box may contain zero")
-        scaled = numerator * self.conjugate()
-        inv = denom_sq.reciprocal()
-        return Box(scaled.re * inv, scaled.im * inv)
+    def divide_into(self, numerator: "Box") -> "Box | None":
+        """numerator / self as z conj(w) / |w|^2, or None when self may
+        contain 0.  With |w|^2 in [ql, qh] / den^2, each endpoint x/s of
+        z conj(w) gives the candidates x den^2 qh and x den^2 ql over
+        s ql qh."""
+        ql, qh = self._abs_sq()
+        if ql <= 0:
+            return None
+        s = numerator * Box(self.rl, self.rh, -self.ih, -self.il, self.den)
+        q = self.den * self.den
+        re = (s.rl * qh, s.rl * ql, s.rh * qh, s.rh * ql)
+        im = (s.il * qh, s.il * ql, s.ih * qh, s.ih * ql)
+        return Box(min(re) * q, max(re) * q, min(im) * q, max(im) * q,
+                   s.den * ql * qh)
 
     def outward(self, bits: int) -> "Box":
         """The smallest box on the 2^-bits grid that contains self."""
-        one = 1 << bits
-        rl, ru = dyadic_outward(self.re, bits)
-        il, iu = dyadic_outward(self.im, bits)
-        return Box(Interval(Fraction(rl, one), Fraction(ru, one)),
-                   Interval(Fraction(il, one), Fraction(iu, one)))
-
-    def __repr__(self) -> str:
-        return f"Box(re={self.re}, im={self.im})"
+        den = self.den
+        if den & (den - 1) == 0:  # a power of two: shift
+            s = den.bit_length() - 1 - bits
+            if s <= 0:
+                return Box(self.rl << -s, self.rh << -s, self.il << -s,
+                           self.ih << -s, 1 << bits)
+            return Box(self.rl >> s, -(-self.rh >> s), self.il >> s,
+                       -(-self.ih >> s), 1 << bits)
+        return Box((self.rl << bits) // den, -((-self.rh << bits) // den),
+                   (self.il << bits) // den, -((-self.ih << bits) // den),
+                   1 << bits)
 
 
 def horner_box(coeffs, z: Box, bits: int) -> Box:
     """Evaluate an integer polynomial at a box, coefficients ascending,
     rounding every Horner step outward to the 2^-bits grid."""
-    acc = Box.point(0)
+    acc = Box(0, 0, 0, 0)
     for c in reversed(coeffs):
-        acc = (acc * z).shift_re(c).outward(bits)
+        acc = (acc * z + Box(c, c, 0, 0)).outward(bits)
     return acc

@@ -27,28 +27,26 @@ import math
 from fractions import Fraction
 
 from .errors import PrecisionError
-from .intervals import Box, Interval, horner_box
+from .intervals import Box, horner_box
 
 DEFAULT_WIDTH = Fraction(1, 2**40)
 
-_CRat = tuple[Fraction, Fraction]
 
-
-def _eval_and_diff(coeffs, z: _CRat) -> tuple[_CRat, _CRat]:
-    """(P(z), P'(z)) exactly, for z with dyadic parts and degree d >= 1:
-    one Horner pass on the Gaussian integer a + bi = z 2^k, carrying
-    2^(k(d-j)) times the partial value h_j and 2^(k(d-1-j)) times its
-    derivative g_j, so that no step needs a gcd."""
+def _eval_and_diff(coeffs, z: Box) -> tuple[int, int, int, int]:
+    """Integers (hr, hi, gr, gi) with P(z) = (hr + i hi) / D^d and
+    P'(z) = (gr + i gi) / D^(d-1), for a point z whose denominator D is a
+    power of two and degree d >= 1: one Horner pass on the Gaussian
+    integer a + bi = z D, carrying D^(d-j) times the partial value h_j
+    and D^(d-1-j) times its derivative g_j, so that no step needs a gcd."""
     d = len(coeffs) - 1
-    k = max(z[0].denominator, z[1].denominator).bit_length() - 1
-    a, b = int(z[0] * (1 << k)), int(z[1] * (1 << k))
+    k = z.den.bit_length() - 1
+    a, b = z.rl, z.il
     hr = hi = gr = gi = 0
     for j in range(d, -1, -1):
         gr, gi = gr * a - gi * b + hr, gr * b + gi * a + hi
         hr, hi = (hr * a - hi * b + (coeffs[j] << (k * (d - j))),
                   hr * b + hi * a)
-    return ((Fraction(hr, 1 << (k * d)), Fraction(hi, 1 << (k * d))),
-            (Fraction(gr, 1 << (k * d - k)), Fraction(gi, 1 << (k * d - k))))
+    return hr, hi, gr, gi
 
 
 def grid_bits(width: Fraction) -> int:
@@ -60,13 +58,12 @@ def grid_bits(width: Fraction) -> int:
 
 def _newton(coeffs, box: Box, bits: int) -> Box | None:
     """N(B) = m - P(m)/P'(B); None when P'(B) may contain zero."""
-    mre, mim = box.mid
-    p_mid, _ = _eval_and_diff(coeffs, (mre, mim))
+    m = box.mid
+    hr, hi, _, _ = _eval_and_diff(coeffs, m)
     dp_box = horner_box([i * c for i, c in enumerate(coeffs)][1:], box, bits)
-    if dp_box.abs_sq().lo <= 0:
-        return None
-    quotient = dp_box.divide_into(Box.point(p_mid[0], p_mid[1]))
-    return Box.point(mre, mim) - quotient
+    quotient = dp_box.divide_into(
+        Box(hr, hr, hi, hi, m.den ** (len(coeffs) - 1)))
+    return None if quotient is None else m - quotient
 
 
 def _contract(coeffs, box: Box, width: Fraction, bits: int) -> Box:
@@ -75,60 +72,68 @@ def _contract(coeffs, box: Box, width: Fraction, bits: int) -> Box:
     every root in B lies in N(B), so each iterate holds the root and lies
     inside the one before.  B is on that grid, or on a finer one when
     _certify had to polish its seed."""
-    while box.width > width:
+    while box.wider(width):
         step = _newton(coeffs, box, bits)
         meet = step.intersect(box) if step is not None else None
         if meet is not None:
             meet = meet.outward(bits).intersect(box)
-        if meet is None or meet.width >= box.width:
+        if meet is None or not box.wider(meet):
             raise PrecisionError(
                 f"root contraction stalled for {coeffs} at width {box.width}")
         box = meet
     return box
 
 
-def _polish(coeffs, z: _CRat, bits: int) -> _CRat:
+def _round(n: int, m: int) -> int:
+    """n / m rounded to the nearest integer, ties to even, for m > 0."""
+    q, r = divmod(n, m)
+    return q + (2 * r > m or (2 * r == m and q & 1))
+
+
+def _polish(coeffs, z: Box, bits: int) -> Box:
     """Newton steps z <- z - P(z)/P'(z) in exact arithmetic, each iterate
-    rounded to the 2^-bits grid, until z stops moving (at most 64)."""
-    one = 1 << bits
+    rounded to the nearest point of the 2^-bits grid (ties to even), until
+    z stops moving (at most 64).  With z = (a + bi)/D, P(z)/P'(z) is
+    (hr + i hi)(gr - i gi) / (g D) for g = gr^2 + gi^2."""
     for _ in range(64):
-        p, dp = _eval_and_diff(coeffs, z)
-        den = dp[0] * dp[0] + dp[1] * dp[1]
-        if not den:
+        hr, hi, gr, gi = _eval_and_diff(coeffs, z)
+        g = gr * gr + gi * gi
+        if not g:
             break
-        nxt = (Fraction(round((z[0] - (p[0] * dp[0] + p[1] * dp[1]) / den)
-                              * one), one),
-               Fraction(round((z[1] - (p[1] * dp[0] - p[0] * dp[1]) / den)
-                              * one), one))
+        den = g * z.den
+        x = _round((z.rl * g - hr * gr - hi * gi) << bits, den)
+        y = _round((z.il * g - hi * gr + hr * gi) << bits, den)
+        nxt = Box(x, x, y, y, 1 << bits)
         if nxt == z:
             break
         z = nxt
     return z
 
 
-def _certify(coeffs, seed: _CRat, bits: int) -> Box:
-    """A box proven to hold exactly one root near seed: N(B) strictly
-    inside B proves it, and N(B) rounded outward still lies in B.  The
-    first radius tried is 8|P/P'| at the seed, grown fourfold up to seven
-    times, on the 2^-bits grid.  When none works, the seed is polished on
-    a grid of twice the bits and the radii are tried there, up to four
-    doublings.  This is what certifies a root of a tight cluster, whose
-    float seed can lie nearer a neighbour than the root, or a cluster
-    that the 2^-bits grid is too coarse to split."""
+def _certify(coeffs, seed: Box, bits: int) -> Box:
+    """A box proven to hold exactly one root near the point seed: N(B)
+    strictly inside B proves it, and N(B) rounded outward still lies in
+    B.  The first radius tried is about 8|P/P'| at the seed, grown
+    fourfold up to seven times, on the 2^-bits grid.  When none works,
+    the seed is polished on a grid of twice the bits and the radii are
+    tried there, up to four doublings.  This certifies a root of a tight
+    cluster, whose float seed can lie nearer a neighbour than the root,
+    or a cluster that the 2^-bits grid is too coarse to split."""
     for grid in (bits << i for i in range(5)):
         if grid > bits:
             seed = _polish(coeffs, seed, grid)
-        p, dp = _eval_and_diff(coeffs, seed)
-        radius = Fraction(1, 1 << grid)
-        if dp[0] or dp[1]:
-            radius = max(radius, 8 * (abs(p[0]) + abs(p[1]))
-                         / max(abs(dp[0]), abs(dp[1])))
-        for r in (radius * 4**i for i in range(8)):
-            box = Box(Interval(seed[0] - r, seed[0] + r),
-                      Interval(seed[1] - r, seed[1] + r)).outward(grid)
+        hr, hi, gr, gi = _eval_and_diff(coeffs, seed)
+        # rn / rd = 8 (|hr| + |hi|) / (max(|gr|, |gi|) D) if P' is not 0 there
+        rn, rd = 1, 1 << grid
+        n, d = 8 * (abs(hr) + abs(hi)), max(abs(gr), abs(gi)) * seed.den
+        if d and n * rd > d:
+            rn, rd = n, d
+        for r in (rn << 2 * i for i in range(8)):
+            box = (seed + Box(-r, r, -r, r, rd)).outward(grid)
             step = _newton(coeffs, box, grid)
             if step is not None and box.contains_strict(step):
                 return step.outward(grid)
+    r = Fraction(r, rd)
     raise PrecisionError(
         f"could not certify a root of {coeffs} up to the 2^-{grid} grid; "
         "the last radius tried was about "
@@ -162,8 +167,8 @@ def _correction(a, zr, zi, i) -> tuple[float, float]:
             math.ldexp((pi * dr - pr * di) / m, kp - k))
 
 
-def _float_seeds(coeffs) -> list[_CRat]:
-    """Approximations of all roots, as rationals read off floats.  A power
+def _float_seeds(coeffs) -> list[Box]:
+    """Approximations of all roots, as points read off floats.  A power
     of two R above Fujiwara's bound 2 max_k |c_k/c_d|^(1/(d-k)) moves the
     roots of q(w) = p(R w) / (c_d R^d) into the unit disk; the monic
     coefficients of q have modulus <= 1/2, so their floats cannot
@@ -174,9 +179,8 @@ def _float_seeds(coeffs) -> list[_CRat]:
     # e = 1 + ceil((t+1)/(d-k)) over every k with c_k != 0.
     e = max([0] + [1 - (abs(lead).bit_length() - abs(c).bit_length() - 1)
                    // (d - k) for k, c in enumerate(coeffs[:d]) if c])
-    scale = Fraction(2) ** e
-    a = [float(Fraction(c) / (lead * scale ** (d - k)))
-         for k, c in enumerate(coeffs[:d])]
+    # Integer true division rounds correctly, as float(Fraction) does.
+    a = [c / (lead << e * (d - k)) for k, c in enumerate(coeffs[:d])]
     zr, zi, xr, xi = [], [], 1.0, 0.0
     for _ in range(d):
         zr.append(xr)
@@ -201,7 +205,8 @@ def _float_seeds(coeffs) -> list[_CRat]:
         if worst <= 2.0 ** -100 or 2.0 ** -60 >= worst > last / 4:
             break
         last = worst
-    return [(Fraction(x) * scale, Fraction(y) * scale) for x, y in zip(zr, zi)]
+    return [Box.point(Fraction(x), Fraction(y)).scale(1 << e)
+            for x, y in zip(zr, zi)]
 
 
 def certified_roots(coeffs, width: Fraction = DEFAULT_WIDTH) -> list[Box]:

@@ -18,6 +18,7 @@ polynomial is monic, rational ones (including integers) always.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 
 from .base import AlgebraicBase, _as_base
@@ -109,17 +110,27 @@ class ZeroAutomaton(Record):
         return self.word
 
     def count_words(self, length: int) -> int:
-        """Exact number of accepted words of the given length."""
+        """Exact number of accepted words of the given length.  The count
+        never falls as the length grows (0 keeps its loop of digit 0), so
+        the first step whose count reaches 10^N, for an int-to-str limit
+        of N digits (none when N is 0), raises ResourceCapError."""
         if length < 0:
             raise ValueError("length must be nonnegative")
+        limit = sys.get_int_max_str_digits()
+        cap = 10 ** limit if limit else math.inf
         vec = {self.zero: 1}
-        for _ in range(length):
+        for step in range(1, length + 1):
             nxt: dict = {}
             for (y, _d), z in self.transitions.items():
                 c = vec.get(y)
                 if c:
                     nxt[z] = nxt.get(z, 0) + c
             vec = nxt
+            if vec.get(self.zero, 0) >= cap:
+                raise ResourceCapError(
+                    f"the word count reaches the limit of {limit} decimal "
+                    f"digits for int-to-str conversion at length {step}, "
+                    f"with {vec[self.zero].bit_length()} bits")
         return vec.get(self.zero, 0)
 
     def growth_rate(self) -> tuple:
@@ -134,7 +145,7 @@ class ZeroAutomaton(Record):
             preds[index[z]].append(index[y])
 
         def apply(vec):
-            return [math.fsum([vec[j] for j in row]) for row in preds]
+            return [math.fsum(map(vec.__getitem__, row)) for row in preds]
 
         def norm(vec):
             return math.sqrt(math.fsum([x * x for x in vec]))

@@ -3,17 +3,21 @@
 Everything here is deliberately naive: exhaustive enumeration with
 exact integer arithmetic, no intervals, no pruning, and no shared code
 with the package internals.  Slow but obviously correct on the small
-instances the tests use.  The exceptions are zero_automaton_reference,
-which keeps the library's earlier Z(H) pruning on rational interval
-boxes as a reference for the integer fixed-point pruning that replaced it;
-zero_automaton_rational_reference, the library's earlier separate Z(H)
-builder for degree-one bases; and shortest_nonzero_word_reference, the
-library's earlier second breadth-first search for the shortest zero word.
+instances the tests use.  The exceptions are Interval and FractionBox,
+the library's earlier interval arithmetic on Fraction endpoints, kept as
+the reference for the integer boxes that replaced it;
+zero_automaton_reference, which keeps the library's earlier Z(H) pruning
+on those boxes as a reference for the integer fixed-point pruning that
+replaced it; zero_automaton_rational_reference, the library's earlier
+separate Z(H) builder for degree-one bases; and
+shortest_nonzero_word_reference, the library's earlier second
+breadth-first search for the shortest zero word.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -163,6 +167,90 @@ def height_values_naive(reps, s: int) -> set:
     return out
 
 
+class Interval:
+    """Closed interval [lo, hi] with Fraction endpoints."""
+
+    def __init__(self, lo, hi) -> None:
+        self.lo, self.hi = Fraction(lo), Fraction(hi)
+        if self.lo > self.hi:
+            raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
+
+    def __add__(self, other: "Interval") -> "Interval":
+        return Interval(self.lo + other.lo, self.hi + other.hi)
+
+    def __sub__(self, other: "Interval") -> "Interval":
+        return Interval(self.lo - other.hi, self.hi - other.lo)
+
+    def __mul__(self, other: "Interval") -> "Interval":
+        products = (self.lo * other.lo, self.lo * other.hi,
+                    self.hi * other.lo, self.hi * other.hi)
+        return Interval(min(products), max(products))
+
+    def scale(self, q) -> "Interval":
+        return self * Interval(q, q)
+
+    def square(self) -> "Interval":
+        """Tighter than self * self when the interval straddles zero."""
+        a, b = self.lo * self.lo, self.hi * self.hi
+        if self.lo <= 0 <= self.hi:
+            return Interval(0, max(a, b))
+        return Interval(min(a, b), max(a, b))
+
+    def outward(self, bits: int) -> "Interval":
+        """The smallest interval on the 2^-bits grid that holds self."""
+        one = 1 << bits
+        return Interval(Fraction(math.floor(self.lo * one), one),
+                        Fraction(math.ceil(self.hi * one), one))
+
+
+class FractionBox:
+    """Axis-aligned complex rectangle, a pair of Fraction intervals."""
+
+    def __init__(self, re: Interval, im: Interval) -> None:
+        self.re, self.im = re, im
+
+    @staticmethod
+    def point(re, im=0) -> "FractionBox":
+        return FractionBox(Interval(re, re), Interval(im, im))
+
+    @staticmethod
+    def of(box) -> "FractionBox":
+        """The library box with the same endpoints."""
+        return FractionBox(Interval(box.re.lo, box.re.hi),
+                           Interval(box.im.lo, box.im.hi))
+
+    def ends(self) -> tuple:
+        return (self.re.lo, self.re.hi, self.im.lo, self.im.hi)
+
+    def __add__(self, other: "FractionBox") -> "FractionBox":
+        return FractionBox(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other: "FractionBox") -> "FractionBox":
+        return FractionBox(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other: "FractionBox") -> "FractionBox":
+        return FractionBox(self.re * other.re - self.im * other.im,
+                           self.re * other.im + self.im * other.re)
+
+    def scale(self, q) -> "FractionBox":
+        return FractionBox(self.re.scale(q), self.im.scale(q))
+
+    def outward(self, bits: int) -> "FractionBox":
+        return FractionBox(self.re.outward(bits), self.im.outward(bits))
+
+    def abs_sq(self) -> Interval:
+        return self.re.square() + self.im.square()
+
+
+def horner_box_reference(coeffs, z: FractionBox, bits: int) -> FractionBox:
+    """An integer polynomial at a box, coefficients ascending, every
+    Horner step rounded outward to the 2^-bits grid."""
+    acc = FractionBox.point(0)
+    for c in reversed(coeffs):
+        acc = (acc * z + FractionBox.point(c)).outward(bits)
+    return acc
+
+
 def zero_automaton_reference(base, height: int, max_states: int):
     """(states, transitions, level) of the untrimmed Z(height) for a
     monic AlgebraicBase of degree >= 2, pruning each successor with
@@ -172,19 +260,19 @@ def zero_automaton_reference(base, height: int, max_states: int):
     # Imported here so the brute-force oracles above stay importable
     # without the package on the path.
     from algdigits.errors import ResourceCapError
-    from algdigits.intervals import Box
 
     moduli = base.conjugate_moduli()
     expanding = [k for k, (lo, _hi) in enumerate(moduli) if lo > 1]
     bound_hi = {k: (Fraction(height) / (moduli[k][0] - 1)) ** 2
                 for k in expanding}
 
-    table = [list(itertools.accumulate([box] * (base.degree - 1), Box.__mul__,
-                                       initial=Box.point(1)))
+    table = [list(itertools.accumulate([FractionBox.of(box)] * (base.degree - 1),
+                                       FractionBox.__mul__,
+                                       initial=FractionBox.point(1)))
              for box in base.conjugates()]
 
     def sigma_abs_sq(coords, k):
-        acc = Box.point(0)
+        acc = FractionBox.point(0)
         for i, c in enumerate(coords):
             if c:
                 acc = acc + table[k][i].scale(c)

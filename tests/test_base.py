@@ -6,9 +6,9 @@ import pytest
 import algdigits.base
 from algdigits import (Classification, InvalidPolynomialError, PrecisionError,
                        UnsupportedBaseError, card_bounds, make_base)
-from algdigits.intervals import Box, Interval
+from algdigits.intervals import Box
 
-from oracles import multiquadratic_poly
+from oracles import FractionBox, multiquadratic_poly
 
 
 class TestClassification:
@@ -181,7 +181,7 @@ class TestIntervalData:
         for box in boxes:
             assert box.width <= Fraction(1, 2**20)
         # sigma(alpha) = +-sqrt(2): the two boxes cover both signs
-        mids = sorted(box.mid[0] for box in boxes)
+        mids = sorted(box.mid.re.lo for box in boxes)
         assert mids[0] < 0 < mids[1]
 
     @pytest.mark.parametrize("poly", ["x^2 + 2x + 2", "x^2 - 2", "x^3 + 2",
@@ -198,7 +198,7 @@ class TestIntervalData:
             x = (0,) + tail
             kept = window(x, -8, 8)
             for d in range(-8, 9):
-                lows = [box.abs_sq().lo for box, r in
+                lows = [FractionBox.of(box).abs_sq().lo for box, r in
                         zip(base.conjugate_boxes(base.add_int(x, d)), radii)
                         if r is not None]
                 bounds = [r for r in radii if r is not None]
@@ -247,7 +247,7 @@ class TestIntervalData:
         # Root boxes that never shrink keep both moduli straddling 1: the
         # separation gives up after 80 sixteenfold steps and names the
         # width it reached.
-        wide = Box(Interval(-1, 1), Interval(-1, 1))
+        wide = Box(-1, 1, -1, 1)
         monkeypatch.setattr(algdigits.base, "certified_roots",
                             lambda coeffs, width: [wide, wide])
         monkeypatch.setattr(algdigits.base, "contract_roots",

@@ -10,6 +10,7 @@ import json
 import platform
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -349,15 +350,37 @@ class TestOutputLimit:
                 encode_value(value)
 
     def test_huge_count_exits_3(self, capsys):
-        # The count has 16,203 bits, about 4,880 decimal digits.
+        # The count at length 6000 would have 16,203 bits, about 4,880
+        # decimal digits; the walk stops at the first length whose count
+        # reaches 10^4300.
         code, out, err = run(capsys, "count", "--poly", "x-2", "--height",
                              "6", "--length", "6000")
         assert code == 3 and out == ""
         error = json.loads(err)["error"]
         assert error["type"] == "ResourceCapError"
         assert error["message"] == (
-            "an output integer of 16203 bits exceeds the limit of 4300 "
-            "decimal digits for int-to-str conversion")
+            "the word count reaches the limit of 4300 decimal digits for "
+            "int-to-str conversion at length 5290, with 14286 bits")
+
+    def test_count_cap_trips_before_the_work(self, capsys):
+        # A million steps would take minutes; the cap stops the walk at
+        # length 11,235, and the count one step earlier still prints.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "count", "--poly", "x-2", "--height",
+                             "2", "--length", "1000000")
+        assert time.perf_counter() - start < 1
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"]["message"] == (
+            "the word count reaches the limit of 4300 decimal digits for "
+            "int-to-str conversion at length 11235, with 14285 bits")
+        count = run_json(capsys, "count", "--poly", "x-2", "--height", "2",
+                         "--length", "11234")["result"]["count"]
+        assert len(count) == 4300
+
+    def test_no_count_cap_without_a_limit(self):
+        auto = build_zero_automaton("x-2", 2).trim()
+        sys.set_int_max_str_digits(0)
+        assert auto.count_words(11235).bit_length() == 14285
 
 
 class TestSweep:

@@ -15,13 +15,13 @@ from algdigits import (CardBounds, Cycle, ExpansionRecord, F2Analysis,
                        Regime, SweepRow, Terminated, Truncated,
                        WordSearchResult, as_digit_set, digit_set_rational,
                        make_base, periodic_points)
-from algdigits.intervals import Box, Interval
+from algdigits.intervals import Box, Span
 
 # (positional construction, the same by keyword, its repr)
 CASES = [
-    (Interval(1, 2), Interval(lo=1, hi=2), "[1, 2]"),
-    (Box(Interval(1, 2), Interval(0, 0)),
-     Box(re=Interval(1, 2), im=Interval(0, 0)), "Box(re=[1, 2], im=[0, 0])"),
+    (Span(1, 2), Span(lo=1, hi=2), "Span(lo=1, hi=2)"),
+    (Box(1, 2, 0, 0, 3), Box(rl=1, rh=2, il=0, ih=0, den=3),
+     "Box(rl=1, rh=2, il=0, ih=0, den=3)"),
     (IntPolynomial((1, 2, 0)), IntPolynomial(coeffs=[1, 2]),
      "IntPolynomial(coeffs=(1, 2))"),
     (CardBounds(2, 3), CardBounds(upper=3, lower=2),
@@ -98,7 +98,8 @@ def test_default_field():
 
 def test_hash_is_the_field_tuple_hash():
     # The dataclass hash, so sets and dicts of these keep their order.
-    assert hash(Interval(1, 2)) == hash((Fraction(1), Fraction(2)))
+    assert hash(Span(Fraction(1), Fraction(2))) == hash((Fraction(1),
+                                                        Fraction(2)))
     assert hash(IntPolynomial((1, 2))) == hash(((1, 2),))
     assert hash(Terminated()) == hash(())
 
@@ -107,14 +108,16 @@ def test_equality_needs_the_exact_type():
     assert Truncated(3) != Cycle(3, ())
     assert CardBounds(2, 3) != (2, 3)
     assert Truncated(3) != Truncated(4)
-    assert len({Interval(0, 1), Interval(0, 1), Interval(0, 2)}) == 2
+    assert len({Span(0, 1), Span(0, 1), Span(0, 2)}) == 2
+    # A Box compares and hashes by value, whatever its denominator.
+    assert len({Box(0, 1, 0, 0), Box(0, 2, 0, 0, 2), Box(0, 2, 0, 0)}) == 2
 
 
 def test_normalising_constructors():
-    assert Interval(1, Fraction(3, 2)).lo == Fraction(1)
-    assert type(Interval(1, 2).hi) is Fraction
+    assert Box(2, 3, 0, 0, 2).re.lo == Fraction(1)
+    assert type(Box(1, 2, 0, 0).re.hi) is Fraction
     with pytest.raises(ValueError, match="out of order"):
-        Interval(2, 1)
+        Box(2, 1, 0, 0)
     assert IntPolynomial((3, 0, 0)).coeffs == (3,)
 
 

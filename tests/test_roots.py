@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from algdigits import IntPolynomial, PrecisionError
 from algdigits.intervals import Box
-from algdigits.roots import (_certify, _correction, _float_seeds,
-                             certified_roots, contract_roots)
+from algdigits.roots import (DEFAULT_WIDTH, _certify, _correction,
+                             _float_seeds, certified_roots, contract_roots)
+from oracles import multiquadratic_poly
 
 
 @st.composite
@@ -85,8 +86,7 @@ class TestCertifiedRoots:
         with mpmath.workdps(30):
             roots = [complex(z) for z in
                      mpmath.polyroots(coeffs[::-1], maxsteps=200, extraprec=100)]
-        seeds = [Box.point(re, im) for re, im in _float_seeds(coeffs)]
-        _assert_one_box_each(coeffs, seeds, roots, lambda z: 1e-12 * abs(z))
+        _assert_one_box_each(coeffs, _float_seeds(coeffs), roots, lambda z: 1e-12 * abs(z))
         _assert_one_box_each(coeffs, certified_roots(coeffs), roots,
                              lambda z: 1e-9 * abs(z))
 
@@ -119,7 +119,7 @@ class TestCertifiedRoots:
     def test_clustered_pair_is_certified(self, coeffs, width):
         boxes = certified_roots(coeffs, width)
         pair = [box for box in boxes
-                if abs(box.mid[0] - Fraction(1, 10)) < Fraction(1, 10**6)]
+                if abs(box.mid.re.lo - Fraction(1, 10)) < Fraction(1, 10**6)]
         assert len(pair) == 2
         assert pair[0].disjoint(pair[1])
         for box in boxes:
@@ -129,10 +129,24 @@ class TestCertifiedRoots:
         for old, new in zip(boxes, finer):
             assert old.intersect(new) == new
 
+    def test_swinnerton_dyer_degree_64(self):
+        # sqrt 2 + sqrt 3 + ... + sqrt 13: 46 of its 64 float seeds are
+        # certified only after polishing on a finer grid.
+        coeffs = multiquadratic_poly([2, 3, 5, 7, 11, 13])
+        boxes = certified_roots(coeffs)
+        assert len(boxes) == 64
+        for i, a in enumerate(boxes):
+            assert a.width <= DEFAULT_WIDTH
+            assert all(a.disjoint(b) for b in boxes[i + 1:])
+        finer = contract_roots(coeffs, boxes, DEFAULT_WIDTH / 2**20)
+        for old, new in zip(boxes, finer):
+            assert new.width <= DEFAULT_WIDTH / 2**20
+            assert old.intersect(new) == new
+
     def test_certify_failure_names_grid_and_radius(self):
         # P'(0) = 0 for x^2 + 1: no Newton step moves the seed 0, and no
         # box around it excludes the zero of P'.
         with pytest.raises(PrecisionError,
                            match=r"up to the 2\^-480 grid; the last radius "
                                  r"tried was about 2\^-466"):
-            _certify([1, 0, 1], (Fraction(0), Fraction(0)), 30)
+            _certify([1, 0, 1], Box.point(0), 30)
