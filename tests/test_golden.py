@@ -1,7 +1,9 @@
 """Golden bytes of the command line: for a fixed corpus of argv lists,
 the exit code and the SHA-256 of stdout and stderr, as stored in
 golden_cli.json.  The manifest's "python" value is masked before
-hashing, so the digests do not depend on the interpreter's version.
+hashing, so the digests do not depend on the interpreter's version, and
+COLUMNS is fixed at 80, so argparse wraps --help text the same way on
+any terminal.
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -13,8 +15,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -32,10 +36,11 @@ def _sha(text: str) -> str:
 def digest(argv: list) -> dict:
     """The golden entry of one argv list, run in-process."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, COLUMNS="80"):
         try:
             code = main(list(argv))
-        except SystemExit as exc:  # --version
+        except SystemExit as exc:  # --version, --help
             code = exc.code
     return {"argv": argv, "exit": code, "stdout": _sha(out.getvalue()),
             "stderr": _sha(err.getvalue())}
