@@ -16,7 +16,8 @@ from fractions import Fraction
 
 from .base import Classification, _as_base, card_bounds, make_base
 from .digits import is_number_system, validate_crs
-from .errors import InvalidPolynomialError, PrecisionError, UnsupportedBaseError
+from .errors import (DEFAULT_CANDIDATE_CAP, InvalidPolynomialError,
+                     PrecisionError, UnsupportedBaseError)
 from .polynomials import IntPolynomial, parse_polynomial
 from .record import Record
 
@@ -239,7 +240,8 @@ class SweepRow(Record):
         return self.criterion == self.brute_force
 
 
-def sweep_quadratic(a2_max: int, *, candidate_cap: int = 10**7) -> list:
+def sweep_quadratic(a2_max: int, *,
+                    candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> list:
     """Compare the quadratic criterion against periodic-point brute
     force over every irreducible expanding x^2 + a1*x + a2 with
     2 <= a2 <= a2_max and -3 <= a1 <= a2 + 2."""

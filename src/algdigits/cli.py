@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Every JSON-producing subcommand prints one object with two keys:
-"manifest" (input echo, tool and Python versions, active limits;
-nothing time-dependent) and "result".  --export json / --export dot
-print only the exported artifact so the bytes depend on nothing but the
-computed object.  sweep-quadratic prints CSV.
+The table _COMMANDS states each subcommand once: its help, its handler
+and its options.  A handler returns either a result dict, which main
+prints as one object with two keys, "manifest" (input echo, tool and
+Python versions, and the parsed caps as "limits"; nothing
+time-dependent) and "result", or text that main prints as is:
+--export json / --export dot print only the exported artifact so the
+bytes depend on nothing but the computed object, and sweep-quadratic
+prints CSV.
 
 Exit codes: 0 success, 2 invalid input (ValueError family), 3 resource
 or precision caps (RuntimeError family).
@@ -22,7 +25,9 @@ import sys
 
 from . import (__version__, base, catalog, digits, jsonio, rational,
                zero_automaton)
-from .errors import DEFAULT_MAX_STATES, DigitSetError, PolynomialSyntaxError
+from .errors import (DEFAULT_CANDIDATE_CAP, DEFAULT_MAX_STATES,
+                     DEFAULT_ORBIT_STEPS, DEFAULT_RATIONAL_STEPS,
+                     DigitSetError, PolynomialSyntaxError)
 
 def _json_int(v) -> int:
     import json
@@ -104,27 +109,12 @@ def _record_out(record) -> dict:
             "states": record.states, "tail": {"kind": tail.kind, **tail_out}}
 
 
-def _manifest(args, limits: dict) -> dict:
-    return {
-        "tool": "algdigits",
-        "version": __version__,
-        "command": args.command,
-        "argv": list(args._argv),
-        "python": sys.version.split()[0],
-        "limits": limits,
-    }
-
-
-def _emit(args, limits: dict, result) -> int:
-    print(jsonio.canonical_dumps({"manifest": _manifest(args, limits),
-                                  "result": result}))
-    return 0
-
-
 # -- subcommand bodies ------------------------------------------------------
+# Each returns a result dict, which main prints under its manifest, or the
+# text to print as is.
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> dict:
     alpha = base.make_base(args.poly)
     moduli = [[lo, hi] for lo, hi in alpha.conjugate_moduli()]
     result = {
@@ -150,20 +140,20 @@ def _cmd_analyze(args) -> int:
     except ValueError:
         result["card_lower"] = None
         result["card_upper"] = None
-    return _emit(args, {"precision": str(base.DEFAULT_WIDTH)}, result)
+    return result
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> dict:
     alpha = base.make_base(args.poly)
     report = catalog.classify_f_index(alpha)
     f2 = catalog.f2_analysis(alpha)
     result = report.to_json_dict()
     result["poly"] = str(alpha.min_poly)
     result["f2"] = {"verdict": f2.verdict.value, "reason": f2.reason}
-    return _emit(args, {"precision": str(base.DEFAULT_WIDTH)}, result)
+    return result
 
 
-def _cmd_expand(args) -> int:
+def _cmd_expand(args) -> dict:
     import json
 
     alpha = base.make_base(args.poly)
@@ -178,15 +168,15 @@ def _cmd_expand(args) -> int:
     record = digits.orbit(alpha.element(value), digit_set, args.max_steps)
     result = _record_out(record)
     result["replay_ok"] = record.replay(alpha)
-    return _emit(args, {"max_steps": args.max_steps}, result)
+    return result
 
 
-def _cmd_periodic(args) -> int:
+def _cmd_periodic(args) -> dict:
     alpha = base.make_base(args.poly)
     digit_set = digits.as_digit_set(alpha, _parse_digit_list(args.digits))
     pset = digits.periodic_points(alpha, digit_set,
                                   candidate_cap=args.candidate_cap)
-    result = {
+    return {
         "elements": pset.elements,
         "cycles": pset.cycles,
         "count": len(pset.elements),
@@ -198,41 +188,35 @@ def _cmd_periodic(args) -> int:
             "c": str(pset.bounds.c),
         },
     }
-    return _emit(args, {"candidate_cap": args.candidate_cap,
-                        "jobs": args.jobs}, result)
 
 
-def _cmd_is_ns(args) -> int:
+def _cmd_is_ns(args) -> dict:
     alpha = base.make_base(args.poly)
     digit_set = digits.as_digit_set(alpha, _parse_digit_list(args.digits))
     pset = digits.periodic_points(alpha, digit_set,
                                   candidate_cap=args.candidate_cap)
     is_ns, spans = digits.verdicts(digit_set, pset)
-    result = {
+    return {
         "is_number_system": is_ns,
         "spans_ring": spans,
         "contains_zero": digit_set.contains_zero,
         "periodic_count": len(pset.elements),
     }
-    return _emit(args, {"candidate_cap": args.candidate_cap,
-                        "jobs": args.jobs}, result)
 
 
-def _cmd_rational(args) -> int:
+def _cmd_rational(args) -> dict:
     a, b = _parse_rational_base(args.base)
     ds = rational.digit_set_rational(a, b, _parse_digit_list(args.digits))
-    limits = {"max_steps": args.max_steps}
 
     if args.action == "verify":
         props = rational.verify_digit_properties(ds)
-        result = {
+        return {
             "a": a, "b": b,
             "regime": ds.regime.value,
             "digits": list(ds.digits),
             "properties": props,
             "transducer_ready": props["plus_b"] and props["minus_b"],
         }
-        return _emit(args, limits, result)
 
     if args.action == "expand":
         if not args.values:
@@ -247,9 +231,8 @@ def _cmd_rational(args) -> int:
                 "length": len(word),
                 "check": rational.value_of(word, ds.alpha) == k,
             })
-        result = {"a": a, "b": b, "regime": ds.regime.value,
-                  "expansions": rows}
-        return _emit(args, limits, result)
+        return {"a": a, "b": b, "regime": ds.regime.value,
+                "expansions": rows}
 
     # transduce
     word = tuple(_int_value(v) for v in args.values)
@@ -257,7 +240,7 @@ def _cmd_rational(args) -> int:
     out = rational.transduce(rational.AdditionTransducer(ds), start, word)
     in_val = rational.value_of(word, ds.alpha)
     out_val = rational.value_of(out, ds.alpha)
-    result = {
+    return {
         "a": a, "b": b,
         "input_lsb": list(word),
         "start_carry": start,
@@ -267,23 +250,20 @@ def _cmd_rational(args) -> int:
         "delta": out_val - in_val,
         "check": out_val - in_val == (-ds.b if args.subtract else ds.b),
     }
-    return _emit(args, limits, result)
 
 
-def _cmd_zero_automaton(args) -> int:
+def _cmd_zero_automaton(args) -> dict | str:
     alpha = base.make_base(args.poly)
     auto = zero_automaton.build_zero_automaton(alpha, args.height,
                                                max_states=args.max_states)
     if args.trim:
         auto = auto.trim()
     if args.export == "json":
-        print(jsonio.canonical_dumps(auto.to_json_dict()))
-        return 0
+        return jsonio.canonical_dumps(auto.to_json_dict())
     if args.export == "dot":
-        print(auto.to_dot())
-        return 0
+        return auto.to_dot()
     found = auto.shortest_nonzero_word()
-    result = {
+    return {
         "poly": str(alpha.min_poly),
         "H": args.height,
         "trimmed": auto.trimmed,
@@ -292,15 +272,13 @@ def _cmd_zero_automaton(args) -> int:
         "has_nontrivial_word": found is not None,
         "shortest_nonzero_word": list(found.word) if found else None,
     }
-    return _emit(args, {"max_states": args.max_states, "jobs": args.jobs},
-                 result)
 
 
-def _cmd_min_height(args) -> int:
+def _cmd_min_height(args) -> dict:
     alpha = base.make_base(args.poly)
     report = zero_automaton.min_height(alpha, args.max_h,
                                        max_states=args.max_states)
-    result = {
+    return {
         "poly": str(alpha.min_poly),
         "h_star": report.h_star,
         "word": list(report.word),
@@ -309,16 +287,14 @@ def _cmd_min_height(args) -> int:
         "value_check": report.value_check,
         "searched": [list(row) for row in report.searched],
     }
-    return _emit(args, {"max_states": args.max_states,
-                        "max_h": args.max_h, "jobs": args.jobs}, result)
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args) -> dict:
     alpha = base.make_base(args.poly)
     auto = zero_automaton.build_zero_automaton(
         alpha, args.height, max_states=args.max_states).trim()
     est, residual = auto.growth_rate()
-    result = {
+    return {
         "poly": str(alpha.min_poly),
         "H": args.height,
         "length": args.length,
@@ -326,27 +302,17 @@ def _cmd_count(args) -> int:
         "growth_rate": est,
         "growth_residual": residual,
     }
-    return _emit(args, {"max_states": args.max_states, "jobs": args.jobs},
-                 result)
 
 
-def _cmd_sweep_quadratic(args) -> int:
+def _cmd_sweep_quadratic(args) -> str:
     rows = catalog.sweep_quadratic(args.a2_max,
                                    candidate_cap=args.candidate_cap)
-    print("a1,a2,criterion,brute_force,agree")
-    for row in rows:
-        print(f"{row.a1},{row.a2},{row.criterion},{row.brute_force},"
-              f"{row.agree}")
-    return 0
+    return "\n".join(["a1,a2,criterion,brute_force,agree"] + [
+        f"{row.a1},{row.a2},{row.criterion},{row.brute_force},{row.agree}"
+        for row in rows])
 
 
 # -- parser -----------------------------------------------------------------
-
-
-def _add_poly(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--poly", required=True,
-                   help="polynomial text ('x^2+2x+2') or coefficient list "
-                        "('[2,2,1]', ascending)")
 
 
 class UsageError(ValueError):
@@ -361,96 +327,75 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+# Options that several subcommands share: (flag, add_argument keywords).
+_POLY = ("--poly", dict(required=True,
+                        help="polynomial text ('x^2+2x+2') or coefficient "
+                             "list ('[2,2,1]', ascending)"))
+_DIGITS = ("--digits", {})
+_CANDIDATE_CAP = ("--candidate-cap", dict(type=_cap,
+                                          default=DEFAULT_CANDIDATE_CAP))
+_JOBS = ("--jobs", dict(type=_positive, default=1))
+_MAX_STATES = ("--max-states", dict(type=_cap, default=DEFAULT_MAX_STATES))
+_HEIGHT = ("--height", dict(type=_positive, required=True))
+
+# Each subcommand once: name -> (help, handler, options in --help order).
+# The row None is the top-level parser.
+_COMMANDS = {
+    None: (None, None, [("--version", dict(
+        action="version", version=f"algdigits {__version__}"))]),
+    "analyze": ("classify a base polynomial", _cmd_analyze, [_POLY]),
+    "classify": ("digit-cardinality bounds and certificates", _cmd_classify,
+                 [_POLY]),
+    "expand": ("backward-division expansion of a value", _cmd_expand, [
+        _POLY,
+        ("--value", dict(required=True,
+                         help="integer or coordinate list '[c0,c1,...]'")),
+        ("--digits", dict(help="digit values, '0,1,2' or JSON list; "
+                               "default {0..|M(0)|-1}")),
+        ("--max-steps", dict(type=_cap, default=DEFAULT_ORBIT_STEPS))]),
+    "periodic": ("all periodic points of the digit map", _cmd_periodic,
+                 [_POLY, _DIGITS, _CANDIDATE_CAP, _JOBS]),
+    "is-ns": ("number-system and ring-spanning verdicts", _cmd_is_ns,
+              [_POLY, _DIGITS, _CANDIDATE_CAP, _JOBS]),
+    "rational": ("rational-base digit sets and the carry automaton",
+                 _cmd_rational, [
+        ("--base", dict(required=True, help="a/b, e.g. '3/2' or '-5/2'")),
+        _DIGITS,
+        ("--max-steps", dict(type=_cap, default=DEFAULT_RATIONAL_STEPS)),
+        ("action", dict(choices=["expand", "verify", "transduce"])),
+        ("values", dict(nargs="*",
+                        help="integers to expand, or the LSB-first input "
+                             "word for transduce")),
+        ("--subtract", dict(action="store_true",
+                            help="transduce: subtract b instead of adding "
+                                 "it"))]),
+    "zero-automaton": ("the automaton of height-H zero words",
+                       _cmd_zero_automaton, [
+        _POLY, _HEIGHT, ("--trim", dict(action="store_true")),
+        ("--export", dict(choices=["dot", "json"])), _MAX_STATES, _JOBS]),
+    "min-height": ("least H with a nonzero zero word, plus witness",
+                   _cmd_min_height,
+                   [_POLY, ("--max-h", dict(type=_cap)), _MAX_STATES, _JOBS]),
+    "count": ("count zero words of a given length", _cmd_count, [
+        _POLY, _HEIGHT, ("--length", dict(type=_cap, required=True)),
+        _MAX_STATES, _JOBS]),
+    "sweep-quadratic": ("criterion vs brute force over quadratic bases "
+                        "(CSV)", _cmd_sweep_quadratic, [
+        ("--a2-max", dict(type=int, required=True)), _CANDIDATE_CAP, _JOBS]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="algdigits",
         description="Exact digit systems, zero automata and digit-set "
                     "cardinality over algebraic bases.")
-    parser.add_argument("--version", action="version",
-                        version=f"algdigits {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="classify a base polynomial")
-    _add_poly(p)
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("classify",
-                       help="digit-cardinality bounds and certificates")
-    _add_poly(p)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("expand", help="backward-division expansion of a value")
-    _add_poly(p)
-    p.add_argument("--value", required=True,
-                   help="integer or coordinate list '[c0,c1,...]'")
-    p.add_argument("--digits", default=None,
-                   help="digit values, '0,1,2' or JSON list; default "
-                        "{0..|M(0)|-1}")
-    p.add_argument("--max-steps", type=_cap, default=10000)
-    p.set_defaults(func=_cmd_expand)
-
-    p = sub.add_parser("periodic", help="all periodic points of the digit map")
-    _add_poly(p)
-    p.add_argument("--digits", default=None)
-    p.add_argument("--candidate-cap", type=_cap, default=10**7)
-    p.add_argument("--jobs", type=_positive, default=1)
-    p.set_defaults(func=_cmd_periodic)
-
-    p = sub.add_parser("is-ns",
-                       help="number-system and ring-spanning verdicts")
-    _add_poly(p)
-    p.add_argument("--digits", default=None)
-    p.add_argument("--candidate-cap", type=_cap, default=10**7)
-    p.add_argument("--jobs", type=_positive, default=1)
-    p.set_defaults(func=_cmd_is_ns)
-
-    p = sub.add_parser("rational",
-                       help="rational-base digit sets and the carry automaton")
-    p.add_argument("--base", required=True, help="a/b, e.g. '3/2' or '-5/2'")
-    p.add_argument("--digits", default=None)
-    p.add_argument("--max-steps", type=_cap, default=10**6)
-    p.add_argument("action", choices=["expand", "verify", "transduce"])
-    p.add_argument("values", nargs="*",
-                   help="integers to expand, or the LSB-first input word "
-                        "for transduce")
-    p.add_argument("--subtract", action="store_true",
-                   help="transduce: subtract b instead of adding it")
-    p.set_defaults(func=_cmd_rational)
-
-    p = sub.add_parser("zero-automaton",
-                       help="the automaton of height-H zero words")
-    _add_poly(p)
-    p.add_argument("--height", type=_positive, required=True)
-    p.add_argument("--trim", action="store_true")
-    p.add_argument("--export", choices=["dot", "json"], default=None)
-    p.add_argument("--max-states", type=_cap, default=DEFAULT_MAX_STATES)
-    p.add_argument("--jobs", type=_positive, default=1)
-    p.set_defaults(func=_cmd_zero_automaton)
-
-    p = sub.add_parser("min-height",
-                       help="least H with a nonzero zero word, plus witness")
-    _add_poly(p)
-    p.add_argument("--max-h", type=_cap, default=None)
-    p.add_argument("--max-states", type=_cap, default=DEFAULT_MAX_STATES)
-    p.add_argument("--jobs", type=_positive, default=1)
-    p.set_defaults(func=_cmd_min_height)
-
-    p = sub.add_parser("count", help="count zero words of a given length")
-    _add_poly(p)
-    p.add_argument("--height", type=_positive, required=True)
-    p.add_argument("--length", type=_cap, required=True)
-    p.add_argument("--max-states", type=_cap, default=DEFAULT_MAX_STATES)
-    p.add_argument("--jobs", type=_positive, default=1)
-    p.set_defaults(func=_cmd_count)
-
-    p = sub.add_parser("sweep-quadratic",
-                       help="criterion vs brute force over quadratic bases "
-                            "(CSV)")
-    p.add_argument("--a2-max", type=int, required=True)
-    p.add_argument("--candidate-cap", type=_cap, default=10**7)
-    p.add_argument("--jobs", type=_positive, default=1)
-    p.set_defaults(func=_cmd_sweep_quadratic)
-
+    for name, (help_text, func, options) in _COMMANDS.items():
+        p = parser if name is None else sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        for flag, spec in options:
+            p.add_argument(flag, **spec)
     return parser
 
 
@@ -461,16 +406,31 @@ def _fail(exc: Exception, code: int) -> int:
     return code
 
 
+# The parsed options that a manifest echoes as its limits.
+_CAPS = ("candidate_cap", "jobs", "max_h", "max_states", "max_steps")
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = build_parser().parse_args(argv)
-        args._argv = argv
-        return args.func(args)
+        out = args.func(args)
+        if isinstance(out, dict):
+            # analyze and classify take no cap; they echo the root width.
+            limits = ({name: value for name, value in vars(args).items()
+                       if name in _CAPS}
+                      or {"precision": str(base.DEFAULT_WIDTH)})
+            out = jsonio.canonical_dumps({"manifest": {
+                "tool": "algdigits", "version": __version__,
+                "command": args.command, "argv": argv,
+                "python": sys.version.split()[0], "limits": limits},
+                "result": out})
     except ValueError as exc:
         return _fail(exc, 2)
     except RuntimeError as exc:
         return _fail(exc, 3)
+    print(out)
+    return 0
 
 
 if __name__ == "__main__":

@@ -15,7 +15,8 @@ import itertools
 from fractions import Fraction
 
 from .base import AlgebraicBase, Classification
-from .errors import DigitSetError, PrecisionError, ResourceCapError, UnsupportedBaseError
+from .errors import (DEFAULT_CANDIDATE_CAP, DEFAULT_ORBIT_STEPS, DigitSetError,
+                     PrecisionError, ResourceCapError, UnsupportedBaseError)
 from .record import Record
 
 _EXPANDING_OK = {Classification.EXPANDING_INTEGER, Classification.RATIONAL}
@@ -133,7 +134,8 @@ class ExpansionRecord(Record):
         return isinstance(self.tail, Terminated)
 
 
-def orbit(beta, digit_set: DigitSet, max_steps: int = 10000) -> ExpansionRecord:
+def orbit(beta, digit_set: DigitSet,
+          max_steps: int = DEFAULT_ORBIT_STEPS) -> ExpansionRecord:
     """Iterate the digit map from beta until it terminates at 0, enters
     a cycle, or exceeds max_steps."""
     base = digit_set.base
@@ -233,7 +235,7 @@ def _coordinate_bound(base: AlgebraicBase, c: Fraction) -> int:
 
 
 def periodic_points(base: AlgebraicBase, digits=None, *,
-                    candidate_cap: int = 10**7) -> PeriodicSet:
+                    candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> PeriodicSet:
     """All periodic points of the digit map, exactly.
 
     Every periodic point has |sigma_k(x)| <= per_conjugate[k], so a
@@ -295,7 +297,7 @@ def verdicts(digit_set: DigitSet, pset: PeriodicSet) -> tuple[bool, bool]:
 
 
 def is_number_system(base: AlgebraicBase, digits=None, *,
-                     candidate_cap: int = 10**7) -> bool:
+                     candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> bool:
     """True when every element of Z[alpha] has a finite expansion (see
     verdicts); False at once when 0 is not a digit."""
     digit_set = as_digit_set(base, digits)
@@ -306,7 +308,7 @@ def is_number_system(base: AlgebraicBase, digits=None, *,
 
 
 def spans_ring(base: AlgebraicBase, digits=None, *,
-               candidate_cap: int = 10**7) -> bool:
+               candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> bool:
     """True when R[alpha] = Z[alpha] (see verdicts)."""
     digit_set = as_digit_set(base, digits)
     pset = periodic_points(base, digit_set, candidate_cap=candidate_cap)

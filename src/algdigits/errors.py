@@ -46,6 +46,10 @@ class ResourceCapError(AlgdigitsError, RuntimeError):
     """A configured enumeration/state/step cap was exceeded."""
 
 
-# The default state cap of the zero automaton Z(H).  It lives here, not
-# in zero_automaton, so that the CLI parser reads it without loading Z(H).
-DEFAULT_MAX_STATES = 1_000_000
+# The default caps, shared by the library and the CLI.  They live here,
+# not in their layers, so that the CLI parser reads them without loading
+# a layer.
+DEFAULT_CANDIDATE_CAP = 10**7     # periodic-point candidates (digits)
+DEFAULT_MAX_STATES = 1_000_000    # states of Z(H) (zero_automaton)
+DEFAULT_ORBIT_STEPS = 10_000      # steps of digits.orbit
+DEFAULT_RATIONAL_STEPS = 10**6    # steps of rational.expand_int

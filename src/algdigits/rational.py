@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .base import make_base
 from .digits import Cycle, ExpansionRecord, orbit, validate_crs
-from .errors import DigitSetError, ResourceCapError
+from .errors import DEFAULT_RATIONAL_STEPS, DigitSetError, ResourceCapError
 from .record import Record
 
 # Zero digits transduce may append to flush its carry; two always do.
@@ -144,7 +144,8 @@ def value_of(digits_lsb, alpha: Fraction) -> Fraction:
     return acc
 
 
-def expand_int(ds: RationalDigitSet, k: int, max_steps: int = 10**6) -> tuple:
+def expand_int(ds: RationalDigitSet, k: int,
+               max_steps: int = DEFAULT_RATIONAL_STEPS) -> tuple:
     """The finite expansion of the integer k, least significant digit
     first: the digits of its backward-division record up to the first
     state 0 (unique for the two residue-system regimes).  Raises

@@ -635,9 +635,21 @@ class TestUsage:
     # flag stays so that the same argv keeps parsing.
     UNREAD = {("sweep-quadratic", "jobs")}
 
-    def test_every_option_is_read(self):
+    # One quick argv per subcommand, run to see what its manifest echoes.
+    SAMPLES = {
+        "analyze": ["--poly", "x-2"], "classify": ["--poly", "x-2"],
+        "expand": ["--poly", "x+2", "--value", "5"],
+        "periodic": ["--poly", "x-2"], "is-ns": ["--poly", "x+2"],
+        "rational": ["--base", "5/2", "verify"],
+        "zero-automaton": ["--poly", "x-2", "--height", "1"],
+        "min-height": ["--poly", "x-2"],
+        "count": ["--poly", "x-2", "--height", "1", "--length", "2"],
+        "sweep-quadratic": ["--a2-max", "2"]}
+
+    def test_every_option_is_read(self, capsys):
         """Each option a subcommand declares is read as args.<dest> by
-        its handler: an option nothing reads changes no output."""
+        its handler or echoed in its manifest by main: an option that is
+        neither changes no output."""
         def reads(func):
             tree = ast.parse(inspect.getsource(func))
             return {node.attr for node in ast.walk(tree)
@@ -645,11 +657,19 @@ class TestUsage:
                     and isinstance(node.value, ast.Name)
                     and node.value.id == "args"}
 
+        def echoes(command):
+            code, out, err = run(capsys, command, *self.SAMPLES[command])
+            assert code == 0, err
+            if not out.startswith("{"):
+                return set()
+            return set(json.loads(out)["manifest"]["limits"])
+
         sub = next(action for action in algdigits.cli.build_parser()._actions
                    if isinstance(action, argparse._SubParsersAction))
+        assert set(sub.choices) == set(self.SAMPLES)
         unread = set()
         for command, parser in sub.choices.items():
-            attrs = reads(parser.get_default("func"))
+            attrs = reads(parser.get_default("func")) | echoes(command)
             unread |= {(command, action.dest) for action in parser._actions
                        if action.dest != "help" and action.dest not in attrs}
         assert unread == self.UNREAD

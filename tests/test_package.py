@@ -4,6 +4,7 @@ copy as they would from eagerly imported modules."""
 
 import copy
 import importlib
+import inspect
 import pickle
 import subprocess
 import sys
@@ -56,14 +57,40 @@ def test_all_is_sorted_and_unique():
     assert algdigits.__all__ == sorted(set(algdigits.__all__))
 
 
+# Each shared cap default: its value, the option and parameter name it
+# sets, the CLI calls that parse it and the library functions whose
+# parameter of that name defaults to it.
+CAP_DEFAULTS = [
+    ("DEFAULT_MAX_STATES", 1_000_000, "max_states",
+     [["count", "--poly", "x-2", "--height", "1", "--length", "1"],
+      ["zero-automaton", "--poly", "x-2", "--height", "1"],
+      ["min-height", "--poly", "x-2"]],
+     ["build_zero_automaton", "min_height"]),
+    ("DEFAULT_CANDIDATE_CAP", 10**7, "candidate_cap",
+     [["periodic", "--poly", "x-2"], ["is-ns", "--poly", "x-2"],
+      ["sweep-quadratic", "--a2-max", "2"]],
+     ["periodic_points", "is_number_system", "spans_ring",
+      "sweep_quadratic"]),
+    ("DEFAULT_ORBIT_STEPS", 10_000, "max_steps",
+     [["expand", "--poly", "x-2", "--value", "1"]], ["orbit"]),
+    ("DEFAULT_RATIONAL_STEPS", 10**6, "max_steps",
+     [["rational", "--base", "3/2", "verify"]], ["expand_int"]),
+]
+
+
 def test_default_state_cap_is_one_value():
-    # It lives in errors, so that the CLI parser reads it without
-    # loading zero_automaton.
+    # The state cap and the other shared cap defaults live in errors, so
+    # that the CLI parser reads them without loading a layer.
     from algdigits.cli import build_parser
-    args = build_parser().parse_args(["count", "--poly", "x-2", "--height",
-                                      "1", "--length", "1"])
-    assert (args.max_states == algdigits.DEFAULT_MAX_STATES
-            == algdigits.zero_automaton.DEFAULT_MAX_STATES == 1_000_000)
+    parse = build_parser().parse_args
+    for name, value, dest, argvs, functions in CAP_DEFAULTS:
+        assert getattr(algdigits, name) == value
+        for argv in argvs:
+            assert getattr(parse(argv), dest) == value, argv
+        for function in functions:
+            parameter = inspect.signature(
+                getattr(algdigits, function)).parameters[dest]
+            assert parameter.default == value, function
 
 
 def test_star_import():
