@@ -224,6 +224,14 @@ def classify_f_index(base) -> FIndexReport:
             "when all conjugates have modulus 1 and the digit count equals "
             "|M(0)|, the digits cannot all be rational integers",
         ))
+    if exact is None and lower == upper:
+        exact = lower
+        certs.append((
+            "bounds-meet",
+            f"Card(S) = {lower}",
+            f"after the criteria above, Card(S) >= {lower} and "
+            f"Card(S) <= {upper}",
+        ))
     if exact is not None:
         if lower > exact:
             raise AssertionError("criteria conflict: lower bound exceeds "

@@ -12,6 +12,8 @@ the only periodic point is 0.
 from __future__ import annotations
 
 import itertools
+import math
+import sys
 from fractions import Fraction
 
 from .base import AlgebraicBase, Classification
@@ -137,7 +139,10 @@ class ExpansionRecord(Record):
 def orbit(beta, digit_set: DigitSet,
           max_steps: int = DEFAULT_ORBIT_STEPS) -> ExpansionRecord:
     """Iterate the digit map from beta until it terminates at 0, enters
-    a cycle, or exceeds max_steps."""
+    a cycle, or exceeds max_steps.  On a base with a contracting
+    conjugate the states may grow without bound, so the first state with
+    a coordinate of at least 10^N, for an int-to-str limit of N digits
+    (none when N is 0), raises ResourceCapError: it could not be printed."""
     base = digit_set.base
     x = base.element(beta)
     start_elt = x
@@ -148,7 +153,9 @@ def orbit(beta, digit_set: DigitSet,
     states = [x]
     digits = []
     seen = {x: 0}
-    for _ in range(max_steps):
+    limit = sys.get_int_max_str_digits()
+    cap = 10 ** limit if limit else math.inf
+    for step in range(1, max_steps + 1):
         r, x = digit_set.step(x)
         digits.append(r)
         states.append(x)
@@ -158,7 +165,13 @@ def orbit(beta, digit_set: DigitSet,
             entry = seen[x]
             return ExpansionRecord(start_elt, tuple(digits), tuple(states),
                                    Cycle(entry, tuple(states[entry:-1])))
-        seen[x] = len(states) - 1
+        top = max(map(abs, x)) if type(x) is tuple else abs(x)
+        if top >= cap:
+            raise ResourceCapError(
+                f"an orbit state reaches the limit of {limit} decimal digits "
+                f"for int-to-str conversion at step {step}, with "
+                f"{int(top).bit_length()} bits")
+        seen[x] = step
     return ExpansionRecord(start_elt, tuple(digits), tuple(states),
                            Truncated(max_steps))
 

@@ -24,7 +24,7 @@ from collections import deque
 from .base import AlgebraicBase, _as_base
 from .errors import (DEFAULT_MAX_STATES, ResourceCapError, UnitCircleError,
                      UnsupportedBaseError)
-from .polynomials import IntPolynomial
+from .polynomials import IntPolynomial, divides_over_q
 from .record import Record
 
 
@@ -210,12 +210,14 @@ def build_zero_automaton(base, height: int, *,
                          False)
 
 
-def _require_supported(base: AlgebraicBase) -> None:
+def _require_supported(base: AlgebraicBase, passes: bool = True) -> None:
+    """Refuse a base with a unit-circle conjugate, and, when passes of
+    Z(H) are to run, a non-monic irrational one."""
     if base.n_unit > 0:
         raise UnitCircleError(
             f"{base.min_poly} has {base.n_unit} conjugate(s) on the unit "
             "circle; no finite automaton recognizes its zero words")
-    if base.degree > 1 and not base.is_monic:
+    if passes and base.degree > 1 and not base.is_monic:
         raise UnsupportedBaseError(
             "irrational bases need a monic minimal polynomial here "
             "(denominator ideals are not supported)")
@@ -297,19 +299,31 @@ def min_height(base, h_max: int | None = None, *,
 
     Each height runs the pass of Z(H) up to its first witness, from
     L = max(|M(0)|, lc M) when irreducibility is verified, else from 1.
-    M itself is a zero word of height H(M), the default cap; a smaller
-    h_max may raise ResourceCapError."""
+    M itself is a zero word of height U = H(M), the default cap; a
+    smaller h_max may raise ResourceCapError.  When irreducibility is
+    verified, U is answered without a pass, so a non-monic irrational
+    base is supported when L = U."""
     base = _as_base(base)
-    _require_supported(base)
     m = base.min_poly
     # By Gauss's lemma a nonzero P in Z[x] with P(alpha) = 0 is x^k M Q
     # with Q in Z[x] and Q(0) != 0, so P has a coefficient M(0) Q(0) and
-    # one lc(M) lc(Q): no height below L has a nonzero zero word.
-    low = (max(abs(m.constant_term), m.leading_coefficient)
-           if base.irreducibility == "verified" else 1)
-    cap = m.height() if h_max is None else h_max
+    # one lc(M) lc(Q): no height below L has a nonzero zero word.  A
+    # nonzero multiple of M has degree at least deg M, so once no height
+    # in [L, U) has one, the shortest zero word at U is +-M.
+    verified = base.irreducibility == "verified"
+    low = max(abs(m.constant_term), m.leading_coefficient) if verified else 1
+    top = m.height()
+    _require_supported(base, passes=not (verified and low == top))
+    cap = top if h_max is None else h_max
     searched = []
     for h in range(low, cap + 1):
+        if verified and h == top:
+            witness = IntPolynomial(tuple(-c for c in m.coeffs))
+            word = tuple(reversed(witness.coeffs))
+            searched.append((h, len(word)))
+            return MinHeightReport(h, word, witness,
+                                   divides_over_q(m, witness),
+                                   tuple(searched))
         found = _monic_pass(base, h, max_states, stop=True)[2]
         searched.append((h, len(found.word) if found else 0))
         if found:

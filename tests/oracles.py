@@ -84,6 +84,25 @@ def zero_words_rational(p: int, q: int, height: int, max_len: int) -> set:
     return out
 
 
+def zero_words_by_division(coeffs, height: int, max_len: int) -> set:
+    """Zero words (MSB first) over {-height..height} of length
+    1..max_len for any primitive irreducible f = coeffs (ascending),
+    monic or not: the word polynomials that f divides exactly over Q."""
+    lead = Fraction(coeffs[-1])
+    out = set()
+    for length in range(1, max_len + 1):
+        for word in itertools.product(range(-height, height + 1),
+                                      repeat=length):
+            rem = [Fraction(c) for c in word]  # MSB first
+            for i in range(len(rem) - len(coeffs) + 1):
+                q = rem[i] / lead
+                for j, c in enumerate(reversed(coeffs)):
+                    rem[i + j] -= q * c
+            if not any(rem):
+                out.add(word)
+    return out
+
+
 def representable_values(coeffs, digits, max_len: int) -> set:
     """Coordinate tuples of every ring element writable as a digit word
     of length <= max_len, monic coeffs, integer digits."""

@@ -85,6 +85,7 @@ CLASSIFY_CASES = [
     ("x^2 + 2x + 2", 2, 3, None),
     ("x^2 + x + 1", 2, 2, 2),
     ("x^2 + 6", 6, 6, 6),
+    ("x^2 - 2", 3, 3, 3),
 ]
 
 
@@ -109,6 +110,16 @@ class TestClassify:
     def test_deep_expansion_certificate(self):
         report = classify_f_index(make_base("x^2 + 6"))
         assert any(c[0] == "deep-expansion" for c in report.certificates)
+
+    def test_bounds_meet_certificate(self):
+        # x^2 - 2: the |M(1)| = 1 obstruction lifts the lower bound to
+        # the window's upper bound 3; x^2 + 6 is exact by deep expansion
+        names = [c[0] for c in
+                 classify_f_index(make_base("x^2 - 2")).certificates]
+        assert names[-2:] == ["unit-evaluation-obstruction", "bounds-meet"]
+        names = [c[0] for c in
+                 classify_f_index(make_base("x^2 + 6")).certificates]
+        assert "bounds-meet" not in names
 
     def test_unimodular_certificate(self):
         report = classify_f_index(make_base("2x^2 - 3x + 2"))

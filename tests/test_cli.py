@@ -129,6 +129,13 @@ class TestClassify:
         assert any(c[0] == "rational-degenerate"
                    for c in result["certificates"])
 
+    def test_exact_when_the_bounds_meet(self, capsys):
+        result = run_json(capsys, "classify", "--poly", "x^2-2")["result"]
+        assert (result["lower"], result["upper"], result["exact"]) == (3, 3, 3)
+        assert result["certificates"][-1] == [
+            "bounds-meet", "Card(S) = 3",
+            "after the criteria above, Card(S) >= 3 and Card(S) <= 3"]
+
 
 class TestExpand:
     def test_integer_value(self, capsys):
@@ -381,6 +388,38 @@ class TestOutputLimit:
         auto = build_zero_automaton("x-2", 2).trim()
         sys.set_int_max_str_digits(0)
         assert auto.count_words(11235).bit_length() == 14285
+
+    def test_orbit_cap_trips_before_the_work(self):
+        # A contracting conjugate makes the states grow; without the cap
+        # the orbit ran all 10,000 steps, for about 8 s, before the
+        # output limit refused a state.
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "algdigits.cli", "expand", "--poly",
+             "x^16-200x^2+40x-2", "--value", "17"],
+            capture_output=True, text=True, timeout=120)
+        assert time.perf_counter() - start < 1
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == {
+            "type": "ResourceCapError",
+            "message": "an orbit state reaches the limit of 4300 decimal "
+                       "digits for int-to-str conversion at step 4295, "
+                       "with 14288 bits"}
+
+    def test_orbit_below_the_cap_is_truncated(self, capsys):
+        result = run_json(capsys, "expand", "--poly", "x^3-x-1",
+                          "--value", "5")["result"]
+        assert result["tail"] == {"kind": "truncated", "steps": 10000}
+        top = max(abs(int(c)) for c in result["states"][-1])
+        assert top.bit_length() == 2031
+
+    def test_no_orbit_cap_without_a_limit(self):
+        alpha = algdigits.make_base("x^16-200x^2+40x-2")
+        digit_set = algdigits.as_digit_set(alpha)
+        sys.set_int_max_str_digits(0)
+        record = algdigits.orbit(17, digit_set, 4300)
+        assert record.tail == algdigits.Truncated(4300)
+        assert max(map(abs, record.states[4295])).bit_length() == 14288
 
 
 class TestSweep:

@@ -47,6 +47,12 @@ class TestParse:
             parse_polynomial("[1, 2.5]")
         with pytest.raises(PolynomialSyntaxError):
             parse_polynomial(3.14)
+        with pytest.raises(PolynomialSyntaxError,
+                           match=r"bad term '\+\^2' in 'x\+\^2'"):
+            parse_polynomial("x+^2")
+        with pytest.raises(PolynomialSyntaxError,
+                           match="exponent without variable in '3\\^2'"):
+            parse_polynomial("3^2")
 
     def test_str_round_trip(self):
         for text in ["x^2 - x - 1", "2x^2 - 3x + 2", "x + 2", "x^3 + x^2 + x + 2"]:

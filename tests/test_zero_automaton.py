@@ -22,8 +22,8 @@ from algdigits.zero_automaton import ZeroAutomaton, _monic_pass
 
 from oracles import (growth_rate_dense, shortest_nonzero_word_reference,
                      zero_automaton_rational_reference,
-                     zero_automaton_reference, zero_words_monic,
-                     zero_words_rational)
+                     zero_automaton_reference, zero_words_by_division,
+                     zero_words_monic, zero_words_rational)
 
 
 def _reference(base: AlgebraicBase, height: int,
@@ -425,10 +425,57 @@ class TestMinHeight:
         assert min_height("x^5 + 2x^4 + 4x^3 + 4x^2 + 3x + 3").h_star == 3
 
     def test_state_cap_counts_states_before_the_witness(self):
-        # Z(2) of x^3 + 2 has 557 states; its witness comes after 202
+        # L = 3 < U = 4, so the pass runs; Z(3) has more than 200,000
+        # states, and its witness comes after 5,912
+        quintic = "x^5 + 2x^4 + 4x^3 + 4x^2 + 3x + 3"
         with pytest.raises(ResourceCapError):
-            build_zero_automaton("x^3 + 2", 2, max_states=300)
-        assert min_height("x^3 + 2", max_states=300).h_star == 2
+            build_zero_automaton(quintic, 3, max_states=6000)
+        assert min_height(quintic, max_states=5912).h_star == 3
+        with pytest.raises(ResourceCapError, match="state cap 5911"):
+            min_height(quintic, max_states=5911)
+
+    @pytest.mark.parametrize("poly", [
+        "x^2 - 2", "x^3 + 2", "x^3 - x + 3", "x - 2", "3x - 2", "2x + 5",
+        "x^2 + 2x + 2", "x^2 - 4x - 3", "x^2 - 3x - 2", "x^2 - 4x - 1"])
+    def test_u_is_answered_by_minus_m(self, poly):
+        # Once no height in [L, U) has a zero word, the shortest one at
+        # U = H(M) is +-M; the pass at U, which min_height no longer runs
+        # there, finds -M too.
+        base = make_base(poly)
+        m = base.min_poly
+        report = min_height(base)
+        assert report.h_star == m.height()
+        assert report.witness == IntPolynomial([-c for c in m.coeffs])
+        assert report.value_check
+        assert report.searched[-1] == (m.height(), m.degree + 1)
+        assert all(length == 0 for _h, length in report.searched[:-1])
+        found = _monic_pass(base, m.height(), 10**6, stop=True)[2]
+        assert found.word == report.word
+
+    def test_division_oracle_matches_the_other_oracles(self):
+        for coeffs in ([-2, 0, 1], [2, 2, 1], [2, -1, 0, 1]):
+            assert (zero_words_by_division(coeffs, 2, 5)
+                    == zero_words_monic(coeffs, 2, 5))
+        assert (zero_words_by_division([-3, 2], 3, 4)
+                == zero_words_rational(3, 2, 3, 4))
+
+    @pytest.mark.parametrize("poly, h_star, word", [
+        ("2x^2 - 3", 3, (-2, 0, 3)), ("2x^2 - 1", 2, (-2, 0, 1))])
+    def test_non_monic_with_l_equal_to_u(self, poly, h_star, word):
+        # L = max(|M(0)|, lc M) = H(M): no pass runs, so the base needs
+        # no Z[alpha] arithmetic
+        report = min_height(poly)
+        assert (report.h_star, report.word) == (h_star, word)
+        assert report.witness == IntPolynomial(tuple(reversed(word)))
+        assert report.value_check
+        assert report.searched == ((h_star, 3),)
+        coeffs = make_base(poly).min_poly.coeffs
+        assert word in zero_words_by_division(coeffs, h_star, 3)
+        below = zero_words_by_division(coeffs, h_star - 1, 5)
+        assert not any(any(w) for w in below)
+        for h_max in (0, h_star - 1):
+            with pytest.raises(ResourceCapError, match="height cap"):
+                min_height(poly, h_max)
 
     @pytest.mark.parametrize("h_max", [0, 1, None])
     def test_support_is_checked_before_any_height(self, h_max):
