@@ -30,11 +30,10 @@ _LAYERS = {
                "as_digit_set", "height_reduce", "is_number_system", "j_step",
                "orbit", "orbit_bound", "periodic_points", "spans_ring",
                "validate_crs"),
-    "errors": ("AlgdigitsError", "DEFAULT_CANDIDATE_CAP", "DEFAULT_MAX_STATES",
-               "DEFAULT_ORBIT_STEPS", "DEFAULT_RATIONAL_STEPS",
-               "DigitSetError", "InvalidPolynomialError",
-               "PolynomialSyntaxError", "PrecisionError", "ResourceCapError",
-               "UnitCircleError", "UnsupportedBaseError"),
+    "errors": ("AlgdigitsError", "DEFAULT_MAX_STATES", "DigitSetError",
+               "InvalidPolynomialError", "PolynomialSyntaxError",
+               "PrecisionError", "ResourceCapError", "UnitCircleError",
+               "UnsupportedBaseError"),
     "factoring": (),
     "intervals": (),
     "jsonio": (),

@@ -84,7 +84,7 @@ def test_default_state_cap_is_one_value():
     from algdigits.cli import build_parser
     parse = build_parser().parse_args
     for name, value, dest, argvs, functions in CAP_DEFAULTS:
-        assert getattr(algdigits, name) == value
+        assert getattr(algdigits.errors, name) == value
         for argv in argvs:
             assert getattr(parse(argv), dest) == value, argv
         for function in functions:
