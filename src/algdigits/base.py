@@ -271,9 +271,10 @@ class AlgebraicBase:
         return (x[0] + k,) + x[1:]
 
     def mul_alpha(self, x):
-        """alpha * x, exact."""
+        """alpha * x, exact; in degree one an integer product is an int."""
         if self.degree == 1:
-            return x * self.alpha_fraction
+            y = x * self.alpha_fraction
+            return y.numerator if y.denominator == 1 else y
         m = self.min_poly.coeffs
         top = x[-1]
         out = [-m[0] * top]
@@ -359,6 +360,7 @@ class AlgebraicBase:
                               radius.denominator ** 2))
 
         def window(x, lo: int, hi: int) -> range:
+            x = x if isinstance(x, tuple) else (x,)
             mags = tuple(map(abs, x))
             for m_re, r_re, m_im, r_im, num, den in tests:
                 re = sum(map(mul, x, m_re))

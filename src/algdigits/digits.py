@@ -36,6 +36,7 @@ class DigitSet(Record):
     @classmethod
     def canonical(cls, base: AlgebraicBase) -> "DigitSet":
         """The digit set {0, 1, ..., |M(0)| - 1}."""
+        require_canonical_size(base.residue_modulus)
         return validate_crs(base, list(range(base.residue_modulus)))
 
     @property
@@ -54,6 +55,15 @@ class DigitSet(Record):
 
     def __iter__(self):
         return iter(self.digits)
+
+
+def require_canonical_size(count: int) -> None:
+    """ResourceCapError, before any digit is built, when a canonical
+    digit set would have more than DEFAULT_CANDIDATE_CAP digits."""
+    if count > DEFAULT_CANDIDATE_CAP:
+        raise ResourceCapError(
+            f"the canonical digit set has {count} digits, more than the "
+            f"cap of {DEFAULT_CANDIDATE_CAP}")
 
 
 def validate_crs(base: AlgebraicBase, candidates) -> DigitSet:

@@ -26,7 +26,8 @@ from enum import Enum
 from fractions import Fraction
 
 from .base import make_base
-from .digits import Cycle, ExpansionRecord, orbit, validate_crs
+from .digits import (Cycle, ExpansionRecord, orbit,
+                     require_canonical_size, validate_crs)
 from .errors import DEFAULT_RATIONAL_STEPS, DigitSetError, ResourceCapError
 from .record import Record
 
@@ -78,13 +79,15 @@ def digit_set_rational(a: int, b: int, digits=None) -> RationalDigitSet:
         for d in digits:
             if isinstance(d, bool) or not isinstance(d, int):
                 raise DigitSetError(f"rational digit {d!r} is not an integer")
-        canonical = digit_set_rational(a, b)
         vals = tuple(sorted(digits))
-        if vals == canonical.digits:
-            return canonical
+        if len(vals) >= a:  # a canonical set has a or 2a - 1 digits
+            canonical = digit_set_rational(a, b)
+            if vals == canonical.digits:
+                return canonical
         validate_crs(make_base([-a, b]), vals)
         regime = Regime.NEGATIVE_B if b < 0 else Regime.POSITIVE_B
         return RationalDigitSet(a, b, regime, vals, ())
+    require_canonical_size(2 * a - 1 if b == a - 1 else a)
     if b < 0:
         return RationalDigitSet(a, b, Regime.NEGATIVE_B, tuple(range(a)), ())
     if b == a - 1:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import deque
+from fractions import Fraction
 
 from .base import AlgebraicBase, _as_base
 from .errors import (DEFAULT_MAX_STATES, ResourceCapError, UnitCircleError,
@@ -30,8 +31,8 @@ from .record import Record
 
 class WordSearchResult(Record):
     """A digit word found by automaton search, most significant digit
-    first; the leading digit is nonzero and value_check records an
-    exact re-evaluation of the word at alpha."""
+    first; the leading digit is nonzero and value_check records that
+    the minimal polynomial divides the word's polynomial over Q."""
 
     __slots__ = ("word", "height", "value_check")
 
@@ -109,6 +110,12 @@ class ZeroAutomaton(Record):
         WordSearchResult that the build found, or None."""
         return self.word
 
+    def _edges(self) -> list:
+        """The sorted edges (i, d, j), states numbered as in states."""
+        index = {s: i for i, s in enumerate(self.states)}
+        return sorted((index[y], d, index[z])
+                      for (y, d), z in self.transitions.items())
+
     def count_words(self, length: int) -> int:
         """Exact number of accepted words of the given length.  The count
         never falls as the length grows (0 keeps its loop of digit 0), so
@@ -118,20 +125,23 @@ class ZeroAutomaton(Record):
             raise ValueError("length must be nonnegative")
         limit = sys.get_int_max_str_digits()
         cap = 10 ** limit if limit else math.inf
-        vec = {self.zero: 1}
+        edges = self._edges()
+        zero = self.states.index(self.zero)
+        vec = [0] * len(self.states)
+        vec[zero] = 1
         for step in range(1, length + 1):
-            nxt: dict = {}
-            for (y, _d), z in self.transitions.items():
-                c = vec.get(y)
+            nxt = [0] * len(vec)
+            for i, _d, j in edges:
+                c = vec[i]
                 if c:
-                    nxt[z] = nxt.get(z, 0) + c
+                    nxt[j] += c
             vec = nxt
-            if vec.get(self.zero, 0) >= cap:
+            if vec[zero] >= cap:
                 raise ResourceCapError(
                     f"the word count reaches the limit of {limit} decimal "
                     f"digits for int-to-str conversion at length {step}, "
-                    f"with {vec[self.zero].bit_length()} bits")
-        return vec.get(self.zero, 0)
+                    f"with {vec[zero].bit_length()} bits")
+        return vec[zero]
 
     def growth_rate(self) -> tuple:
         """(estimate, residual) for the dominant growth factor of the
@@ -139,10 +149,10 @@ class ZeroAutomaton(Record):
         predecessor lists (one entry per edge) of the trim automaton;
         every sum is an fsum."""
         auto = self if self.trimmed else self.trim()
-        index = {s: i for i, s in enumerate(auto.states)}
-        preds: list[list[int]] = [[] for _ in auto.states]
-        for (y, _d), z in auto.transitions.items():
-            preds[index[z]].append(index[y])
+        preds: list = [[] for _ in auto.states]
+        for i, _d, j in auto._edges():
+            preds[j].append(i)
+        preds = [tuple(row) for row in preds]  # in row order: faster reads
 
         def apply(vec):
             return [math.fsum(map(vec.__getitem__, row)) for row in preds]
@@ -161,34 +171,27 @@ class ZeroAutomaton(Record):
         return est, residual
 
     def to_json_dict(self) -> dict:
-        index = {s: i for i, s in enumerate(self.states)}
-        transitions = sorted((index[y], d, index[z])
-                             for (y, d), z in self.transitions.items())
+        zero = self.states.index(self.zero)
         return {
             "H": self.height,
             "base": str(self.base.min_poly),
             "states": [list(s) if isinstance(s, tuple) else s
                        for s in self.states],
-            "transitions": [list(t) for t in transitions],
-            "initial": index[self.zero],
-            "final": index[self.zero],
+            "transitions": [list(t) for t in self._edges()],
+            "initial": zero,
+            "final": zero,
         }
 
     def to_dot(self) -> str:
-        def label(s):
-            if isinstance(s, tuple):
-                return "(" + ",".join(str(c) for c in s) + ")"
-            return str(s)
-
-        lines = ["digraph zero {", "  rankdir=LR;", "  node [shape=circle];",
-                 f'  "{label(self.zero)}" [shape=doublecircle];']
-        index = {s: i for i, s in enumerate(self.states)}
-        for (y, d), z in sorted(self.transitions.items(),
-                                key=lambda item: (index[item[0][0]],
-                                                  item[0][1])):
-            lines.append(f'  "{label(y)}" -> "{label(z)}" [label="{d}"];')
-        lines.append("}")
-        return "\n".join(lines)
+        labels = ["(" + ",".join(map(str, s)) + ")" if isinstance(s, tuple)
+                  else str(s) for s in self.states]
+        zero = labels[self.states.index(self.zero)]
+        return "\n".join(
+            ["digraph zero {", "  rankdir=LR;", "  node [shape=circle];",
+             f'  "{zero}" [shape=doublecircle];']
+            + [f'  "{labels[i]}" -> "{labels[j]}" [label="{d}"];'
+               for i, d, j in self._edges()]
+            + ["}"])
 
 
 def build_zero_automaton(base, height: int, *,
@@ -231,57 +234,57 @@ def _monic_pass(base: AlgebraicBase, height: int, max_states: int,
     some expanding conjugate exceeds H/(|alpha_k| - 1); every other
     successor is kept, which is sound.
 
-    A degree-one base alpha = p/q has the integers as states.  alpha*y
-    is one exactly when q | y; any other state is a dead end, since its
-    denominator valuation only sinks further.  Its power table is the
-    exact point 1 and its modulus is exact, so the band test is exact.
+    A state y whose alpha*y is not a lattice element is a dead end: for
+    alpha = p/q, q does not divide y, and the denominator valuation only
+    sinks further.  The band test of a degree-one base is exact.
 
     0 is left for another state only by nonzero digits, so the first
     edge from a state y != 0 into 0 ends a shortest zero word with a
     nonzero digit, or word is None; with stop, the pass returns there."""
-    rational = base.degree == 1
     window = base.conjugate_window(
         [height / (lo - 1) if lo > 1 else None  # lo is a Fraction
          for lo, _hi in base.conjugate_moduli()])
 
     zero = base.zero
-    parent = {zero: None}  # state -> the state it was first reached from
+    parent = {zero: None}  # state -> (state, digit) it was first reached by
     queue = deque([zero])
     transitions = {}
     word = None
     while queue:
         y = queue.popleft()
         ay = base.mul_alpha(y)
-        if rational:
-            if ay.denominator != 1:
-                continue
-            ay = (ay.numerator,)
+        if isinstance(ay, Fraction):
+            continue
         for d in window(ay, -height, height):
-            z = ay[0] + d if rational else base.add_int(ay, d)
+            z = base.add_int(ay, d)
             transitions[(y, d)] = z
             if z not in parent:
                 if len(parent) >= max_states:
                     raise ResourceCapError(
                         f"state cap {max_states} exceeded at height {height}")
-                parent[z] = y
+                parent[z] = (y, d)
                 queue.append(z)
             elif word is None and z == zero and y != zero:
-                word = _path_word(base, parent, y)
+                word = _path_word(base.min_poly, parent, y, d)
                 if stop:
                     return None, None, word
     return tuple(sorted(parent)), transitions, word
 
 
-def _path_word(base: AlgebraicBase, parent: dict, y) -> WordSearchResult:
-    """The first-reached path 0 -> ... -> y -> 0 as digits z - alpha*x."""
-    digits, z = [], base.zero
-    while y is not None:
-        ay = base.mul_alpha(y)
-        digits.append(int(z - ay) if base.degree == 1 else z[0] - ay[0])
-        y, z = parent[y], y
-    word = tuple(reversed(digits))
-    return WordSearchResult(word, max(map(abs, word)),
-                            base.eval_word(word) == base.zero)
+def _path_word(m: IntPolynomial, parent: dict, y, d) -> WordSearchResult:
+    """The digits of the first-reached path 0 -> ... -> y, then d."""
+    digits = [d]
+    while parent[y] is not None:
+        y, d = parent[y]
+        digits.append(d)
+    return _witness(m, tuple(reversed(digits)))
+
+
+def _witness(m: IntPolynomial, word: tuple) -> WordSearchResult:
+    """word, most significant digit first, checked by m | word over Q."""
+    return WordSearchResult(
+        word, max(map(abs, word)),
+        divides_over_q(m, IntPolynomial(tuple(reversed(word)))))
 
 
 class MinHeightReport(Record):
@@ -317,14 +320,9 @@ def min_height(base, h_max: int | None = None, *,
     cap = top if h_max is None else h_max
     searched = []
     for h in range(low, cap + 1):
-        if verified and h == top:
-            witness = IntPolynomial(tuple(-c for c in m.coeffs))
-            word = tuple(reversed(witness.coeffs))
-            searched.append((h, len(word)))
-            return MinHeightReport(h, word, witness,
-                                   divides_over_q(m, witness),
-                                   tuple(searched))
-        found = _monic_pass(base, h, max_states, stop=True)[2]
+        found = (_witness(m, tuple(-c for c in reversed(m.coeffs)))
+                 if verified and h == top
+                 else _monic_pass(base, h, max_states, stop=True)[2])
         searched.append((h, len(found.word) if found else 0))
         if found:
             witness = IntPolynomial(tuple(reversed(found.word)))

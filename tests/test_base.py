@@ -30,6 +30,8 @@ class TestClassification:
         base = make_base("x^2 + 2x + 2")
         assert base.classification is Classification.EXPANDING_INTEGER
         assert base.n_expanding == 2
+        with pytest.raises(UnsupportedBaseError, match="irrational"):
+            base.alpha_fraction
 
     def test_integer_two(self):
         base = make_base("x - 2")

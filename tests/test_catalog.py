@@ -86,6 +86,7 @@ CLASSIFY_CASES = [
     ("x^2 + x + 1", 2, 2, 2),
     ("x^2 + 6", 6, 6, 6),
     ("x^2 - 2", 3, 3, 3),
+    ("x^2 + x + 4", 4, 7, None),
 ]
 
 
@@ -107,9 +108,14 @@ class TestClassify:
             assert len(cert) == 3
             assert all(isinstance(part, str) for part in cert)
 
-    def test_deep_expansion_certificate(self):
-        report = classify_f_index(make_base("x^2 + 6"))
-        assert any(c[0] == "deep-expansion" for c in report.certificates)
+    # Both moduli of x^2 + x + 4 equal 2, and its roots are not dyadic,
+    # so the criterion is neither met nor refuted.
+    @pytest.mark.parametrize("poly, verdict", [
+        ("x^2 + 6", "Card(S) = 6"), ("x^2 + x + 4", "undecided")])
+    def test_deep_expansion_certificate(self, poly, verdict):
+        report = classify_f_index(make_base(poly))
+        assert [c[1] for c in report.certificates
+                if c[0] == "deep-expansion"] == [verdict]
 
     def test_bounds_meet_certificate(self):
         # x^2 - 2: the |M(1)| = 1 obstruction lifts the lower bound to

@@ -406,6 +406,23 @@ class TestOutputLimit:
                        "digits for int-to-str conversion at step 4295, "
                        "with 14288 bits"}
 
+    @pytest.mark.parametrize("argv", [
+        ["expand", "--poly", "x-10000019", "--value", "5"],
+        ["is-ns", "--poly", "x-10000019"],
+        ["rational", "--base", "10000019/2", "verify"]])
+    def test_canonical_digit_cap_trips_before_the_set(self, argv):
+        # Building the 10,000,019 canonical digits took seconds and
+        # hundreds of MB; the cap refuses the set before any is built.
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "algdigits.cli", *argv],
+                              capture_output=True, text=True, timeout=120)
+        assert time.perf_counter() - start < 1
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == {
+            "type": "ResourceCapError",
+            "message": "the canonical digit set has 10000019 digits, more "
+                       "than the cap of 10000000"}
+
     def test_orbit_below_the_cap_is_truncated(self, capsys):
         result = run_json(capsys, "expand", "--poly", "x^3-x-1",
                           "--value", "5")["result"]
@@ -855,6 +872,24 @@ class TestStartup:
                     layer = name.split(".")[-1]
                     assert path.name in allowed.get(layer, {path.name}), (
                         f"{path.name} imports {layer}")
+
+    def test_the_pass_reads_z_h_one_way(self):
+        # The pass of Z(H) asks the base for alpha*y + d alone, with no
+        # case per degree; a witness is read back from the digits of the
+        # pass, with no base at hand, and checked by exact division.
+        path = Path(algdigits.__file__).parent / "zero_automaton.py"
+        tree = ast.parse(path.read_text())
+        defs = {node.name: node for node in tree.body
+                if isinstance(node, ast.FunctionDef)}
+
+        def attributes(node):
+            return {n.attr for n in ast.walk(node)
+                    if isinstance(n, ast.Attribute)}
+
+        assert "degree" not in attributes(defs["_monic_pass"])
+        assert "degree" not in attributes(defs["_path_word"])
+        assert "base" not in {a.arg for a in defs["_path_word"].args.args}
+        assert "eval_word" not in attributes(tree)
 
     def test_no_runtime_dependencies(self):
         # sympy is needed only by the tests, as the factoring oracle.

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from algdigits import (
     Cycle,
     DigitSetError,
+    ExpansionRecord,
     PrecisionError,
     ResourceCapError,
     Terminated,
@@ -108,6 +109,11 @@ class TestOrbit:
         word = tuple(reversed(rec.digits))
         assert BASE_POS2.eval_word(word) != 7  # different base, sanity
         assert BASE_NEG2.eval_word(word) == 7
+        wrong_start = ExpansionRecord(8, rec.digits, rec.states, rec.tail)
+        wrong_digit = ExpansionRecord(7, (0,) + rec.digits[1:], rec.states,
+                                      rec.tail)
+        assert not wrong_start.replay(BASE_NEG2)
+        assert not wrong_digit.replay(BASE_NEG2)
 
     def test_zero_start(self):
         rec = orbit(0, as_digit_set(BASE_NEG2))
@@ -481,6 +487,8 @@ class TestHeightReduce:
     def test_bad_pair(self):
         with pytest.raises(DigitSetError):
             height_reduce(BASE_POS2, [(0, (0,)), (3, (1,))])
+        with pytest.raises(ValueError, match="at least one"):
+            height_reduce(BASE_POS2, [])
 
     def test_quadratic_base(self):
         # 2 = -alpha^2 - 2*alpha for alpha^2 + 2*alpha + 2 = 0

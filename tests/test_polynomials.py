@@ -63,7 +63,10 @@ class TestParse:
 class TestBasics:
     def test_normalization_strips_leading_zeros(self):
         assert IntPolynomial((1, 2, 0, 0)).coeffs == (1, 2)
-        assert IntPolynomial(()).is_zero
+        zero = IntPolynomial(())
+        assert zero.is_zero and str(zero) == "0"
+        assert zero.leading_coefficient == zero.constant_term == 0
+        assert not zero.is_squarefree()
 
     def test_accessors(self):
         p = IntPolynomial((2, -3, 2))
@@ -97,6 +100,9 @@ class TestBasics:
     def test_divides(self):
         assert divides_over_q(IntPolynomial((-1, 1)), IntPolynomial((1, -2, 1)))
         assert not divides_over_q(IntPolynomial((1, 1)), IntPolynomial((-2, 1)))
+        # 0 divides only 0
+        assert divides_over_q(IntPolynomial(()), IntPolynomial(()))
+        assert not divides_over_q(IntPolynomial(()), IntPolynomial((1,)))
 
     def test_squarefree_and_divides_agree_with_sympy(self):
         # Integer pseudo-remainders with leading coefficients of either

@@ -60,6 +60,9 @@ class TestConstruction:
                     [(0,), (1,), (2,)]):
             with pytest.raises(DigitSetError):
                 digit_set_rational(3, -2, bad)
+        # too few digits past the canonical cap: a bad set, not the cap
+        with pytest.raises(DigitSetError, match="need exactly 10000019"):
+            digit_set_rational(10000019, 2, [0, 1])
 
     def test_rejections(self):
         with pytest.raises(DigitSetError):
@@ -70,6 +73,9 @@ class TestConstruction:
             digit_set_rational(2, -2)
         with pytest.raises(DigitSetError):
             digit_set_rational(6, 3)
+        # the redundant set has 2a - 1 digits, past the cap though a is not
+        with pytest.raises(ResourceCapError, match="has 10000001 digits"):
+            digit_set_rational(5000001, 5000000)
 
 
 class TestProperties:

@@ -143,6 +143,10 @@ class TestCertifiedRoots:
             assert new.width <= DEFAULT_WIDTH / 2**20
             assert old.intersect(new) == new
 
+    def test_constant_has_no_roots(self):
+        with pytest.raises(ValueError, match="degree >= 1"):
+            certified_roots([5])
+
     def test_certify_failure_names_grid_and_radius(self):
         # P'(0) = 0 for x^2 + 1: no Newton step moves the seed 0, and no
         # box around it excludes the zero of P'.

@@ -64,6 +64,7 @@ class TestBaseTwo:
         assert auto.accepts((1, -2))
         assert auto.accepts(())
         assert not auto.accepts((1, -1))
+        assert not auto.accepts((2, 2))  # 2 * 2 + 2 = 6 leaves the band
         found = auto.shortest_nonzero_word()
         assert found.word == (-1, 2)
         assert found.height == 2
@@ -106,6 +107,8 @@ class TestLanguage:
     def test_counts(self, poly, h, max_len, total):
         auto = build_zero_automaton(poly, h)
         assert auto.count_words(0) == 1
+        with pytest.raises(ValueError, match="nonnegative"):
+            auto.count_words(-1)
         by_length = [auto.count_words(n) for n in range(1, max_len + 1)]
         assert sum(by_length) == total
 
