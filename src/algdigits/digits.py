@@ -36,7 +36,7 @@ class DigitSet(Record):
     @classmethod
     def canonical(cls, base: AlgebraicBase) -> "DigitSet":
         """The digit set {0, 1, ..., |M(0)| - 1}."""
-        require_canonical_size(base.residue_modulus)
+        _require_canonical_size(base.residue_modulus)
         return validate_crs(base, list(range(base.residue_modulus)))
 
     @property
@@ -57,7 +57,7 @@ class DigitSet(Record):
         return iter(self.digits)
 
 
-def require_canonical_size(count: int) -> None:
+def _require_canonical_size(count: int) -> None:
     """ResourceCapError, before any digit is built, when a canonical
     digit set would have more than DEFAULT_CANDIDATE_CAP digits."""
     if count > DEFAULT_CANDIDATE_CAP:

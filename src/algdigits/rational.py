@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .base import make_base
 from .digits import (Cycle, ExpansionRecord, orbit,
-                     require_canonical_size, validate_crs)
+                     _require_canonical_size, validate_crs)
 from .errors import DEFAULT_RATIONAL_STEPS, DigitSetError, ResourceCapError
 from .record import Record
 
@@ -87,7 +87,7 @@ def digit_set_rational(a: int, b: int, digits=None) -> RationalDigitSet:
         validate_crs(make_base([-a, b]), vals)
         regime = Regime.NEGATIVE_B if b < 0 else Regime.POSITIVE_B
         return RationalDigitSet(a, b, regime, vals, ())
-    require_canonical_size(2 * a - 1 if b == a - 1 else a)
+    _require_canonical_size(2 * a - 1 if b == a - 1 else a)
     if b < 0:
         return RationalDigitSet(a, b, Regime.NEGATIVE_B, tuple(range(a)), ())
     if b == a - 1:
