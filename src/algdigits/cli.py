@@ -21,6 +21,7 @@ layers it runs, --version none of them and a usage error only jsonio.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import (__version__, base, catalog, digits, jsonio, rational,
@@ -354,9 +355,9 @@ _COMMANDS = {
                                "default {0..|M(0)|-1}")),
         ("--max-steps", dict(type=_cap, default=DEFAULT_ORBIT_STEPS))]),
     "periodic": ("all periodic points of the digit map", _cmd_periodic,
-                 [_POLY, _DIGITS, _CANDIDATE_CAP, _JOBS]),
+                 [_POLY, _DIGITS, _CANDIDATE_CAP]),
     "is-ns": ("number-system and ring-spanning verdicts", _cmd_is_ns,
-              [_POLY, _DIGITS, _CANDIDATE_CAP, _JOBS]),
+              [_POLY, _DIGITS, _CANDIDATE_CAP]),
     "rational": ("rational-base digit sets and the carry automaton",
                  _cmd_rational, [
         ("--base", dict(required=True, help="a/b, e.g. '3/2' or '-5/2'")),
@@ -375,10 +376,10 @@ _COMMANDS = {
         ("--export", dict(choices=["dot", "json"])), _MAX_STATES, _JOBS]),
     "min-height": ("least H with a nonzero zero word, plus witness",
                    _cmd_min_height,
-                   [_POLY, ("--max-h", dict(type=_cap)), _MAX_STATES, _JOBS]),
+                   [_POLY, ("--max-h", dict(type=_cap)), _MAX_STATES]),
     "count": ("count zero words of a given length", _cmd_count, [
         _POLY, _HEIGHT, ("--length", dict(type=_cap, required=True)),
-        _MAX_STATES, _JOBS]),
+        _MAX_STATES]),
     "sweep-quadratic": ("criterion vs brute force over quadratic bases "
                         "(CSV)", _cmd_sweep_quadratic, [
         ("--a2-max", dict(type=int, required=True)), _CANDIDATE_CAP, _JOBS]),
@@ -406,6 +407,10 @@ def _fail(exc: Exception, code: int) -> int:
     return code
 
 
+def _to_devnull(stream) -> None:
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
 # The parsed options that a manifest echoes as its limits.
 _CAPS = ("candidate_cap", "jobs", "max_h", "max_states", "max_steps")
 
@@ -425,11 +430,22 @@ def main(argv=None) -> int:
                 "command": args.command, "argv": argv,
                 "python": sys.version.split()[0], "limits": limits},
                 "result": out})
+        print(out)
+        sys.stdout.flush()
     except ValueError as exc:
         return _fail(exc, 2)
     except RuntimeError as exc:
         return _fail(exc, 3)
-    print(out)
+    except BrokenPipeError as exc:
+        # The reader closed stdout.  As in the signal module's docs, point
+        # stdout (and stderr, if it is closed too) at devnull, so that the
+        # flush at exit raises nothing.
+        _to_devnull(sys.stdout)
+        try:
+            return _fail(exc, 3)
+        except OSError:
+            _to_devnull(sys.stderr)
+            return 3
     return 0
 
 

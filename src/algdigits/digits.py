@@ -219,10 +219,18 @@ def orbit_bound(base: AlgebraicBase, digits=None) -> BoundsReport:
     _require_expanding(base)
     digit_set = as_digit_set(base, digits)
     moduli = base.conjugate_moduli()
+    # sigma_k fixes a rational digit d, so d adds exactly |d| to every
+    # K_sigma; only the other digits need conjugate boxes.
+    rational = 0
     sups = [Fraction(0)] * len(moduli)
     for digit in digit_set.digits:
-        for k, box in enumerate(base.conjugate_boxes(digit)):
-            sups[k] = max(sups[k], box.abs_bounds()[1])
+        coords = digit if isinstance(digit, tuple) else (digit,)
+        if any(coords[1:]):
+            for k, box in enumerate(base.conjugate_boxes(digit)):
+                sups[k] = max(sups[k], box.abs_bounds()[1])
+        else:
+            rational = max(rational, abs(coords[0]))
+    sups = [max(s, Fraction(rational)) for s in sups]
     per = []
     for (lo, _hi), k_sup in zip(moduli, sups):
         if lo <= 1:

@@ -53,3 +53,4 @@ DEFAULT_CANDIDATE_CAP = 10**7     # periodic-point candidates (digits)
 DEFAULT_MAX_STATES = 1_000_000    # states of Z(H) (zero_automaton)
 DEFAULT_ORBIT_STEPS = 10_000      # steps of digits.orbit
 DEFAULT_RATIONAL_STEPS = 10**6    # steps of rational.expand_int
+MAX_DEGREE = 256                  # degree of a parsed polynomial (fixed)

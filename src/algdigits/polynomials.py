@@ -13,7 +13,8 @@ import math
 import re
 
 from . import factoring
-from .errors import InvalidPolynomialError, PolynomialSyntaxError
+from .errors import (MAX_DEGREE, InvalidPolynomialError, PolynomialSyntaxError,
+                     ResourceCapError)
 from .record import Record
 
 _TERM_RE = re.compile(r"([+-]?)(\d*)([A-Za-z]?)(?:\^(\d+))?$")
@@ -137,7 +138,7 @@ def parse_polynomial(text) -> IntPolynomial:
     (-2, 1)
     """
     if isinstance(text, (list, tuple)):
-        return IntPolynomial(tuple(int(c) for c in text))
+        return _from_terms(dict(enumerate(int(c) for c in text)))
     if not isinstance(text, str):
         raise PolynomialSyntaxError(f"cannot parse polynomial from {type(text).__name__}")
     src = text.strip().replace("−", "-")
@@ -151,7 +152,7 @@ def parse_polynomial(text) -> IntPolynomial:
         # type(), not isinstance: a bool is no coefficient.
         if not isinstance(data, list) or not all(type(c) is int for c in data):
             raise PolynomialSyntaxError("coefficient list must contain integers only")
-        return IntPolynomial(tuple(data))
+        return _from_terms(dict(enumerate(data)))
 
     compact = src.replace(" ", "").replace("*", "")
     pieces = re.findall(r"[+-]?[^+-]+", compact)
@@ -180,11 +181,22 @@ def parse_polynomial(text) -> IntPolynomial:
         else:
             power = 0
         coeff_map[power] = coeff_map.get(power, 0) + coeff
-    size = max(coeff_map) + 1
-    coeffs = [0] * size
-    for power, coeff in coeff_map.items():
-        coeffs[power] = coeff
-    return IntPolynomial(tuple(coeffs))
+    return _from_terms(coeff_map)
+
+
+def _from_terms(terms: dict) -> IntPolynomial:
+    """The sum of coeff x^power over terms {power: coeff}, or
+    ResourceCapError, before the coefficient list is built, when its
+    degree exceeds MAX_DEGREE."""
+    degree = max((power for power, coeff in terms.items() if coeff), default=0)
+    if degree > MAX_DEGREE:
+        raise ResourceCapError(f"the polynomial has degree {degree}, more "
+                               f"than the cap of {MAX_DEGREE}")
+    coeffs = [0] * (degree + 1)
+    for power, coeff in terms.items():
+        if coeff:
+            coeffs[power] = coeff
+    return IntPolynomial(coeffs)
 
 
 def require_min_poly_shape(poly: IntPolynomial) -> None:

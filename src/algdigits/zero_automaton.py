@@ -135,6 +135,8 @@ class ZeroAutomaton(Record):
                 c = vec[i]
                 if c:
                     nxt[j] += c
+            if nxt == vec:  # every later step maps vec to itself
+                break
             vec = nxt
             if vec[zero] >= cap:
                 raise ResourceCapError(

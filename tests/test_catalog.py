@@ -183,5 +183,5 @@ class TestSweep:
         assert by_pair[(2, 2)].criterion is True
         assert by_pair[(2, 2)].brute_force is True
 
-    def test_jobs_agree(self):
+    def test_repeat_sweep_agrees(self):
         assert sweep_quadratic(2) == sweep_quadratic(2)

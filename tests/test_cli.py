@@ -339,6 +339,19 @@ class TestCount:
         assert result["count"] == 115
         assert 2.4 < result["growth_rate"] < 2.6
 
+    def test_constant_count_returns_at_once(self):
+        # The trimmed Z(1) of 2 is the state 0 with its loop of digit 0:
+        # the count vector is fixed after one step, so 10^11 steps (hours
+        # of walking) are not taken.
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "algdigits.cli", "count", "--poly", "x-2",
+             "--height", "1", "--length", "100000000000"],
+            capture_output=True, text=True, timeout=120)
+        assert time.perf_counter() - start < 1
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["result"]["count"] == 1
+
 
 class TestOutputLimit:
     @pytest.fixture(autouse=True)
@@ -422,6 +435,42 @@ class TestOutputLimit:
             "type": "ResourceCapError",
             "message": "the canonical digit set has 10000019 digits, more "
                        "than the cap of 10000000"}
+
+    @pytest.mark.parametrize("degree", ["99999999999999999999", "100000000"])
+    def test_degree_cap_trips_before_the_coefficients(self, degree):
+        # [0] * (degree + 1) overflowed, ran out of memory or ran for
+        # minutes; the cap refuses the degree before any list is built.
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "algdigits.cli", "analyze", "--poly",
+             f"x^{degree}-2"], capture_output=True, text=True, timeout=120)
+        assert time.perf_counter() - start < 1
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == {
+            "type": "ResourceCapError",
+            "message": f"the polynomial has degree {degree}, more than the "
+                       "cap of 256"}
+
+    @pytest.mark.parametrize("close_stderr", [False, True],
+                             ids=["stderr-open", "stderr-closed"])
+    def test_closed_stdout_exits_3(self, close_stderr):
+        # 10.2 MB of truncated orbit; the reader takes 10 bytes and closes
+        # the pipe while print is still writing.
+        with subprocess.Popen(
+                [sys.executable, "-m", "algdigits.cli", "expand", "--poly",
+                 "x^3-x-1", "--value", "5"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.read(10) == b'{\n  "manif'
+            proc.stdout.close()
+            if close_stderr:
+                proc.stderr.close()
+                err = b""
+            else:
+                err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 3
+        assert b"Traceback" not in err
+        if not close_stderr:
+            assert json.loads(err)["error"]["type"] == "BrokenPipeError"
 
     def test_orbit_below_the_cap_is_truncated(self, capsys):
         result = run_json(capsys, "expand", "--poly", "x^3-x-1",
@@ -632,12 +681,31 @@ class TestUsage:
             "message": "algdigits: unrecognized arguments: "
                        "--precision 2^-20"}
 
+    @pytest.mark.parametrize("argv", [
+        ["periodic", "--poly", "x-3", "--jobs", "2"],
+        ["is-ns", "--poly", "x+2", "--jobs", "1"],
+        ["min-height", "--poly", "x-2", "--jobs", "1"],
+        ["count", "--poly", "x-2", "--height", "1", "--length", "2",
+         "--jobs", "1"]], ids=lambda argv: argv[0])
+    def test_jobs_is_not_an_option(self, capsys, argv):
+        # Nothing runs in parallel; only zero-automaton and
+        # sweep-quadratic keep --jobs, so that acceptance criterion 9's
+        # argv still parses.
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "UsageError",
+            "message": "algdigits: unrecognized arguments: "
+                       + " ".join(argv[-2:])}
+
     def test_bad_choice_and_bad_int(self, capsys):
         for argv, flag in (
                 (["frobnicate"], None),
-                (["periodic", "--poly", "x-2", "--jobs", "many"], "--jobs"),
-                (["periodic", "--poly", "x^2-2", "--jobs", "0"], "--jobs"),
-                (["count", "--poly", "x-2", "--height", "1", "--length", "2",
+                (["zero-automaton", "--poly", "x-2", "--height", "1",
+                  "--jobs", "many"], "--jobs"),
+                (["zero-automaton", "--poly", "x^2-2", "--height", "1",
+                  "--jobs", "0"], "--jobs"),
+                (["zero-automaton", "--poly", "x-2", "--height", "1",
                   "--jobs=-5"], "--jobs"),
                 (["sweep-quadratic", "--a2-max", "2", "--jobs=-1"], "--jobs"),
                 (["expand", "--poly", "x+2", "--value", "5",
@@ -944,11 +1012,13 @@ class TestVersion:
 
 
 # Token pools for the error-contract fuzz test, as (well-formed,
-# malformed) pairs.  Polynomials have degree at most 4, heights at most 2
+# malformed) pairs.  Polynomials have degree at most 4, or more than the
+# degree cap, which refuses them before any work; heights are at most 2
 # and caps are small, so no draw explodes.  --precision is no option, so
 # it only ever fills the malformed slot.
 _POLYS = (["x-2", "x+2", "2x+3", "x^2+2x+2", "x^2-2", "x^2+1", "x^2-x-1",
-           "x^3-x-1", "x^4+2", "2x^2-3x+2", "x^2-1", "[2,2,1]"],
+           "x^3-x-1", "x^4+2", "2x^2-3x+2", "x^2-1", "[2,2,1]", "x^257-2",
+           "x^99999999999999999999-2"],
           ["x^2 +", "[1.5,1]", "[]", "[0,1]", "[true,1]", "[2,0,1", "nan",
            "x^2+2x+2.5", ""])
 _DIGITS = (["0,1", "[0,1]", "1,2", "0,1,2,3,4", "[[0,0],[1,0]]"],
@@ -993,6 +1063,11 @@ def _argv(draw):
     if command == "sweep-quadratic":
         return [command, f"--a2-max={pick(_SMALL)}",
                 f"--candidate-cap={pick(_CAPS)}"]
+    if command == "count" and draw(st.integers(0, 3)) == 0:
+        # 10^11 steps, on a base whose trimmed Z(1) is {0}: the count is 1
+        # at every length, found after one step.
+        return [command, "--poly=x-2", "--height=1",
+                "--length=100000000000", f"--max-states={pick(_CAPS)}"]
     argv = [command, f"--poly={pick(_POLYS)}"]
     if draw(st.booleans()) and next(slot) == bad:
         argv += [f"--precision={draw(st.sampled_from(_PRECISIONS))}"]
@@ -1009,11 +1084,12 @@ def _argv(draw):
     if command == "zero-automaton":
         argv += maybe("--export", (["json", "dot"], ["svg"]))
         argv += ["--trim"] if draw(st.booleans()) else []
+        argv += maybe("--jobs", _JOBS)  # of the rest, only it takes --jobs
     if command == "min-height":
         argv += [f"--max-h={pick(_SMALL)}"]
     if command in ("zero-automaton", "min-height", "count"):
         argv += [f"--max-states={pick(_CAPS)}"]
-    return argv + maybe("--jobs", _JOBS)
+    return argv
 
 
 class TestErrorContract:

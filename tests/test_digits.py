@@ -164,6 +164,24 @@ class TestOrbitBound:
         with pytest.raises(UnsupportedBaseError):
             orbit_bound(make_base("x^2 - x - 1"))
 
+    @pytest.mark.parametrize("digits", [
+        [7, -4, 0, 13, -21], [(0, 0), (1, 1), (2, -1), (3, 2), (-1, 0)]],
+        ids=["integers", "vectors"])
+    def test_rational_digits_need_no_boxes(self, digits):
+        # Every conjugate fixes a rational digit d, so it adds exactly |d|
+        # to each K_sigma: the report equals the one from a box per digit.
+        base = make_base("x^2 + x + 5")
+        digit_set = as_digit_set(base, digits)
+        sups = [max(base.conjugate_boxes(d)[k].abs_bounds()[1]
+                    for d in digit_set.digits) for k in range(2)]
+        report = orbit_bound(base, digit_set)
+        assert report.k_sigma == tuple(sups)
+        assert report.per_conjugate == tuple(
+            1 + k_sup / (lo - 1)
+            for (lo, _hi), k_sup in zip(base.conjugate_moduli(), sups))
+        if isinstance(digits[0], int):
+            assert report.k_sigma == (Fraction(21), Fraction(21))
+
 
 class TestPeriodicPoints:
     def test_base_two(self):
@@ -225,11 +243,11 @@ class TestPeriodicPoints:
         with pytest.raises(ResourceCapError):
             periodic_points(SQRT2, [0, 1], candidate_cap=2)
 
-    def test_jobs_agree(self):
-        lone = periodic_points(SQRT2, [0, 1])
-        many = periodic_points(SQRT2, [0, 1])
-        assert lone.elements == many.elements
-        assert set(lone.cycles) == set(many.cycles)
+    def test_repeat_call_agrees(self):
+        first = periodic_points(SQRT2, [0, 1])
+        second = periodic_points(SQRT2, [0, 1])
+        assert first.elements == second.elements
+        assert set(first.cycles) == set(second.cycles)
 
 
 def full_box_walk(base, digits=None, *, candidate_cap: int = 10**7):
@@ -377,14 +395,14 @@ class TestLatticeScan:
                 a1, a2, digits, limit)
             checked += 1
 
-    def test_jobs_agree_on_cubic(self):
+    def test_repeat_call_agrees_on_cubic(self):
         base = make_base("x^3 + 2")
-        lone = periodic_points(base, [4, -3])
-        many = periodic_points(base, [4, -3])
-        assert len(lone.cycles) > 1
-        assert lone.elements == many.elements
-        assert lone.cycles == many.cycles
-        assert lone.candidates_scanned == many.candidates_scanned
+        first = periodic_points(base, [4, -3])
+        second = periodic_points(base, [4, -3])
+        assert len(first.cycles) > 1
+        assert first.elements == second.elements
+        assert first.cycles == second.cycles
+        assert first.candidates_scanned == second.candidates_scanned
 
 
 class TestVerdicts:

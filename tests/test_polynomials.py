@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algdigits import make_base
-from algdigits.errors import InvalidPolynomialError, PolynomialSyntaxError
+from algdigits.errors import (MAX_DEGREE, InvalidPolynomialError,
+                             PolynomialSyntaxError, ResourceCapError)
 from algdigits.polynomials import (IntPolynomial, count_real_roots_between,
                                    divides_over_q, is_irreducible_z,
                                    palindromic_half, parse_polynomial,
@@ -53,6 +54,20 @@ class TestParse:
         with pytest.raises(PolynomialSyntaxError,
                            match="exponent without variable in '3\\^2'"):
             parse_polynomial("3^2")
+
+    def test_degree_cap(self):
+        top = "x^%d - 2" % MAX_DEGREE
+        assert parse_polynomial(top).degree == MAX_DEGREE
+        assert parse_polynomial([1] * (MAX_DEGREE + 1)).degree == MAX_DEGREE
+        # Cancelled and zero top terms do not count.
+        assert parse_polynomial("x^300 - x^300 + x - 2").coeffs == (-2, 1)
+        assert parse_polynomial([-2, 1] + [0] * 300).coeffs == (-2, 1)
+        for text in ("x^257 - 2", "x^99999999999999999999 - 2",
+                     "[1" + ",0" * 256 + ",1]", [1] + [0] * 256 + [1]):
+            with pytest.raises(ResourceCapError,
+                               match=r"the polynomial has degree \d+, more "
+                                     r"than the cap of 256"):
+                parse_polynomial(text)
 
     def test_str_round_trip(self):
         for text in ["x^2 - x - 1", "2x^2 - 3x + 2", "x + 2", "x^3 + x^2 + x + 2"]:

@@ -193,11 +193,11 @@ class TestStructure:
             got |= set(trimmed.language(length))
         assert got == zero_words_monic(base.min_poly.coeffs, 3, 6)
 
-    def test_jobs_deterministic(self):
-        lone = build_zero_automaton("x^2 + 2x + 2", 2)
-        many = build_zero_automaton("x^2 + 2x + 2", 2)
-        assert lone.states == many.states
-        assert lone.transitions == many.transitions
+    def test_repeat_build_agrees(self):
+        first = build_zero_automaton("x^2 + 2x + 2", 2)
+        second = build_zero_automaton("x^2 + 2x + 2", 2)
+        assert first.states == second.states
+        assert first.transitions == second.transitions
 
 
 @st.composite
