@@ -1084,7 +1084,7 @@ def _argv(draw):
     if command == "zero-automaton":
         argv += maybe("--export", (["json", "dot"], ["svg"]))
         argv += ["--trim"] if draw(st.booleans()) else []
-        argv += maybe("--jobs", _JOBS)  # of the rest, only it takes --jobs
+        argv += maybe("--jobs", _JOBS)  # the one here that keeps --jobs
     if command == "min-height":
         argv += [f"--max-h={pick(_SMALL)}"]
     if command in ("zero-automaton", "min-height", "count"):
