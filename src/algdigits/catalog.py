@@ -15,9 +15,9 @@ from enum import Enum
 from fractions import Fraction
 
 from .base import Classification, _as_base, card_bounds, make_base
-from .digits import is_number_system, validate_crs
+from .digits import is_number_system, spans_ring, validate_crs
 from .errors import (DEFAULT_CANDIDATE_CAP, InvalidPolynomialError,
-                     PrecisionError, UnsupportedBaseError)
+                     PrecisionError, ResourceCapError, UnsupportedBaseError)
 from .polynomials import IntPolynomial, parse_polynomial
 from .record import Record
 
@@ -139,6 +139,28 @@ class FIndexReport(Record):
         }
 
 
+def _deep_expansion(base, m0: int) -> tuple:
+    """(exact, certificate) of the deep-expansion criterion on a base
+    whose conjugate moduli all exceed 2.  exact is |M(0)| only where the
+    periodic points confirm that the canonical digits span Z[alpha], and
+    None otherwise, also when that scan hits a cap."""
+    canonical = "the canonical digits {0, ..., |M(0)|-1}"
+    try:
+        spans = spans_ring(base)
+    except (ResourceCapError, PrecisionError) as exc:
+        return None, ("deep-expansion", "undecided",
+                      f"all conjugate moduli exceed 2, but the check that "
+                      f"{canonical} span Z[alpha] stopped: {exc}")
+    if spans:
+        return m0, ("deep-expansion", f"Card(S) = {m0}",
+                    f"all conjugate moduli exceed 2, and the periodic points "
+                    f"of {canonical}, enumerated exactly, confirm that they "
+                    f"span Z[alpha]")
+    return None, ("deep-expansion", "not applied",
+                  f"all conjugate moduli exceed 2, but {canonical} have a "
+                  f"nonzero periodic point, so they do not span Z[alpha]")
+
+
 def classify_f_index(base) -> FIndexReport:
     """Bounds, and where a criterion applies the exact value, of the
     minimal digit-set cardinality for the base.  Certificates list each
@@ -182,21 +204,18 @@ def classify_f_index(base) -> FIndexReport:
     if (base.classification is Classification.EXPANDING_INTEGER
             and base.degree >= 2):
         try:
-            if all_conjugates_gt(base, 2):
-                exact = m0
-                certs.append((
-                    "deep-expansion",
-                    f"Card(S) = {m0}",
-                    "all conjugate moduli exceed 2, so the canonical digits "
-                    "{0, ..., |M(0)|-1} give a number system",
-                ))
+            deep = all_conjugates_gt(base, 2)
         except PrecisionError:
+            deep = False
             certs.append((
                 "deep-expansion",
                 "undecided",
                 "a conjugate modulus may equal 2 exactly; the criterion "
                 "is not applied",
             ))
+        if deep:
+            exact, cert = _deep_expansion(base, m0)
+            certs.append(cert)
     if base.degree == 1 and base.classification in (
             Classification.EXPANDING_INTEGER, Classification.RATIONAL):
         a, b = base.rational_view

@@ -98,7 +98,7 @@ def _parse_rational_base(text: str) -> tuple[int, int]:
     except (ValueError, ZeroDivisionError) as exc:
         raise PolynomialSyntaxError(f"bad rational base {text!r}") from exc
     p, q = f.numerator, f.denominator
-    if p > 0:
+    if p >= 0:  # a base 0 keeps its signs, so the error names it as given
         return p, q
     return -p, -q
 

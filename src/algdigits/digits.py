@@ -25,28 +25,31 @@ _EXPANDING_OK = {Classification.EXPANDING_INTEGER, Classification.RATIONAL}
 
 
 class DigitSet(Record):
-    """A complete residue system modulo alpha, indexed by residue class.
+    """A complete residue system modulo alpha, indexed by residue class:
+    digits[r] is the digit of class r in Z[alpha]/alpha Z[alpha] = Z/|M(0)|.
 
     Digits are elements of Z[alpha] (integers for degree-one bases,
     power-basis coordinate tuples otherwise); they need not be rational
-    integers.  by_residue is a dict, so a DigitSet cannot be hashed."""
+    integers.  A DigitSet iterates in residue order, hashes, and equals
+    any DigitSet built over the same base from the same digits in
+    another order."""
 
-    __slots__ = ("base", "digits", "by_residue")
+    __slots__ = ("base", "digits")
 
     @classmethod
     def canonical(cls, base: AlgebraicBase) -> "DigitSet":
         """The digit set {0, 1, ..., |M(0)| - 1}."""
         _require_canonical_size(base.residue_modulus)
-        return validate_crs(base, list(range(base.residue_modulus)))
+        return validate_crs(base, range(base.residue_modulus))
 
     @property
     def contains_zero(self) -> bool:
-        return self.by_residue.get(0) == self.base.zero
+        return self.digits[0] == self.base.zero
 
     def step(self, x):
         """One backward-division step: (digit, (x - digit)/alpha)."""
         base = self.base
-        r = self.by_residue[base.residue(x)]
+        r = self.digits[base.residue(x)]
         quotient = base.div_alpha_exact(base.add(x, base.neg(r)))
         return r, quotient
 
@@ -76,15 +79,15 @@ def validate_crs(base: AlgebraicBase, candidates) -> DigitSet:
         raise DigitSetError(
             f"need exactly {m} digits, one per residue class mod {m}, "
             f"got {len(elements)}")
-    by_residue: dict = {}
+    digits = [None] * m
     for elt in elements:
         r = base.residue(elt)
-        if r in by_residue:
+        if digits[r] is not None:
             raise DigitSetError(
-                f"residue collision mod {m}: {by_residue[r]!r} and {elt!r} "
+                f"residue collision mod {m}: {digits[r]!r} and {elt!r} "
                 f"both lie in class {r}")
-        by_residue[r] = elt
-    return DigitSet(base, tuple(elements), by_residue)
+        digits[r] = elt
+    return DigitSet(base, tuple(digits))
 
 
 def as_digit_set(base: AlgebraicBase, digits=None) -> DigitSet:
@@ -93,11 +96,9 @@ def as_digit_set(base: AlgebraicBase, digits=None) -> DigitSet:
     DigitSet over the base."""
     if digits is None:
         return DigitSet.canonical(base)
-    if isinstance(digits, DigitSet):
-        if digits.base is base:
-            return digits
-        return validate_crs(base, list(digits.digits))
-    return validate_crs(base, list(digits))
+    if isinstance(digits, DigitSet) and digits.base is base:
+        return digits
+    return validate_crs(base, digits)
 
 
 def j_step(beta, digit_set: DigitSet):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 
 from . import factoring
 from .errors import (MAX_DEGREE, InvalidPolynomialError, PolynomialSyntaxError,
@@ -146,7 +147,7 @@ def parse_polynomial(text) -> IntPolynomial:
         raise PolynomialSyntaxError("empty polynomial text")
     if src[0] == "[":
         try:
-            data = json.loads(src)
+            data = json.loads(src, parse_int=_coefficient)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise PolynomialSyntaxError(f"bad coefficient list: {exc}") from exc
         # type(), not isinstance: a bool is no coefficient.
@@ -169,7 +170,7 @@ def parse_polynomial(text) -> IntPolynomial:
             raise PolynomialSyntaxError(f"bad term {piece!r} in {text!r}")
         if exp_s is not None and not var:
             raise PolynomialSyntaxError(f"exponent without variable in {piece!r}")
-        coeff = int(digits) if digits else 1
+        coeff = _coefficient(digits) if digits else 1
         if sign_s == "-":
             coeff = -coeff
         if var:
@@ -177,11 +178,35 @@ def parse_polynomial(text) -> IntPolynomial:
                 var_seen = var
             elif var != var_seen:
                 raise PolynomialSyntaxError(f"mixed variables {var_seen!r} and {var!r}")
-            power = int(exp_s) if exp_s is not None else 1
+            power = _exponent(exp_s) if exp_s is not None else 1
         else:
             power = 0
         coeff_map[power] = coeff_map.get(power, 0) + coeff
     return _from_terms(coeff_map)
+
+
+def _coefficient(text: str) -> int:
+    """int(text), or ResourceCapError naming the digit count and the
+    limit when text is past Python's limit on int-to-str conversion."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ResourceCapError(
+            f"a coefficient of {len(text.lstrip('-'))} decimal digits "
+            f"exceeds the limit of {sys.get_int_max_str_digits()} decimal "
+            f"digits for int-to-str conversion") from None
+
+
+def _exponent(text: str) -> int:
+    """int(text), or the degree cap's ResourceCapError, before int()
+    runs, when its significant digits are past Python's int-to-str
+    limit; the message names their count, as the degree cannot print."""
+    text = text.lstrip("0") or "0"
+    if len(text) > sys.get_int_max_str_digits() > 0:
+        raise ResourceCapError(f"the polynomial has a degree of {len(text)} "
+                               f"decimal digits, more than the cap of "
+                               f"{MAX_DEGREE}")
+    return int(text)
 
 
 def _from_terms(terms: dict) -> IntPolynomial:

@@ -1,6 +1,8 @@
 """Cardinality bounds, membership criteria, and the quadratic sweep."""
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from algdigits import (
     F2Verdict,
@@ -13,8 +15,10 @@ from algdigits import (
     m1_obstruction,
     make_base,
     quadratic_cns,
+    spans_ring,
     sweep_quadratic,
 )
+from algdigits.base import Classification
 
 
 class TestQuadraticCriterion:
@@ -87,6 +91,13 @@ CLASSIFY_CASES = [
     ("x^2 + 6", 6, 6, 6),
     ("x^2 - 2", 3, 3, 3),
     ("x^2 + x + 4", 4, 7, None),
+    # Every conjugate modulus exceeds 2 on these six, and exact = |M(0)|
+    # only where the canonical digits span the ring.
+    ("x^2 - 4x + 6", 6, 11, None),
+    ("x^2 - 5", 5, 9, None),
+    ("x^2 - 3x + 7", 7, 13, None),
+    ("x^2 + x + 7", 7, 7, 7),
+    ("x^2 + 3x + 5", 5, 5, 5),
 ]
 
 
@@ -109,13 +120,38 @@ class TestClassify:
             assert all(isinstance(part, str) for part in cert)
 
     # Both moduli of x^2 + x + 4 equal 2, and its roots are not dyadic,
-    # so the criterion is neither met nor refuted.
+    # so the criterion is neither met nor refuted.  On x^2 + 10000019 the
+    # canonical digit set is past its cap, so the check cannot run.
     @pytest.mark.parametrize("poly, verdict", [
-        ("x^2 + 6", "Card(S) = 6"), ("x^2 + x + 4", "undecided")])
+        ("x^2 + 6", "Card(S) = 6"), ("x^2 + x + 7", "Card(S) = 7"),
+        ("x^2 + 3x + 5", "Card(S) = 5"), ("x^2 + x + 4", "undecided"),
+        ("x^2 - 4x + 6", "not applied"), ("x^2 - 5", "not applied"),
+        ("x^2 - 3x + 7", "not applied"), ("x^2 + 10000019", "undecided")])
     def test_deep_expansion_certificate(self, poly, verdict):
         report = classify_f_index(make_base(poly))
-        assert [c[1] for c in report.certificates
-                if c[0] == "deep-expansion"] == [verdict]
+        certs = [c for c in report.certificates if c[0] == "deep-expansion"]
+        assert [c[1] for c in certs] == [verdict]
+        if verdict.startswith("Card"):
+            assert "periodic points" in certs[0][2]
+            assert "confirm that they span Z[alpha]" in certs[0][2]
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(a1=st.integers(-12, 12), a2=st.integers(-12, 12))
+    def test_deep_expansion_exact_only_where_canonical_digits_span(self, a1,
+                                                                   a2):
+        try:
+            base = make_base([a2, a1, 1])
+        except ValueError:
+            assume(False)
+        assume(base.classification is Classification.EXPANDING_INTEGER)
+        try:
+            deep = all_conjugates_gt(base, 2)
+        except PrecisionError:
+            deep = False
+        assume(deep)
+        report = classify_f_index(base)
+        assert (report.exact is not None) == spans_ring(base)
 
     def test_bounds_meet_certificate(self):
         # x^2 - 2: the |M(1)| = 1 obstruction lifts the lower bound to

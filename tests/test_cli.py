@@ -1015,7 +1015,13 @@ class TestVersion:
 # malformed) pairs.  Polynomials have degree at most 4, or more than the
 # degree cap, which refuses them before any work; heights are at most 2
 # and caps are small, so no draw explodes.  --precision is no option, so
-# it only ever fills the malformed slot.
+# it only ever fills the malformed slot.  The huge value 10^30 is drawn
+# only where it stops at once: as --candidate-cap, --max-h and the
+# --max-steps of rational, which bound work that the inputs finish
+# first, and as --height or expand's --max-steps only in the fixed
+# argvs of _argv.  A huge --height needs --max-states 1, because the
+# successor loop of one state walks the whole digit range.
+_HUGE = str(10**30)
 _POLYS = (["x-2", "x+2", "2x+3", "x^2+2x+2", "x^2-2", "x^2+1", "x^2-x-1",
            "x^3-x-1", "x^4+2", "2x^2-3x+2", "x^2-1", "[2,2,1]", "x^257-2",
            "x^99999999999999999999-2"],
@@ -1030,12 +1036,14 @@ _VALUES = (["5", "-7", "0", "[1,2]"],
             "[[1]]", ""])
 _HEIGHTS = (["1", "2"], ["0", "-1", "1.5", "two", "nan", ""])
 _CAPS = (["3", "50", "400"], ["0", "-1", "abc", "1e3", "nan", ""])
+_CANDIDATE_CAPS = (_CAPS[0] + [_HUGE], _CAPS[1])
 _PRECISIONS = ["2^-30", "1/1000", "2^-abc", "nan", "", "2^-20000"]
 _BASES = (["3/2", "-3/2", "5/2", "1/1", "1/2", "7"],
           ["0/1", "2/0", "abc", "1.5", "nan"])
 _ACTIONS = (["expand", "verify", "transduce"], ["bogus"])
 _WORDS = (["7", "-3", "0"], ["1.5", "abc", "[1]", "2^-abc", "nan"])
 _SMALL = (["0", "1", "2"], ["-1", "x", "1.5"])
+_MAX_H = (_SMALL[0] + [_HUGE], _SMALL[1])
 _JOBS = (["1", "2"], ["0", "-1", "many"])
 
 
@@ -1057,17 +1065,26 @@ def _argv(draw):
         "analyze", "classify", "expand", "periodic", "is-ns", "rational",
         "zero-automaton", "min-height", "count", "sweep-quadratic"]))
     if command == "rational":
-        return (["rational", f"--base={pick(_BASES)}", "--max-steps=50"]
+        steps = draw(st.sampled_from(["50", _HUGE]))
+        return (["rational", f"--base={pick(_BASES)}", f"--max-steps={steps}"]
                 + maybe("--digits", _DIGITS) + [pick(_ACTIONS)]
                 + [pick(_WORDS) for _ in range(draw(st.integers(0, 2)))])
     if command == "sweep-quadratic":
         return [command, f"--a2-max={pick(_SMALL)}",
-                f"--candidate-cap={pick(_CAPS)}"]
+                f"--candidate-cap={pick(_CANDIDATE_CAPS)}"]
     if command == "count" and draw(st.integers(0, 3)) == 0:
         # 10^11 steps, on a base whose trimmed Z(1) is {0}: the count is 1
         # at every length, found after one step.
         return [command, "--poly=x-2", "--height=1",
                 "--length=100000000000", f"--max-states={pick(_CAPS)}"]
+    if command in ("zero-automaton", "count") and draw(st.integers(0, 3)) == 0:
+        # The second state trips the state cap of 1 (exit 3).
+        return ([command, "--poly=x-2", f"--height={_HUGE}", "--max-states=1"]
+                + ["--length=2"] * (command == "count"))
+    if command == "expand" and draw(st.integers(0, 3)) == 0:
+        # Every orbit of an expanding base ends in a cycle, at once here.
+        return [command, "--poly=x+2", f"--value={pick(_VALUES)}",
+                f"--max-steps={_HUGE}"] + maybe("--digits", _DIGITS)
     argv = [command, f"--poly={pick(_POLYS)}"]
     if draw(st.booleans()) and next(slot) == bad:
         argv += [f"--precision={draw(st.sampled_from(_PRECISIONS))}"]
@@ -1076,7 +1093,7 @@ def _argv(draw):
     if command in ("expand", "periodic", "is-ns"):
         argv += maybe("--digits", _DIGITS)
     if command in ("periodic", "is-ns"):
-        argv += [f"--candidate-cap={pick(_CAPS)}"]
+        argv += [f"--candidate-cap={pick(_CANDIDATE_CAPS)}"]
     if command in ("zero-automaton", "count"):
         argv += [f"--height={pick(_HEIGHTS)}"]
     if command == "count":
@@ -1086,7 +1103,7 @@ def _argv(draw):
         argv += ["--trim"] if draw(st.booleans()) else []
         argv += maybe("--jobs", _JOBS)  # the one here that keeps --jobs
     if command == "min-height":
-        argv += [f"--max-h={pick(_SMALL)}"]
+        argv += [f"--max-h={pick(_MAX_H)}"]
     if command in ("zero-automaton", "min-height", "count"):
         argv += [f"--max-states={pick(_CAPS)}"]
     return argv
@@ -1107,3 +1124,20 @@ class TestErrorContract:
             assert set(error["error"]) == {"type", "message"}, argv
         else:
             assert err.getvalue() == ""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["zero-automaton", "--poly=x-2", f"--height={_HUGE}",
+          "--max-states=1"], 3),
+        (["count", "--poly=x-2", f"--height={_HUGE}", "--length=2",
+          "--max-states=1"], 3),
+        (["min-height", "--poly=x^2-2", f"--max-h={_HUGE}"], 0),
+        (["expand", "--poly=x+2", "--value=7", f"--max-steps={_HUGE}"], 0),
+        (["is-ns", "--poly=x^2+2x+2", f"--candidate-cap={_HUGE}"], 0),
+        (["rational", "--base=3/2", f"--max-steps={_HUGE}", "expand", "7"], 0),
+    ])
+    def test_huge_heights_and_caps_stop_at_once(self, argv, code):
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) == code
+        assert time.perf_counter() - start < 1

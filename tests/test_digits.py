@@ -30,7 +30,7 @@ from algdigits import (
     validate_crs,
 )
 from algdigits.base import Classification
-from algdigits.digits import (PeriodicSet, _coordinate_bound,
+from algdigits.digits import (DigitSet, PeriodicSet, _coordinate_bound,
                               _require_expanding)
 from algdigits.intervals import Box
 
@@ -77,7 +77,7 @@ class TestValidateCrs:
         assert as_digit_set(BASE_NEG2, ds) is ds
         other = make_base("x + 2")
         revalidated = as_digit_set(other, ds)
-        assert tuple(revalidated) == (1, 2)
+        assert tuple(revalidated) == (2, 1)  # residue order: 2 = 0 mod 2
 
     def test_contains_zero(self):
         assert as_digit_set(BASE_NEG2).contains_zero
@@ -471,6 +471,31 @@ class TestSpansRingProperty:
         assert not isinstance(record.tail, Truncated)
         zero_orbit = record.states if record.terminated else record.states[:-1]
         assert spans_ring(base, ds) == (set(pset.elements) == set(zero_orbit))
+
+
+class TestResidueTable:
+    """A DigitSet keeps one tuple indexed by residue class, so the order
+    in which its digits are given changes nothing."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.filter_too_much])
+    @given(case=_expanding_any_degree_with_crs(), data=st.data())
+    def test_any_order_builds_the_same_table(self, case, data):
+        coeffs, digits = case
+        try:
+            base = make_base(coeffs)
+            reference = full_box_walk(base, digits, candidate_cap=20000)
+        except (ValueError, ResourceCapError):
+            assume(False)
+        given_order = data.draw(st.permutations(digits))
+        ds = validate_crs(base, given_order)
+        assert all(ds.digits[base.residue(d)] == d for d in given_order)
+        in_order = validate_crs(base, digits)
+        assert ds == in_order and hash(ds) == hash(in_order)
+        m = base.residue_modulus
+        assert DigitSet.canonical(base) == validate_crs(base, range(m))
+        assert periodic_points(base, ds) == reference
 
 
 class TestHeightReduce:

@@ -69,6 +69,19 @@ class TestParse:
                                      r"than the cap of 256"):
                 parse_polynomial(text)
 
+    def test_integers_past_the_int_to_str_limit(self):
+        nines = "9" * 5000
+        assert parse_polynomial("x^0002 - 2").degree == 2
+        with pytest.raises(ResourceCapError,
+                           match="the polynomial has a degree of 5000 "
+                                 "decimal digits, more than the cap of 256"):
+            parse_polynomial(f"x^{nines} - 2")
+        for text in (f"{nines}x - 2", f"[-2, {nines}]", f"[-{nines}, 1]"):
+            with pytest.raises(ResourceCapError,
+                               match="a coefficient of 5000 decimal digits "
+                                     "exceeds the limit of 4300"):
+                parse_polynomial(text)
+
     def test_str_round_trip(self):
         for text in ["x^2 - x - 1", "2x^2 - 3x + 2", "x + 2", "x^3 + x^2 + x + 2"]:
             p = parse_polynomial(text)

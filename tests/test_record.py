@@ -148,5 +148,4 @@ def test_digit_sets_compare_by_value():
     assert crs == as_digit_set(gauss, [0, 1]) != as_digit_set(gauss, [0, 3])
     with pytest.raises(AttributeError):
         crs.digits = ()
-    with pytest.raises(TypeError):  # by_residue is a dict
-        hash(crs)
+    assert hash(crs) == hash(as_digit_set(gauss, [(1, 0), (0, 0)]))
