@@ -174,8 +174,7 @@ def _cmd_expand(args) -> dict:
 
 def _cmd_periodic(args) -> dict:
     alpha = base.make_base(args.poly)
-    digit_set = digits.as_digit_set(alpha, _parse_digit_list(args.digits))
-    pset = digits.periodic_points(alpha, digit_set,
+    pset = digits.periodic_points(alpha, _parse_digit_list(args.digits),
                                   candidate_cap=args.candidate_cap)
     return {
         "elements": pset.elements,
@@ -193,14 +192,16 @@ def _cmd_periodic(args) -> dict:
 
 def _cmd_is_ns(args) -> dict:
     alpha = base.make_base(args.poly)
-    digit_set = digits.as_digit_set(alpha, _parse_digit_list(args.digits))
+    digit_set = _parse_digit_list(args.digits)  # None: the canonical digits
+    if digit_set is not None:
+        digit_set = digits.as_digit_set(alpha, digit_set)
     pset = digits.periodic_points(alpha, digit_set,
                                   candidate_cap=args.candidate_cap)
-    is_ns, spans = digits.verdicts(digit_set, pset)
+    is_ns, spans = digits.verdicts(alpha, pset)
     return {
         "is_number_system": is_ns,
         "spans_ring": spans,
-        "contains_zero": digit_set.contains_zero,
+        "contains_zero": digit_set is None or digit_set.contains_zero,
         "periodic_count": len(pset.elements),
     }
 

@@ -216,15 +216,21 @@ def _require_expanding(base: AlgebraicBase) -> None:
 
 def orbit_bound(base: AlgebraicBase, digits=None) -> BoundsReport:
     """The contraction bound c = max over conjugates of
-    1 + K_sigma/(|sigma(alpha)| - 1), from certified interval data."""
+    1 + K_sigma/(|sigma(alpha)| - 1), from certified interval data.  The
+    canonical digits (digits None) give K_sigma = |M(0)| - 1, and no
+    digit set is built for them."""
+    if digits is None:
+        _require_canonical_size(base.residue_modulus)
+        digits = (base.residue_modulus - 1,)  # the largest canonical digit
+    else:
+        digits = as_digit_set(base, digits).digits
     _require_expanding(base)
-    digit_set = as_digit_set(base, digits)
     moduli = base.conjugate_moduli()
     # sigma_k fixes a rational digit d, so d adds exactly |d| to every
     # K_sigma; only the other digits need conjugate boxes.
     rational = 0
     sups = [Fraction(0)] * len(moduli)
-    for digit in digit_set.digits:
+    for digit in digits:
         coords = digit if isinstance(digit, tuple) else (digit,)
         if any(coords[1:]):
             for k, box in enumerate(base.conjugate_boxes(digit)):
@@ -272,13 +278,13 @@ def periodic_points(base: AlgebraicBase, digits=None, *,
 
     Every periodic point has |sigma_k(x)| <= per_conjugate[k], so a
     certified coordinate box holds them all; its size is checked against
-    the cap and reported.  In degree >= 2 an orbit is followed only from
+    the cap, before canonical digits (digits None) are built, and
+    reported.  In degree >= 2 an orbit is followed only from
     the box points in that region: x_0 enters each sigma_k with the exact
     coefficient 1, so on each line of the box they form one range of x_0
     (base.conjugate_window).  Nothing is truncated, so no periodic point
     can be missed."""
-    _require_expanding(base)
-    digit_set = as_digit_set(base, digits)
+    digit_set = None if digits is None else as_digit_set(base, digits)
     bounds = orbit_bound(base, digit_set)
     c = bounds.c
 
@@ -286,6 +292,7 @@ def periodic_points(base: AlgebraicBase, digits=None, *,
     count = (2 * limit + 1) ** base.degree
     if count > candidate_cap:
         raise ResourceCapError(f"{count} candidates exceed cap {candidate_cap}")
+    digit_set = as_digit_set(base, digit_set)
 
     points = starts = range(-limit, limit + 1)
     if base.degree > 1:
@@ -317,14 +324,14 @@ def periodic_points(base: AlgebraicBase, digits=None, *,
     return PeriodicSet(elements, ordered_cycles, bounds, count)
 
 
-def verdicts(digit_set: DigitSet, pset: PeriodicSet) -> tuple[bool, bool]:
-    """(is a number system, R[alpha] = Z[alpha]) for a digit set R and
-    its periodic points.  The first holds when 0 is a digit and the only
-    periodic point; the second when the periodic points are the forward
-    orbit of 0, which, as every orbit ends in a cycle and cycles are
-    disjoint, means one cycle through 0."""
-    zero = digit_set.base.zero
-    return (digit_set.contains_zero and pset.elements == (zero,),
+def verdicts(base: AlgebraicBase, pset: PeriodicSet) -> tuple[bool, bool]:
+    """(is a number system, R[alpha] = Z[alpha]) from the periodic points
+    of a digit set R.  The first holds when 0 is the only periodic point;
+    its cycle is then 0 -> 0, so 0 is a digit.  The second holds when the
+    periodic points are the forward orbit of 0, which, as every orbit
+    ends in a cycle and cycles are disjoint, means one cycle through 0."""
+    zero = base.zero
+    return (pset.elements == (zero,),
             len(pset.cycles) == 1 and zero in pset.cycles[0])
 
 
@@ -332,19 +339,19 @@ def is_number_system(base: AlgebraicBase, digits=None, *,
                      candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> bool:
     """True when every element of Z[alpha] has a finite expansion (see
     verdicts); False at once when 0 is not a digit."""
-    digit_set = as_digit_set(base, digits)
-    if not digit_set.contains_zero:
-        return False
-    pset = periodic_points(base, digit_set, candidate_cap=candidate_cap)
-    return verdicts(digit_set, pset)[0]
+    if digits is not None:
+        digits = as_digit_set(base, digits)
+        if not digits.contains_zero:
+            return False
+    pset = periodic_points(base, digits, candidate_cap=candidate_cap)
+    return verdicts(base, pset)[0]
 
 
 def spans_ring(base: AlgebraicBase, digits=None, *,
                candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> bool:
     """True when R[alpha] = Z[alpha] (see verdicts)."""
-    digit_set = as_digit_set(base, digits)
-    pset = periodic_points(base, digit_set, candidate_cap=candidate_cap)
-    return verdicts(digit_set, pset)[1]
+    pset = periodic_points(base, digits, candidate_cap=candidate_cap)
+    return verdicts(base, pset)[1]
 
 
 # -- height reduction -------------------------------------------------------

@@ -11,15 +11,15 @@ the invariant every prefix evaluation of a zero word satisfies;
 contracting conjugates stay bounded by induction and need no check.
 
 Bases with a conjugate on the unit circle have no finite such automaton
-and are refused; irrational bases are supported when the minimal
-polynomial is monic, rational ones (including integers) always.
+and are refused (min_height still answers them where L = U); irrational
+bases are supported when the minimal polynomial is monic, rational ones
+(including integers) always.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from collections import deque
 from fractions import Fraction
 
 from .base import AlgebraicBase, _as_base
@@ -38,8 +38,11 @@ class WordSearchResult(Record):
 
 
 class ZeroAutomaton(Record):
-    __slots__ = ("base", "height", "states",
-                 "transitions",  # (state, digit) -> state
+    """Z(H) as one numbered successor table: states are sorted, and
+    rows[i] holds the edges (d, j) from states[i] to states[j], digits
+    ascending, so the table in order is the sorted edges (i, d, j)."""
+
+    __slots__ = ("base", "height", "states", "rows",
                  "word",         # shortest_nonzero_word()
                  "trimmed")
 
@@ -53,68 +56,57 @@ class ZeroAutomaton(Record):
 
     @property
     def n_edges(self) -> int:
-        return len(self.transitions)
+        return sum(map(len, self.rows))
 
     def accepts(self, word) -> bool:
         """Most significant digit first."""
-        state = self.zero
+        start = i = self.states.index(self.zero)
         for d in word:
-            state = self.transitions.get((state, d))
-            if state is None:
+            i = next((j for e, j in self.rows[i] if e == d), None)
+            if i is None:
                 return False
-        return state == self.zero
+        return i == start
 
     def language(self, length: int):
         """All accepted words of exactly the given length, in
         lexicographic order."""
-        out = []
+        zero = self.states.index(self.zero)
+        def walk(i, word):
+            if len(word) == length:
+                return [word] if i == zero else []
+            return [w for d, j in self.rows[i] for w in walk(j, word + (d,))]
+        return walk(zero, ())
 
-        def walk(state, prefix):
-            if len(prefix) == length:
-                if state == self.zero:
-                    out.append(tuple(prefix))
-                return
-            for d in range(-self.height, self.height + 1):
-                nxt = self.transitions.get((state, d))
-                if nxt is not None:
-                    prefix.append(d)
-                    walk(nxt, prefix)
-                    prefix.pop()
-
-        walk(self.zero, [])
-        return out
+    def _predecessors(self) -> list:
+        """preds[j]: the i of every edge (i, d, j), in table order."""
+        preds: list = [[] for _ in self.rows]
+        for i, row in enumerate(self.rows):
+            for _d, j in row:
+                preds[j].append(i)
+        return preds
 
     def trim(self) -> "ZeroAutomaton":
         """Restrict to states that can still reach 0.  All states are
-        reachable from 0 by construction, so the result is trim and the
-        accepted language is unchanged."""
-        reverse: dict = {}
-        for (y, _d), z in self.transitions.items():
-            reverse.setdefault(z, set()).add(y)
-        alive = {self.zero}
-        queue = deque([self.zero])
-        while queue:
-            z = queue.popleft()
-            for y in reverse.get(z, ()):
-                if y not in alive:
-                    alive.add(y)
-                    queue.append(y)
-        states = tuple(s for s in self.states if s in alive)
-        transitions = {(y, d): z for (y, d), z in self.transitions.items()
-                       if y in alive and z in alive}
-        return ZeroAutomaton(self.base, self.height, states, transitions,
-                             self.word, True)
+        reachable from 0, so the result is trim; the language is kept."""
+        preds = self._predecessors()
+        queue = [self.states.index(self.zero)]
+        alive = set(queue)
+        for j in queue:
+            for i in preds[j]:
+                if i not in alive:
+                    alive.add(i)
+                    queue.append(i)
+        new = {i: k for k, i in enumerate(sorted(alive))}  # in state order
+        return ZeroAutomaton(
+            self.base, self.height, tuple(map(self.states.__getitem__, new)),
+            tuple([tuple([(d, new[j]) for d, j in self.rows[i] if j in new])
+                   for i in new]),
+            self.word, True)
 
     def shortest_nonzero_word(self):
         """A shortest accepted word containing a nonzero digit, as the
         WordSearchResult that the build found, or None."""
         return self.word
-
-    def _edges(self) -> list:
-        """The sorted edges (i, d, j), states numbered as in states."""
-        index = {s: i for i, s in enumerate(self.states)}
-        return sorted((index[y], d, index[z])
-                      for (y, d), z in self.transitions.items())
 
     def count_words(self, length: int) -> int:
         """Exact number of accepted words of the given length.  The count
@@ -125,16 +117,15 @@ class ZeroAutomaton(Record):
             raise ValueError("length must be nonnegative")
         limit = sys.get_int_max_str_digits()
         cap = 10 ** limit if limit else math.inf
-        edges = self._edges()
         zero = self.states.index(self.zero)
         vec = [0] * len(self.states)
         vec[zero] = 1
         for step in range(1, length + 1):
             nxt = [0] * len(vec)
-            for i, _d, j in edges:
-                c = vec[i]
+            for c, row in zip(vec, self.rows):
                 if c:
-                    nxt[j] += c
+                    for _d, j in row:
+                        nxt[j] += c
             if nxt == vec:  # every later step maps vec to itself
                 break
             vec = nxt
@@ -151,10 +142,7 @@ class ZeroAutomaton(Record):
         predecessor lists (one entry per edge) of the trim automaton;
         every sum is an fsum."""
         auto = self if self.trimmed else self.trim()
-        preds: list = [[] for _ in auto.states]
-        for i, _d, j in auto._edges():
-            preds[j].append(i)
-        preds = [tuple(row) for row in preds]  # in row order: faster reads
+        preds = [tuple(row) for row in auto._predecessors()]
 
         def apply(vec):
             return [math.fsum(map(vec.__getitem__, row)) for row in preds]
@@ -179,7 +167,8 @@ class ZeroAutomaton(Record):
             "base": str(self.base.min_poly),
             "states": [list(s) if isinstance(s, tuple) else s
                        for s in self.states],
-            "transitions": [list(t) for t in self._edges()],
+            "transitions": [[i, d, j] for i, row in enumerate(self.rows)
+                            for d, j in row],
             "initial": zero,
             "final": zero,
         }
@@ -192,7 +181,7 @@ class ZeroAutomaton(Record):
             ["digraph zero {", "  rankdir=LR;", "  node [shape=circle];",
              f'  "{zero}" [shape=doublecircle];']
             + [f'  "{labels[i]}" -> "{labels[j]}" [label="{d}"];'
-               for i, d, j in self._edges()]
+               for i, row in enumerate(self.rows) for d, j in row]
             + ["}"])
 
 
@@ -215,14 +204,13 @@ def build_zero_automaton(base, height: int, *,
                          False)
 
 
-def _require_supported(base: AlgebraicBase, passes: bool = True) -> None:
-    """Refuse a base with a unit-circle conjugate, and, when passes of
-    Z(H) are to run, a non-monic irrational one."""
+def _require_supported(base: AlgebraicBase) -> None:
+    """Refuse the bases no pass of Z(H) runs on."""
     if base.n_unit > 0:
         raise UnitCircleError(
             f"{base.min_poly} has {base.n_unit} conjugate(s) on the unit "
             "circle; no finite automaton recognizes its zero words")
-    if passes and base.degree > 1 and not base.is_monic:
+    if base.degree > 1 and not base.is_monic:
         raise UnsupportedBaseError(
             "irrational bases need a monic minimal polynomial here "
             "(denominator ideals are not supported)")
@@ -230,11 +218,12 @@ def _require_supported(base: AlgebraicBase, passes: bool = True) -> None:
 
 def _monic_pass(base: AlgebraicBase, height: int, max_states: int,
                 stop: bool = False):
-    """(states, transitions, word) of the breadth-first closure from 0
-    with certified pruning at the base's current interval width.  A
-    successor is dropped only when base.conjugate_window proves that
-    some expanding conjugate exceeds H/(|alpha_k| - 1); every other
-    successor is kept, which is sound.
+    """(states, rows, word) of the breadth-first closure from 0 with
+    certified pruning at the base's current interval width.  A successor
+    is dropped only when base.conjugate_window proves that some
+    expanding conjugate exceeds H/(|alpha_k| - 1); every other successor
+    is kept, which is sound.  States are numbered as they are reached,
+    then renumbered in sorted order.
 
     A state y whose alpha*y is not a lattice element is a dead end: for
     alpha = p/q, q does not divide y, and the denominator valuation only
@@ -242,42 +231,52 @@ def _monic_pass(base: AlgebraicBase, height: int, max_states: int,
 
     0 is left for another state only by nonzero digits, so the first
     edge from a state y != 0 into 0 ends a shortest zero word with a
-    nonzero digit, or word is None; with stop, the pass returns there."""
+    nonzero digit, or word is None; with stop, the pass returns
+    (None, None, word) there, or at its end, and numbers no state."""
     window = base.conjugate_window(
         [height / (lo - 1) if lo > 1 else None  # lo is a Fraction
          for lo, _hi in base.conjugate_moduli()])
 
-    zero = base.zero
-    parent = {zero: None}  # state -> (state, digit) it was first reached by
-    queue = deque([zero])
-    transitions = {}
+    order, number = [base.zero], {base.zero: 0}  # states, their numbers
+    parent = [None]  # number -> (number, digit) it was first reached by
+    spans = []       # number -> (its first edge in targets, its digits)
+    targets = []     # the number of each successor, state by state
     word = None
-    while queue:
-        y = queue.popleft()
+    for i, y in enumerate(order):
         ay = base.mul_alpha(y)
-        if isinstance(ay, Fraction):
-            continue
-        for d in window(ay, -height, height):
+        digits = (range(0) if isinstance(ay, Fraction)
+                  else window(ay, -height, height))
+        spans.append((len(targets), digits))
+        for d in digits:
             z = base.add_int(ay, d)
-            transitions[(y, d)] = z
-            if z not in parent:
-                if len(parent) >= max_states:
+            j = number.get(z)
+            if j is None:
+                if len(order) >= max_states:
                     raise ResourceCapError(
                         f"state cap {max_states} exceeded at height {height}")
-                parent[z] = (y, d)
-                queue.append(z)
-            elif word is None and z == zero and y != zero:
-                word = _path_word(base.min_poly, parent, y, d)
+                j = number[z] = len(order)
+                order.append(z)
+                parent.append((i, d))
+            elif word is None and j == 0 and i != 0:
+                word = _path_word(base.min_poly, parent, i, d)
                 if stop:
                     return None, None, word
-    return tuple(sorted(parent)), transitions, word
+            targets.append(j)
+    if stop:
+        return None, None, None
+    ranked = sorted(range(len(order)), key=order.__getitem__)
+    new = sorted(range(len(order)), key=ranked.__getitem__)  # its inverse
+    targets = list(map(new.__getitem__, targets))
+    rows = tuple([tuple(zip(digits, targets[k:k + len(digits)]))
+                  for k, digits in map(spans.__getitem__, ranked)])
+    return tuple(map(order.__getitem__, ranked)), rows, word
 
 
-def _path_word(m: IntPolynomial, parent: dict, y, d) -> WordSearchResult:
-    """The digits of the first-reached path 0 -> ... -> y, then d."""
+def _path_word(m: IntPolynomial, parent: list, i, d) -> WordSearchResult:
+    """The digits of the first-reached path 0 -> ... -> state i, then d."""
     digits = [d]
-    while parent[y] is not None:
-        y, d = parent[y]
+    while parent[i] is not None:
+        i, d = parent[i]
         digits.append(d)
     return _witness(m, tuple(reversed(digits)))
 
@@ -318,7 +317,8 @@ def min_height(base, h_max: int | None = None, *,
     verified = base.irreducibility == "verified"
     low = max(abs(m.constant_term), m.leading_coefficient) if verified else 1
     top = m.height()
-    _require_supported(base, passes=not (verified and low == top))
+    if not (verified and low == top):
+        _require_supported(base)
     cap = top if h_max is None else h_max
     searched = []
     for h in range(low, cap + 1):

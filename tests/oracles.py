@@ -9,7 +9,9 @@ the reference for the integer boxes that replaced it;
 zero_automaton_reference, which keeps the library's earlier Z(H) pruning
 on those boxes as a reference for the integer fixed-point pruning that
 replaced it; zero_automaton_rational_reference, the library's earlier
-separate Z(H) builder for degree-one bases; and
+separate Z(H) builder for degree-one bases; DictZeroAutomaton, the
+library's earlier Z(H) keyed by (state, digit), as the reference for the
+numbered successor table that replaced it; and
 shortest_nonzero_word_reference, the library's earlier second
 breadth-first search for the shortest zero word.
 """
@@ -376,18 +378,107 @@ def zero_automaton_rational_reference(base, height: int, max_states: int):
     return tuple(sorted(level)), transitions, level
 
 
+class DictZeroAutomaton:
+    """Z(height) as the library kept it before its numbered successor
+    table: sorted states and a dict (state, digit) -> state, with the
+    earlier dict-based trim, accepts, language and word count, as the
+    reference for the table."""
+
+    def __init__(self, base, height: int, states: tuple, transitions: dict):
+        self.base, self.height = base, height
+        self.states, self.transitions = states, transitions
+
+    @classmethod
+    def build(cls, base, height: int,
+              max_states: int = 10**6) -> "DictZeroAutomaton":
+        """The untrimmed reference Z(height) of either builder above."""
+        builder = (zero_automaton_rational_reference if base.degree == 1
+                   else zero_automaton_reference)
+        states, transitions, _level = builder(base, height, max_states)
+        return cls(base, height, states, transitions)
+
+    def edges(self) -> list:
+        """The sorted edges (i, d, j), states numbered as in states."""
+        index = {s: i for i, s in enumerate(self.states)}
+        return sorted((index[y], d, index[z])
+                      for (y, d), z in self.transitions.items())
+
+    def numbered(self):
+        """The library's ZeroAutomaton with the same states and edges."""
+        from algdigits.zero_automaton import ZeroAutomaton
+
+        rows: list = [[] for _ in self.states]
+        for i, d, j in self.edges():
+            rows[i].append((d, j))
+        return ZeroAutomaton(self.base, self.height, self.states,
+                             tuple(map(tuple, rows)), None, False)
+
+    def trim(self) -> "DictZeroAutomaton":
+        """Restrict to the states that can reach 0, by breadth-first
+        search over a reverse dict of sets."""
+        zero = self.base.zero
+        reverse: dict = {}
+        for (y, _d), z in self.transitions.items():
+            reverse.setdefault(z, set()).add(y)
+        alive = {zero}
+        queue = [zero]
+        for z in queue:
+            for y in reverse.get(z, ()):
+                if y not in alive:
+                    alive.add(y)
+                    queue.append(y)
+        return DictZeroAutomaton(
+            self.base, self.height,
+            tuple(s for s in self.states if s in alive),
+            {(y, d): z for (y, d), z in self.transitions.items()
+             if y in alive and z in alive})
+
+    def accepts(self, word) -> bool:
+        state = self.base.zero
+        for d in word:
+            state = self.transitions.get((state, d))
+            if state is None:
+                return False
+        return state == self.base.zero
+
+    def language(self, length: int) -> list:
+        """The accepted words of the given length, in lexicographic order,
+        by filtering every word over the alphabet."""
+        return [w for w in itertools.product(
+                    range(-self.height, self.height + 1), repeat=length)
+                if self.accepts(w)]
+
+    def count_words(self, length: int) -> int:
+        counts = {self.base.zero: 1}
+        for _ in range(length):
+            nxt: dict = {}
+            for (y, _d), z in self.transitions.items():
+                if y in counts:
+                    nxt[z] = nxt.get(z, 0) + counts[y]
+            counts = nxt
+        return counts.get(self.base.zero, 0)
+
+
+def _edge_table(auto) -> tuple:
+    """(initial state, {(i, d): j}) from auto's JSON export."""
+    payload = auto.to_json_dict()
+    return payload["initial"], {(i, d): j
+                                for i, d, j in payload["transitions"]}
+
+
 def shortest_nonzero_word_reference(auto):
     """A shortest word (MSB first) with a nonzero digit that leads from 0
-    back to 0 in auto.transitions, or None: breadth-first search over
-    (state, seen a nonzero digit) nodes, digits in increasing order."""
-    zero = auto.zero
+    back to 0 along the exported edges of auto, or None: breadth-first
+    search over (state, seen a nonzero digit) nodes, digits in
+    increasing order."""
+    zero, step = _edge_table(auto)
     start, target = (zero, False), (zero, True)
     parent: dict = {start: None}
     queue = [start]
     for node in queue:
         y, dirty = node
         for d in range(-auto.height, auto.height + 1):
-            z = auto.transitions.get((y, d))
+            z = step.get((y, d))
             if z is None:
                 continue
             nxt = (z, dirty or d != 0)
@@ -434,11 +525,10 @@ def growth_rate_dense(auto, iterations: int = 200) -> tuple:
     """(estimate, residual) of the dominant growth factor of a trim
     automaton's word counts, by power iteration on its dense n x n
     transition matrix."""
-    index = {s: i for i, s in enumerate(auto.states)}
     n = len(auto.states)
     mat = np.zeros((n, n))
-    for (y, _d), z in auto.transitions.items():
-        mat[index[z], index[y]] += 1.0
+    for (i, _d), j in _edge_table(auto)[1].items():
+        mat[j, i] += 1.0
     vec = np.ones(n) / n
     est = 0.0
     for _ in range(iterations):

@@ -285,7 +285,7 @@ class TestZeroAutomaton:
         assume(code == 0)
         trimmed = build_zero_automaton(coeffs, height).trim()
         assert (json.loads(out.getvalue())["result"]["has_nontrivial_word"]
-                == any(d != 0 for (_y, d) in trimmed.transitions))
+                == any(d != 0 for row in trimmed.rows for d, _j in row))
 
     def test_export_json(self, capsys):
         code, out, err = run(capsys, "zero-automaton", "--poly", "x-2",

@@ -164,6 +164,29 @@ class TestOrbitBound:
         with pytest.raises(UnsupportedBaseError):
             orbit_bound(make_base("x^2 - x - 1"))
 
+    @pytest.mark.parametrize("poly", ["x - 2", "x + 7", "2x - 5",
+                                      "x^2 + 2x + 2", "x^2 + x + 5",
+                                      "x^3 + 3x^2 + 3x + 3"])
+    def test_canonical_digits_need_no_digit_set(self, poly):
+        # digits None gives K_sigma = |M(0)| - 1, the bound of the set
+        base = make_base(poly)
+        assert orbit_bound(base) == orbit_bound(base, DigitSet.canonical(base))
+
+    def test_box_cap_before_canonical_digits(self, monkeypatch):
+        # 3000017 canonical digits lie under their own cap of 10^7, but
+        # the box of periodic-point candidates does not: every query
+        # stops on the box cap before a canonical digit is built
+        base = make_base("x^2 + 3000017")
+
+        def fail(cls, base):
+            raise AssertionError("canonical digits built")
+
+        monkeypatch.setattr(DigitSet, "canonical", classmethod(fail))
+        for query in (periodic_points, is_number_system, spans_ring):
+            with pytest.raises(ResourceCapError,
+                               match="12047841 candidates exceed cap"):
+                query(base)
+
     @pytest.mark.parametrize("digits", [
         [7, -4, 0, 13, -21], [(0, 0), (1, 1), (2, -1), (3, 2), (-1, 0)]],
         ids=["integers", "vectors"])

@@ -1,6 +1,7 @@
 """The automaton recognizing digit words that evaluate to zero, and the
 minimal-height search built on it."""
 
+import itertools
 import math
 
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from algdigits import (
-    AlgebraicBase,
     IntPolynomial,
     InvalidPolynomialError,
     ResourceCapError,
@@ -18,19 +18,11 @@ from algdigits import (
     make_base,
     min_height,
 )
-from algdigits.zero_automaton import ZeroAutomaton, _monic_pass
+from algdigits.zero_automaton import _monic_pass
 
-from oracles import (growth_rate_dense, shortest_nonzero_word_reference,
-                     zero_automaton_rational_reference,
-                     zero_automaton_reference, zero_words_by_division,
+from oracles import (DictZeroAutomaton, growth_rate_dense,
+                     shortest_nonzero_word_reference, zero_words_by_division,
                      zero_words_monic, zero_words_rational)
-
-
-def _reference(base: AlgebraicBase, height: int,
-               max_states: int = 10**6) -> ZeroAutomaton:
-    states, transitions, _ = zero_automaton_reference(base, height,
-                                                      max_states)
-    return ZeroAutomaton(base, height, states, transitions, None, False)
 
 
 class TestRejections:
@@ -118,7 +110,7 @@ class TestStructure:
         auto = build_zero_automaton("x - 2", 2).trim()
         again = auto.trim()
         assert again.states == auto.states
-        assert again.transitions == auto.transitions
+        assert again.rows == auto.rows
 
     def test_trim_keeps_language(self):
         auto = build_zero_automaton("x^2 - 2", 2)
@@ -144,22 +136,18 @@ class TestStructure:
         assert "doublecircle" in dot
 
     def test_dot_edge_order(self):
-        # Edges in state order, then digit order: the text of the former
-        # sort by states.index(...), a linear search per edge.
+        # Edges in state order, then digit order: the order of the JSON
+        # export, which is the sorted edges (i, d, j).
         auto = build_zero_automaton("x^3 + 2", 2)
         assert auto.n_states == 557
-
-        def label(s):
-            return "(" + ",".join(map(str, s)) + ")"
-
-        edges = sorted(auto.transitions.items(),
-                       key=lambda item: (auto.states.index(item[0][0]),
-                                         item[0][1]))
+        edges = auto.to_json_dict()["transitions"]
+        assert edges == sorted(edges) and len(edges) == auto.n_edges
+        labels = ["(" + ",".join(map(str, s)) + ")" for s in auto.states]
         expected = "\n".join(
             ["digraph zero {", "  rankdir=LR;", "  node [shape=circle];",
-             f'  "{label(auto.zero)}" [shape=doublecircle];']
-            + [f'  "{label(y)}" -> "{label(z)}" [label="{d}"];'
-               for (y, d), z in edges]
+             '  "(0,0,0)" [shape=doublecircle];']
+            + [f'  "{labels[i]}" -> "{labels[j]}" [label="{d}"];'
+               for i, d, j in edges]
             + ["}"])
         assert auto.to_dot() == expected
 
@@ -197,7 +185,7 @@ class TestStructure:
         first = build_zero_automaton("x^2 + 2x + 2", 2)
         second = build_zero_automaton("x^2 + 2x + 2", 2)
         assert first.states == second.states
-        assert first.transitions == second.transitions
+        assert first.rows == second.rows
 
 
 @st.composite
@@ -221,8 +209,9 @@ class TestReference:
     @pytest.mark.parametrize("height", [1, 2])
     def test_untrimmed_equals_reference(self, poly, height):
         base = make_base(poly)
+        reference = DictZeroAutomaton.build(base, height).numbered()
         assert (build_zero_automaton(base, height).to_json_dict()
-                == _reference(base, height).to_json_dict())
+                == reference.to_json_dict())
 
     # alpha = 2, 5/2, -3/2, -4, 1/3 and -2/5: expanding, negative and
     # contracting degree-one bases share the same pass.
@@ -231,10 +220,7 @@ class TestReference:
     @pytest.mark.parametrize("height", [1, 2, 3])
     def test_rational_untrimmed_equals_reference(self, poly, height):
         base = make_base(poly)
-        states, transitions, _ = zero_automaton_rational_reference(
-            base, height, 10**6)
-        reference = ZeroAutomaton(base, height, states, transitions, None,
-                                  False)
+        reference = DictZeroAutomaton.build(base, height).numbered()
         auto = build_zero_automaton(base, height)
         assert auto.to_json_dict() == reference.to_json_dict()
 
@@ -246,7 +232,7 @@ class TestReference:
         try:
             base = make_base(coeffs)
             auto = build_zero_automaton(base, height, max_states=150)
-            reference = _reference(base, height, max_states=150)
+            reference = DictZeroAutomaton.build(base, height, 150).numbered()
         except (InvalidPolynomialError, UnitCircleError, ResourceCapError):
             assume(False)
         assert auto.to_json_dict() == reference.to_json_dict()
@@ -299,7 +285,7 @@ class TestOnePass:
             one_pass = build_zero_automaton(base, height, max_states=150)
         except (InvalidPolynomialError, UnitCircleError, ResourceCapError):
             assume(False)
-        reference = _reference(base, height, max_states=150)
+        reference = DictZeroAutomaton.build(base, height, 150).numbered()
         assert set(reference.states) <= set(one_pass.states)
         assert (reference.trim().to_json_dict()
                 == one_pass.trim().to_json_dict())
@@ -338,10 +324,42 @@ def _word(found):
     return None if found is None else found.word
 
 
+class TestTable:
+    """The numbered successor table is the (state, digit)-keyed dict of
+    oracles.DictZeroAutomaton, numbered: the same states and sorted
+    edges, untrimmed and trimmed, and the same words and counts."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(coeffs=_small_base(), height=st.integers(1, 2),
+           trim=st.booleans())
+    def test_table_equals_the_dict_reference(self, coeffs, height, trim):
+        try:
+            base = make_base(coeffs)
+            auto = build_zero_automaton(base, height, max_states=150)
+            reference = DictZeroAutomaton.build(base, height, 150)
+        except (InvalidPolynomialError, UnitCircleError, ResourceCapError):
+            assume(False)
+        if trim:
+            auto, reference = auto.trim(), reference.trim()
+        assert auto.trimmed == trim
+        assert auto.states == reference.states
+        assert ([tuple(e) for e in auto.to_json_dict()["transitions"]]
+                == reference.edges())
+        assert auto.n_edges == len(reference.transitions)
+        alphabet = range(-height, height + 1)
+        for n in range(6):
+            words = itertools.product(alphabet, repeat=n)
+            expected = reference.language(n)
+            assert auto.language(n) == expected
+            assert [w for w in words if auto.accepts(w)] == expected
+        assert auto.count_words(8) == reference.count_words(8)
+
+
 class TestShortestWord:
     """The pass that builds Z(H) finds the word that the earlier second
     breadth-first search (oracles.shortest_nonzero_word_reference) finds
-    on the trimmed transitions."""
+    on the trimmed edges."""
 
     @settings(max_examples=60, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
@@ -479,6 +497,36 @@ class TestMinHeight:
         for h_max in (0, h_star - 1):
             with pytest.raises(ResourceCapError, match="height cap"):
                 min_height(poly, h_max)
+
+    @pytest.mark.parametrize("poly, h_star", [
+        ("x^2 + x + 1", 1), ("x^4 - x^3 - x^2 - x + 1", 1), ("x^2 + 1", 1),
+        ("x + 1", 1), ("2x^2 + x + 2", 2)])
+    def test_unit_circle_with_l_equal_to_u(self, poly, h_star):
+        # L = max(|M(0)|, lc M) = H(M): -M answers with no pass, so a
+        # unit-circle conjugate (a root of unity, a Salem number, or
+        # roots of modulus 1 that are neither) refuses nothing here
+        base = make_base(poly)
+        m = base.min_poly
+        assert base.n_unit > 0
+        report = min_height(base)
+        assert report.h_star == h_star
+        assert report.witness == IntPolynomial([-c for c in m.coeffs])
+        assert report.value_check
+        assert report.searched == ((h_star, m.degree + 1),)
+        with pytest.raises(UnitCircleError):
+            build_zero_automaton(base, h_star)
+
+    def test_roots_of_unity_up_to_30(self):
+        # Phi_n has coefficients in {-1, 0, 1} for n < 105, so L = U = 1
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        for n in range(1, 31):
+            coeffs = [int(c) for c in reversed(
+                sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs())]
+            report = min_height(coeffs)
+            assert report.h_star == 1, n
+            assert report.witness == IntPolynomial([-c for c in coeffs]), n
+            assert report.value_check, n
 
     @pytest.mark.parametrize("h_max", [0, 1, None])
     def test_support_is_checked_before_any_height(self, h_max):
