@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .base import Classification, _as_base, card_bounds, make_base
-from .digits import is_number_system, spans_ring, validate_crs
+from .digits import is_number_system, spans_ring
 from .errors import (DEFAULT_CANDIDATE_CAP, InvalidPolynomialError,
                      PrecisionError, ResourceCapError, UnsupportedBaseError)
 from .polynomials import IntPolynomial, parse_polynomial
@@ -192,15 +192,27 @@ def classify_f_index(base) -> FIndexReport:
             "powers of a root of unity cycle, so {0, 1} reaches every "
             "ring element",
         ))
-    if m1_obstruction(base):
+    k = abs(base.min_poly(1))
+    if k == 1:
         certs.append((
             "unit-evaluation-obstruction",
             f"no digit set of size {m0} works",
             "|M(1)| = 1 yields a nonzero fixed point of backward division "
             "for every digit set of minimal size",
         ))
-        if lower == m0 and m0 >= 2:
-            lower = m0 + 1
+    elif 1 < k < m0 and m0 % k == 0:
+        # -k/(alpha - 1) = +-Q(alpha) for Q = (M - M(1))/(x - 1)
+        sign = 1 if base.min_poly(1) > 0 else -1
+        point = IntPolynomial([sign * sum(base.min_poly.coeffs[i + 1:])
+                               for i in range(base.degree)])
+        certs.append((
+            "fixed-point-obstruction", f"no digit set of size {m0} works",
+            f"|M(1)| = {k} divides |M(0)|, so the integer digit d of class "
+            f"{k} mod alpha is a multiple of {k}, and -d/(alpha - 1) is a "
+            f"nonzero fixed point of backward division: "
+            f"{str(point).replace('x', 'alpha')} for d = {k}"))
+    if 0 < k < m0 and m0 % k == 0:
+        lower = m0 + 1
     if (base.classification is Classification.EXPANDING_INTEGER
             and base.degree >= 2):
         try:
@@ -282,8 +294,6 @@ def sweep_quadratic(a2_max: int, *,
                 continue
             if base.classification is not Classification.EXPANDING_INTEGER:
                 continue
-            digit_set = validate_crs(base, list(range(a2)))
-            verdict = is_number_system(base, digit_set,
-                                       candidate_cap=candidate_cap)
+            verdict = is_number_system(base, candidate_cap=candidate_cap)
             rows.append(SweepRow(a1, a2, quadratic_cns(a1, a2), verdict))
     return rows

@@ -38,9 +38,9 @@ class DigitSet(Record):
 
     @classmethod
     def canonical(cls, base: AlgebraicBase) -> "DigitSet":
-        """The digit set {0, 1, ..., |M(0)| - 1}."""
+        """The digit set {0, 1, ..., |M(0)| - 1}; digit r lies in class r."""
         _require_canonical_size(base.residue_modulus)
-        return validate_crs(base, range(base.residue_modulus))
+        return cls(base, tuple(map(base.element, range(base.residue_modulus))))
 
     @property
     def contains_zero(self) -> bool:
@@ -156,14 +156,13 @@ def orbit(beta, digit_set: DigitSet,
     (none when N is 0), raises ResourceCapError: it could not be printed."""
     base = digit_set.base
     x = base.element(beta)
-    start_elt = x
     zero = base.zero
     terminal = digit_set.contains_zero
     if terminal and x == zero:
-        return ExpansionRecord(start_elt, (), (zero,), Terminated())
+        return ExpansionRecord(x, (), (zero,), Terminated())
     states = [x]
     digits = []
-    seen = {x: 0}
+    seen = {x}
     limit = sys.get_int_max_str_digits()
     cap = 10 ** limit if limit else math.inf
     for step in range(1, max_steps + 1):
@@ -171,10 +170,10 @@ def orbit(beta, digit_set: DigitSet,
         digits.append(r)
         states.append(x)
         if terminal and x == zero:
-            return ExpansionRecord(start_elt, tuple(digits), tuple(states), Terminated())
+            return ExpansionRecord(states[0], tuple(digits), tuple(states), Terminated())
         if x in seen:
-            entry = seen[x]
-            return ExpansionRecord(start_elt, tuple(digits), tuple(states),
+            entry = states.index(x)
+            return ExpansionRecord(states[0], tuple(digits), tuple(states),
                                    Cycle(entry, tuple(states[entry:-1])))
         top = max(map(abs, x)) if type(x) is tuple else abs(x)
         if top >= cap:
@@ -182,8 +181,8 @@ def orbit(beta, digit_set: DigitSet,
                 f"an orbit state reaches the limit of {limit} decimal digits "
                 f"for int-to-str conversion at step {step}, with "
                 f"{int(top).bit_length()} bits")
-        seen[x] = step
-    return ExpansionRecord(start_elt, tuple(digits), tuple(states),
+        seen.add(x)
+    return ExpansionRecord(states[0], tuple(digits), tuple(states),
                            Truncated(max_steps))
 
 

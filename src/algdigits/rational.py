@@ -24,9 +24,10 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 from .base import make_base
-from .digits import (Cycle, ExpansionRecord, orbit,
+from .digits import (Cycle, DigitSet, ExpansionRecord, orbit,
                      _require_canonical_size, validate_crs)
 from .errors import DEFAULT_RATIONAL_STEPS, DigitSetError, ResourceCapError
 from .record import Record
@@ -84,9 +85,10 @@ def digit_set_rational(a: int, b: int, digits=None) -> RationalDigitSet:
             canonical = digit_set_rational(a, b)
             if vals == canonical.digits:
                 return canonical
-        validate_crs(make_base([-a, b]), vals)
-        regime = Regime.NEGATIVE_B if b < 0 else Regime.POSITIVE_B
-        return RationalDigitSet(a, b, regime, vals, ())
+        ds = RationalDigitSet(a, b, Regime.NEGATIVE_B if b < 0
+                              else Regime.POSITIVE_B, vals, ())
+        _table(ds)  # DigitSetError unless vals is a residue system mod a
+        return ds
     _require_canonical_size(2 * a - 1 if b == a - 1 else a)
     if b < 0:
         return RationalDigitSet(a, b, Regime.NEGATIVE_B, tuple(range(a)), ())
@@ -103,22 +105,25 @@ def digit_set_rational(a: int, b: int, digits=None) -> RationalDigitSet:
                             tuple(sorted(shifted)))
 
 
+@lru_cache(maxsize=1)  # one call expands many values over one set
+def _table(ds: RationalDigitSet) -> DigitSet:
+    if ds.regime is Regime.REDUNDANT:  # the mirror base a/-b, digits 0..a-1
+        return DigitSet.canonical(make_base([-ds.a, -ds.b]))
+    return validate_crs(make_base([-ds.a, ds.b]), ds.digits)  # b*x - a
+
+
 def _record(ds: RationalDigitSet, value, max_steps: int) -> ExpansionRecord:
     """The backward-division record of value over ds.  The redundant set
     is no residue system: its record is the orbit over the mirror base
     a/-b with digits 0..a-1, whose k-th digit and state change sign at
     odd k, because (-1)^k s_k = (-1)^k d_k + (a/b) (-1)^(k+1) s_(k+1)
     whenever s_k = d_k + (a/-b) s_(k+1)."""
-    if ds.regime is Regime.REDUNDANT:
-        mirror = _record(digit_set_rational(ds.a, -ds.b), value, max_steps)
-
-        def flip(seq):
-            return tuple(-x if k % 2 else x for k, x in enumerate(seq))
-
-        return ExpansionRecord(mirror.start, flip(mirror.digits),
-                               flip(mirror.states), mirror.tail)
-    base = make_base([-ds.a, ds.b])  # the root of b*x - a
-    return orbit(value, validate_crs(base, ds.digits), max_steps)
+    record = orbit(value, _table(ds), max_steps)
+    if ds.regime is not Regime.REDUNDANT:
+        return record
+    digits, states = (tuple(-x if k % 2 else x for k, x in enumerate(seq))
+                      for seq in (record.digits, record.states))
+    return ExpansionRecord(record.start, digits, states, record.tail)
 
 
 def verify_digit_properties(ds: RationalDigitSet) -> dict:

@@ -1,5 +1,8 @@
 """Cardinality bounds, membership criteria, and the quadratic sweep."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -14,11 +17,14 @@ from algdigits import (
     kovacs_sufficient,
     m1_obstruction,
     make_base,
+    periodic_points,
     quadratic_cns,
     spans_ring,
     sweep_quadratic,
+    validate_crs,
 )
 from algdigits.base import Classification
+from algdigits.polynomials import IntPolynomial
 
 
 class TestQuadraticCriterion:
@@ -92,12 +98,17 @@ CLASSIFY_CASES = [
     ("x^2 - 2", 3, 3, 3),
     ("x^2 + x + 4", 4, 7, None),
     # Every conjugate modulus exceeds 2 on these six, and exact = |M(0)|
-    # only where the canonical digits span the ring.
-    ("x^2 - 4x + 6", 6, 11, None),
+    # only where the canonical digits span the ring.  On x^2 - 4x + 6 the
+    # fixed-point obstruction also lifts the lower bound.
+    ("x^2 - 4x + 6", 7, 11, None),
     ("x^2 - 5", 5, 9, None),
     ("x^2 - 3x + 7", 7, 13, None),
     ("x^2 + x + 7", 7, 7, 7),
     ("x^2 + 3x + 5", 5, 5, 5),
+    # |M(1)| divides |M(0)|: no digit set of size |M(0)| works
+    ("x^2 + 3x - 6", 7, 11, None),
+    ("x^2 - 5x + 8", 9, 15, None),
+    ("x^2 - 6x + 10", 11, 19, None),
 ]
 
 
@@ -171,6 +182,59 @@ class TestClassify:
         payload = classify_f_index(make_base("x + 2")).to_json_dict()
         assert payload["lower"] == payload["upper"] == payload["exact"] == 2
         assert isinstance(payload["certificates"], list)
+
+
+def _fixed_point(a1: int, a2: int, d: int):
+    """The p = u + v*alpha of Z[alpha] with (alpha - 1) p = -d, over
+    alpha^2 = -a1*alpha - a2, or None when no such p exists:
+    (alpha - 1)(u + v*alpha) = -(u + a2*v) + (u - (1 + a1) v) alpha."""
+    v, rest = divmod(d, 1 + a1 + a2)
+    return None if rest else ((1 + a1) * v, v)
+
+
+class TestFixedPointObstruction:
+    """When 1 < |M(1)| < |M(0)| = m and |M(1)| divides m, the integer
+    digit of class |M(1)| in any m-digit set is a multiple of M(1), so
+    -d/(alpha - 1) is a nonzero fixed point of backward division and
+    lower = m + 1.  Checked by brute force on every expanding monic
+    quadratic x^2 + a1*x + a2 with a1, a2 in [-8, 8]."""
+
+    def test_expanding_monic_quadratics(self):
+        rng = random.Random(33)
+        fired = []
+        for a1, a2 in itertools.product(range(-8, 9), repeat=2):
+            try:
+                base = make_base([a2, a1, 1])
+            except ValueError:
+                continue
+            if base.classification is not Classification.EXPANDING_INTEGER:
+                continue
+            m, k = abs(a2), abs(1 + a1 + a2)
+            report = classify_f_index(base)
+            certs = {c[0]: c for c in report.certificates}
+            if not (1 < k < m and m % k == 0):
+                assert "fixed-point-obstruction" not in certs
+                # the lower bound of residue counting and |M(1)| = 1
+                assert report.lower == (m + 1 if k == 1 else max(2, m))
+                continue
+            fired.append((a1, a2))
+            assert report.lower == m + 1
+            assert report.exact is None or report.exact > m
+            point = str(IntPolynomial(_fixed_point(a1, a2, k)))
+            assert certs["fixed-point-obstruction"][2].endswith(
+                f"{point.replace('x', 'alpha')} for d = {k}")
+            systems = [range(m)] + [
+                [r + m * rng.randrange(-1, 2) for r in range(m)]
+                for _ in range(8)]
+            for digits in systems:
+                ds = validate_crs(base, digits)
+                d = ds.digits[k][0]  # the integer digit of class k
+                p = _fixed_point(a1, a2, d)
+                assert p is not None and p != (0, 0)
+                assert ds.step(p) == (ds.digits[k], p)
+                assert p in periodic_points(base, ds).elements
+        assert len(fired) == 9
+        assert {(-4, 6), (-5, 8), (3, -6)} <= set(fired)
 
 
 F2_CASES = [

@@ -363,6 +363,7 @@ class TestOutputLimit:
 
     def test_encode_value_names_the_limit(self):
         assert encode_value(10**4300 - 1) == "9" * 4300
+        assert encode_value(algdigits.Classification.MIXED) == "Mixed"
         for value in (10**4300, -10**4300, Fraction(1, 10**4300)):
             with pytest.raises(ResourceCapError,
                                match="of 14285 bits exceeds the limit of "

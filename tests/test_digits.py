@@ -496,6 +496,60 @@ class TestSpansRingProperty:
         assert spans_ring(base, ds) == (set(pset.elements) == set(zero_orbit))
 
 
+def orbit_reference(beta, digit_set, max_steps):
+    """The orbit walk that maps each state to the step that reached it,
+    so a repeated state reads its cycle entry off the map."""
+    base = digit_set.base
+    x = base.element(beta)
+    terminal = digit_set.contains_zero
+    if terminal and x == base.zero:
+        return ExpansionRecord(x, (), (x,), Terminated())
+    states, digits, step_of = [x], [], {x: 0}
+    for step in range(1, max_steps + 1):
+        r, x = digit_set.step(x)
+        digits.append(r)
+        states.append(x)
+        if terminal and x == base.zero:
+            tail = Terminated()
+        elif x in step_of:
+            tail = Cycle(step_of[x], tuple(states[step_of[x]:-1]))
+        else:
+            step_of[x] = step
+            continue
+        return ExpansionRecord(states[0], tuple(digits), tuple(states), tail)
+    return ExpansionRecord(states[0], tuple(digits), tuple(states),
+                           Truncated(max_steps))
+
+
+class TestOrbitAgainstReference:
+    """orbit keeps each state once and finds a cycle's entry by its
+    position in the state list; its records equal the step-map walk's."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.filter_too_much])
+    @given(case=_expanding_any_degree_with_crs(), data=st.data())
+    def test_records_equal_the_step_map_walk(self, case, data):
+        coeffs, digits = case
+        try:
+            base = make_base(coeffs)
+            ds = as_digit_set(base, data.draw(st.sampled_from([None,
+                                                               digits])))
+        except ValueError:
+            assume(False)
+        start = tuple(data.draw(st.lists(st.integers(-30, 30),
+                                         min_size=base.degree,
+                                         max_size=base.degree)))
+        steps = data.draw(st.integers(0, 60))
+        record = orbit(start, ds, steps)
+        assert record == orbit_reference(start, ds, steps)
+        assert record.replay(base)
+        if isinstance(record.tail, Cycle):
+            entry = record.tail.entry
+            assert record.states[entry] == record.states[-1]
+            assert record.states[-1] not in record.states[entry + 1:-1]
+
+
 class TestResidueTable:
     """A DigitSet keeps one tuple indexed by residue class, so the order
     in which its digits are given changes nothing."""

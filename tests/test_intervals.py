@@ -165,6 +165,7 @@ class TestBox:
     def test_equality_and_width_across_denominators(self):
         assert Box(1, 2, 0, 0) == Box(2, 4, 0, 0, 2)
         assert Box(1, 2, 0, 0) != Box(1, 2, 0, 0, 2)
+        assert Box(0, 0, 0, 0) != 0  # a box equals only boxes
         assert hash(Box(1, 2, 0, 0)) == hash(Box(2, 4, 0, 0, 2))
         assert Box(0, 1, 0, 0).wider(Box(0, 1, 0, 0, 2))
         assert not Box(0, 1, 0, 0).wider(F(1))

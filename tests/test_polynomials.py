@@ -174,6 +174,7 @@ class TestExactPredicates:
         assert is_irreducible_z(IntPolynomial((2, 2, 1)))
         assert not is_irreducible_z(IntPolynomial((-1, 0, 1)))
         assert not is_irreducible_z(IntPolynomial((2, 3, 1)))
+        assert not is_irreducible_z(IntPolynomial((0, 1, 0, 0, 1)))  # x | f
 
     def test_low_degree_agrees_with_factorization(self):
         # Random quadratics and cubics, plus products of random factors

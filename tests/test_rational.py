@@ -25,6 +25,7 @@ from algdigits import (
     rational,
     verify_digit_properties,
 )
+from algdigits.cli import main
 
 
 DS52 = digit_set_rational(5, 2)
@@ -38,6 +39,7 @@ class TestConstruction:
         assert DS52.regime is Regime.POSITIVE_B
         assert DS52.digits == (-2, 0, 1, 2, 4)
         assert DS52.shifted == (-2, 3)
+        assert list(DS52) == [-2, 0, 1, 2, 4] and len(DS52) == 5
         assert DS73.digits == (-3, 0, 1, 2, 3, 5, 6)
         assert DS73.shifted == (-3, 4)
 
@@ -188,6 +190,9 @@ class TestTransducer:
             t.step(0, 3)       # 3 is a shifted-out digit
         with pytest.raises(DigitSetError):
             t.step(5, 0)
+        with pytest.raises(DigitSetError,
+                           match="left the digit set at digit 10"):
+            t.step(2, 10)      # 10 is no digit: 12 - 5 = 7 is none either
 
     def test_fixture_negative_b(self):
         t = AdditionTransducer(DS3M2)
@@ -301,3 +306,41 @@ class TestExpandAll:
         for k, rec in zip(range(0, 5), records):
             assert rec.terminated
             assert value_of(rec.digits, Fraction(7, 3)) == 3 * k
+
+
+class TestOneTable:
+    """Expansions over one digit set share one residue table: it is
+    built once, across expand_all and a three-value CLI expand, for one
+    base of each regime and for explicit digits."""
+
+    @pytest.mark.parametrize("b, digits", [
+        (2, None), (-2, None), (1008, None),
+        (-2, [-1] + list(range(1008)))])  # explicit, not 0..1008
+    def test_table_is_built_once_per_digit_set(self, b, digits, monkeypatch,
+                                               capsys):
+        builds = {"validate_crs": 0, "make_base": 0}
+
+        def counting(name):
+            original = getattr(rational, name)
+
+            def wrapper(*args):
+                builds[name] += 1
+                return original(*args)
+            return wrapper
+
+        for name in builds:
+            monkeypatch.setattr(rational, name, counting(name))
+        rational._table.cache_clear()
+        ds = digit_set_rational(1009, b, digits)
+        records = expand_all(1009, b, digits)
+        assert len(records) == 21 and all(r.replay(make_base([-1009, b]))
+                                          for r in records)
+        argv = ["rational", f"--base={Fraction(1009, b)}", "expand", "1",
+                "2", "3"]
+        if digits:
+            argv[2:2] = ["--digits=" + ",".join(map(str, digits))]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.count('"check": true') == 3
+        # the redundant set expands over the canonical table of 1009/-1008
+        expected = 0 if ds.regime is Regime.REDUNDANT else 1
+        assert builds == {"validate_crs": expected, "make_base": 1}

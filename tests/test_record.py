@@ -83,6 +83,10 @@ class TestValueTypes:
         for name in names + ["not_a_field"]:
             with pytest.raises(AttributeError):
                 setattr(positional, name, 0)
+        for name in type(positional).__slots__:
+            with pytest.raises(AttributeError,
+                               match=f"cannot delete field {name!r}"):
+                delattr(positional, name)
         assert repr(positional) == text
 
     def test_copy_and_pickle_round_trip(self, positional, keyword, text):
