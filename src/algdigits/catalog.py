@@ -192,15 +192,16 @@ def classify_f_index(base) -> FIndexReport:
             "powers of a root of unity cycle, so {0, 1} reaches every "
             "ring element",
         ))
-    k = abs(base.min_poly(1))
-    if k == 1:
+    if m1_obstruction(base):
         certs.append((
             "unit-evaluation-obstruction",
             f"no digit set of size {m0} works",
             "|M(1)| = 1 yields a nonzero fixed point of backward division "
             "for every digit set of minimal size",
         ))
-    elif 1 < k < m0 and m0 % k == 0:
+        if lower == m0 and m0 >= 2:
+            lower = m0 + 1
+    elif 1 < (k := abs(base.min_poly(1))) < m0 and m0 % k == 0:
         # -k/(alpha - 1) = +-Q(alpha) for Q = (M - M(1))/(x - 1)
         sign = 1 if base.min_poly(1) > 0 else -1
         point = IntPolynomial([sign * sum(base.min_poly.coeffs[i + 1:])
@@ -211,7 +212,6 @@ def classify_f_index(base) -> FIndexReport:
             f"{k} mod alpha is a multiple of {k}, and -d/(alpha - 1) is a "
             f"nonzero fixed point of backward division: "
             f"{str(point).replace('x', 'alpha')} for d = {k}"))
-    if 0 < k < m0 and m0 % k == 0:
         lower = m0 + 1
     if (base.classification is Classification.EXPANDING_INTEGER
             and base.degree >= 2):

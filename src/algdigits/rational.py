@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 
 from .base import make_base
 from .digits import (Cycle, DigitSet, ExpansionRecord, orbit,
@@ -85,10 +84,9 @@ def digit_set_rational(a: int, b: int, digits=None) -> RationalDigitSet:
             canonical = digit_set_rational(a, b)
             if vals == canonical.digits:
                 return canonical
-        ds = RationalDigitSet(a, b, Regime.NEGATIVE_B if b < 0
-                              else Regime.POSITIVE_B, vals, ())
-        _table(ds)  # DigitSetError unless vals is a residue system mod a
-        return ds
+        validate_crs(make_base([-a, b]), vals)
+        regime = Regime.NEGATIVE_B if b < 0 else Regime.POSITIVE_B
+        return RationalDigitSet(a, b, regime, vals, ())
     _require_canonical_size(2 * a - 1 if b == a - 1 else a)
     if b < 0:
         return RationalDigitSet(a, b, Regime.NEGATIVE_B, tuple(range(a)), ())
@@ -105,25 +103,20 @@ def digit_set_rational(a: int, b: int, digits=None) -> RationalDigitSet:
                             tuple(sorted(shifted)))
 
 
-@lru_cache(maxsize=1)  # one call expands many values over one set
-def _table(ds: RationalDigitSet) -> DigitSet:
-    if ds.regime is Regime.REDUNDANT:  # the mirror base a/-b, digits 0..a-1
-        return DigitSet.canonical(make_base([-ds.a, -ds.b]))
-    return validate_crs(make_base([-ds.a, ds.b]), ds.digits)  # b*x - a
-
-
 def _record(ds: RationalDigitSet, value, max_steps: int) -> ExpansionRecord:
     """The backward-division record of value over ds.  The redundant set
     is no residue system: its record is the orbit over the mirror base
     a/-b with digits 0..a-1, whose k-th digit and state change sign at
     odd k, because (-1)^k s_k = (-1)^k d_k + (a/b) (-1)^(k+1) s_(k+1)
     whenever s_k = d_k + (a/-b) s_(k+1)."""
-    record = orbit(value, _table(ds), max_steps)
     if ds.regime is not Regime.REDUNDANT:
-        return record
+        base = make_base([-ds.a, ds.b])  # the root of b*x - a
+        return orbit(value, validate_crs(base, ds.digits), max_steps)
+    mirror = orbit(value, DigitSet.canonical(make_base([-ds.a, -ds.b])),
+                   max_steps)
     digits, states = (tuple(-x if k % 2 else x for k, x in enumerate(seq))
-                      for seq in (record.digits, record.states))
-    return ExpansionRecord(record.start, digits, states, record.tail)
+                      for seq in (mirror.digits, mirror.states))
+    return ExpansionRecord(mirror.start, digits, states, mirror.tail)
 
 
 def verify_digit_properties(ds: RationalDigitSet) -> dict:

@@ -308,16 +308,18 @@ class TestExpandAll:
             assert value_of(rec.digits, Fraction(7, 3)) == 3 * k
 
 
-class TestOneTable:
-    """Expansions over one digit set share one residue table: it is
-    built once, across expand_all and a three-value CLI expand, for one
-    base of each regime and for explicit digits."""
+class TestTableBuilds:
+    """Each expansion builds one residue table over one base: the two
+    residue-system regimes validate their digits once, and the redundant
+    set takes the canonical table of the mirror base a/-b without
+    validating it, for one base of each regime and for explicit digits."""
 
     @pytest.mark.parametrize("b, digits", [
         (2, None), (-2, None), (1008, None),
         (-2, [-1] + list(range(1008)))])  # explicit, not 0..1008
-    def test_table_is_built_once_per_digit_set(self, b, digits, monkeypatch,
-                                               capsys):
+    def test_each_expansion_builds_one_table(self, b, digits, monkeypatch,
+                                             capsys):
+        ds = digit_set_rational(1009, b, digits)
         builds = {"validate_crs": 0, "make_base": 0}
 
         def counting(name):
@@ -330,17 +332,18 @@ class TestOneTable:
 
         for name in builds:
             monkeypatch.setattr(rational, name, counting(name))
-        rational._table.cache_clear()
-        ds = digit_set_rational(1009, b, digits)
-        records = expand_all(1009, b, digits)
+        per = 0 if ds.regime is Regime.REDUNDANT else 1
+        records = expand_all(1009, b, ds)
         assert len(records) == 21 and all(r.replay(make_base([-1009, b]))
                                           for r in records)
+        assert builds == {"validate_crs": 21 * per, "make_base": 21}
         argv = ["rational", f"--base={Fraction(1009, b)}", "expand", "1",
                 "2", "3"]
         if digits:
             argv[2:2] = ["--digits=" + ",".join(map(str, digits))]
+        builds.update(validate_crs=0, make_base=0)
         assert main(argv) == 0
         assert capsys.readouterr().out.count('"check": true') == 3
-        # the redundant set expands over the canonical table of 1009/-1008
-        expected = 0 if ds.regime is Regime.REDUNDANT else 1
-        assert builds == {"validate_crs": expected, "make_base": 1}
+        given = 1 if digits else 0  # explicit digits are validated once
+        assert builds == {"validate_crs": 3 * per + given,
+                          "make_base": 3 + given}
