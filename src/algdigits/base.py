@@ -40,15 +40,6 @@ class Classification(Enum):
         return self.value
 
 
-_HEIGHT_REDUCIBLE_CLASSES = {
-    Classification.EXPANDING_INTEGER,
-    Classification.EXPANDING_NON_INTEGER,
-    Classification.UNIMODULAR,
-    Classification.ROOT_OF_UNITY,
-    Classification.RATIONAL,
-}
-
-
 def _integer(c) -> int:
     """c as an int; ValueError for anything that is not an integer,
     bools and floats included."""
@@ -106,8 +97,6 @@ class AlgebraicBase:
         self.min_poly = poly
         self.irreducibility = irreducibility
         self.degree = d
-        self.leading_coefficient = poly.leading_coefficient
-        self.constant_term = poly.constant_term
         self.residue_modulus = abs(poly.constant_term)
         self.rational_view: tuple[int, int] | None = None
         if d == 1:
@@ -151,10 +140,10 @@ class AlgebraicBase:
 
     @property
     def supports_height_reduction(self) -> bool:
-        """Whether every conjugate has modulus one, or every conjugate has
-        modulus greater than one; exactly these bases admit a finite
-        integer coefficient alphabet (see height_reduce)."""
-        return self.classification in _HEIGHT_REDUCIBLE_CLASSES
+        """Whether alpha is height-reducing (a finite integer alphabet, see
+        height_reduce): exactly when its conjugates are all on the unit
+        circle or all outside it, which is every class but Mixed."""
+        return self.classification is not Classification.MIXED
 
     @property
     def is_monic(self) -> bool:

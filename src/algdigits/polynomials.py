@@ -259,8 +259,6 @@ def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
             r[k + j] -= c * y
         while r and not r[-1]:
             r.pop()
-    while q and not q[-1]:
-        q.pop()
     return q, r
 
 

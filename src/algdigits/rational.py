@@ -1,14 +1,12 @@
 """Digit sets and addition transducers for rational bases a/b with
 a > |b| >= 1 and gcd(a, b) = 1.
 
-Three regimes:
-
-* b < 0: the plain digits {0, ..., a-1} work.
-* 0 < b < a-1: multiples of a-b must be shifted down by a, giving the
-  symmetric difference of {0, ..., a-1} with {k(a-b), k(a-b)-a}.
-* b = a-1: no complete residue system works at all (backward division
-  fixes -b*d for every nonzero digit d), so the redundant symmetric set
-  {-(a-1), ..., a-1} with 2a-1 digits is used instead.
+The canonical digits are {0, ..., a-1} with each nonzero multiple of
+a-b moved down by a (to k(a-b) - a); shifted lists both ends of every
+move.  For b < 0 no such multiple lies below a, so the digits are plain.
+For b = a-1 every digit would move and no complete residue system works
+(backward division fixes -b*d for every nonzero digit d), so the
+redundant symmetric set {-(a-1), ..., a-1} with 2a-1 digits is used.
 
 Expansions are the backward-division records of digits.orbit over the
 degree-one base b*x - a; the redundant set runs the mirror base a/-b.
@@ -74,6 +72,7 @@ def digit_set_rational(a: int, b: int, digits=None) -> RationalDigitSet:
         raise DigitSetError(f"need a > |b|, got a={a}, b={b}")
     if math.gcd(a, b) != 1:
         raise DigitSetError(f"a={a} and b={b} are not coprime")
+    regime = Regime.NEGATIVE_B if b < 0 else Regime.POSITIVE_B
     if digits is not None:
         digits = tuple(digits)
         for d in digits:
@@ -85,22 +84,15 @@ def digit_set_rational(a: int, b: int, digits=None) -> RationalDigitSet:
             if vals == canonical.digits:
                 return canonical
         validate_crs(make_base([-a, b]), vals)
-        regime = Regime.NEGATIVE_B if b < 0 else Regime.POSITIVE_B
         return RationalDigitSet(a, b, regime, vals, ())
     _require_canonical_size(2 * a - 1 if b == a - 1 else a)
-    if b < 0:
-        return RationalDigitSet(a, b, Regime.NEGATIVE_B, tuple(range(a)), ())
     if b == a - 1:
         return RationalDigitSet(a, b, Regime.REDUNDANT,
                                 tuple(range(-(a - 1), a)), ())
-    plain = set(range(a))
-    shifted = set()
-    for k in range(1, (a - 1) // (a - b) + 1):
-        shifted.add(k * (a - b))
-        shifted.add(k * (a - b) - a)
-    return RationalDigitSet(a, b, Regime.POSITIVE_B,
-                            tuple(sorted(plain ^ shifted)),
-                            tuple(sorted(shifted)))
+    return RationalDigitSet(
+        a, b, regime, tuple(sorted(d - a if 0 < d and d % (a - b) == 0
+                                   else d for d in range(a))),
+        tuple(sorted(x for d in range(a - b, a, a - b) for x in (d - a, d))))
 
 
 def _record(ds: RationalDigitSet, value, max_steps: int) -> ExpansionRecord:
@@ -249,7 +241,7 @@ def transduce(transducer: AdditionTransducer, start: int, word) -> tuple:
 
 
 def expand_all(a: int, b: int, digit_values=None, k_range=None, *,
-               max_steps: int = 10**5) -> list:
+               max_steps: int = DEFAULT_RATIONAL_STEPS) -> list:
     """Expansion records of k*b over base a/b, one per k in k_range
     (default -10..10), each replay-checkable exactly.  Multiples of b
     are precisely the values one backward-division step can produce, so

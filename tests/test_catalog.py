@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from algdigits import (
     F2Verdict,
+    InvalidPolynomialError,
     PrecisionError,
     UnsupportedBaseError,
     all_conjugates_gt,
+    card_bounds,
     classify_f_index,
     f2_analysis,
     kovacs_sufficient,
@@ -267,6 +269,37 @@ class TestF2:
 
     def test_value_is_string(self):
         assert f2_analysis(make_base("x + 1")).verdict.value == "InF2"
+
+    def test_agrees_with_classify(self):
+        """Over every base of degree <= 3 with coefficients in [-4, 4] and
+        leading coefficient 1 or 2: InF2 exactly when classify gives
+        exact 2, an exclusion exactly when its lower bound exceeds 2, and
+        height reduction exactly off Mixed and where card_bounds holds."""
+        verdicts = set()
+        for degree, lead in itertools.product((1, 2, 3), (1, 2)):
+            for low in itertools.product(range(-4, 5), repeat=degree):
+                try:
+                    base = make_base([*low, lead])
+                except InvalidPolynomialError:
+                    continue
+                reducing = base.supports_height_reduction
+                assert reducing == (base.classification
+                                    is not Classification.MIXED), low
+                try:
+                    report = classify_f_index(base)
+                except UnsupportedBaseError:
+                    with pytest.raises(UnsupportedBaseError):
+                        card_bounds(base)
+                    assert not reducing, low
+                    continue
+                assert reducing, low
+                card_bounds(base)
+                verdict = f2_analysis(base).verdict
+                verdicts.add(verdict)
+                assert (verdict is F2Verdict.IN_F2) == (report.exact == 2), low
+                assert verdict.value.startswith("Excluded") == (
+                    report.lower > 2), (low, lead, verdict, report.lower)
+        assert verdicts == set(F2Verdict)
 
 
 class TestSweep:

@@ -97,6 +97,26 @@ class TestProperties:
         assert not props["crs"]
         assert props["plus_b"] and props["minus_b"] and props["pm_b"]
 
+    def test_every_canonical_set_up_to_40(self):
+        """The carry properties and the shape of shifted, for every
+        canonical set with a <= 40."""
+        for a in range(2, 41):
+            for b in range(-a + 1, a):
+                if b == 0 or math.gcd(a, b) != 1:
+                    continue
+                ds = digit_set_rational(a, b)
+                props = verify_digit_properties(ds)
+                assert props["plus_b"] and props["minus_b"], (a, b)
+                if ds.regime is Regime.REDUNDANT:
+                    assert b == a - 1 and not props["crs"]
+                    assert ds.digits == tuple(range(-(a - 1), a))
+                    continue
+                assert props["crs"] and (b < 0 or props["pm_b"]), (a, b)
+                assert all(-a < d < a for d in ds.digits), (a, b)
+                for x in ds.shifted:
+                    assert (x % (a - b) == 0 and x not in ds if x > 0
+                            else x in ds), (a, b, x)
+
 
 class TestValueHelpers:
     def test_value_of(self):
