@@ -1,5 +1,4 @@
-"""Exact integer algorithms behind ``polynomials.is_irreducible_z`` and
-``polynomials.count_real_roots_between``.
+"""The exact integer algorithm behind ``polynomials.is_irreducible_z``.
 
 Irreducibility over Q follows Zassenhaus (On Hensel factorization I,
 J. Number Theory 1, 1969):
@@ -291,38 +290,3 @@ def is_irreducible(coeffs) -> bool | None:
                 return False
     return True
 
-
-def _sturm_sequence(f):
-    seq = [f, [i * c for i, c in enumerate(f) if i]]
-    while len(seq[-1]) > 1:
-        r = _pseudo_divmod(seq[-2], seq[-1])[1]
-        if not r:
-            break
-        g = math.gcd(*r)
-        seq.append([-c // g for c in r])
-    return seq
-
-
-def count_real_roots(coeffs, lo, hi) -> int:
-    """Distinct real roots in the closed interval [lo, hi], by a Sturm
-    sequence of integer pseudo-remainders (a positive scale factor keeps
-    every sign)."""
-    f = list(coeffs)
-    if len(f) < 2:
-        return 0
-    seq = _sturm_sequence(f)
-    if len(seq[-1]) > 1:
-        # Repeated roots: count the roots of the squarefree part.
-        seq = _sturm_sequence(_primitive(_pseudo_divmod(f, seq[-1])[0]))
-
-    def value(s, x):
-        v = 0
-        for c in reversed(s):
-            v = v * x + c
-        return v
-
-    def variations(x):
-        signs = [v > 0 for v in (value(s, x) for s in seq) if v]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
-
-    return abs(variations(lo) - variations(hi)) + (value(f, lo) == 0)

@@ -92,9 +92,7 @@ class IntPolynomial(Record):
     # -- structural predicates -------------------------------------------
 
     def is_squarefree(self) -> bool:
-        if self.degree < 1:
-            return False
-        return _gcd_degree_over_q(list(self.coeffs), list(self.derivative().coeffs)) == 0
+        return self.degree > 0 and _remainders(self)[-1].degree == 0
 
     def to_list(self) -> list[int]:
         return list(self.coeffs)
@@ -262,14 +260,19 @@ def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     return q, r
 
 
-def _gcd_degree_over_q(a: list[int], b: list[int]) -> int:
-    """Degree of gcd(a, b) over Q, by a primitive remainder sequence in
-    Z[x]; inputs have no trailing zeros.  Returns -1 when both are zero."""
-    while b:
-        r = _pseudo_divmod(a, b)[1]
+def _remainders(f: IntPolynomial) -> list[IntPolynomial]:
+    """f, f' and then each negated pseudo-remainder divided by its
+    content, for f of degree >= 1.  A positive scale keeps every sign, so
+    this is a Sturm sequence; its last entry is gcd(f, f') over Q, up to
+    a constant."""
+    seq = [f, f.derivative()]
+    while seq[-1].degree > 0:
+        r = _pseudo_divmod(list(seq[-2].coeffs), list(seq[-1].coeffs))[1]
+        if not r:
+            break
         g = math.gcd(*r)
-        a, b = b, [c // g for c in r]
-    return len(a) - 1
+        seq.append(IntPolynomial(-c // g for c in r))
+    return seq
 
 
 def divides_over_q(divisor: IntPolynomial, multiple: IntPolynomial) -> bool:
@@ -308,8 +311,20 @@ def is_irreducible_z(poly: IntPolynomial) -> bool | None:
 
 def count_real_roots_between(poly: IntPolynomial, lo: int, hi: int) -> int:
     """Exact count of distinct real roots of poly in [lo, hi], endpoints
-    included (Sturm)."""
-    return factoring.count_real_roots(poly.coeffs, lo, hi)
+    included (Sturm).  With repeated roots the sequence is that of the
+    squarefree part, poly over gcd(poly, poly')."""
+    if poly.degree < 1:
+        return 0
+    seq = _remainders(poly)
+    if seq[-1].degree > 0:
+        seq = _remainders(IntPolynomial(
+            _pseudo_divmod(list(poly.coeffs), list(seq[-1].coeffs))[0]))
+
+    def variations(x):
+        signs = [v > 0 for v in (s(x) for s in seq) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return abs(variations(lo) - variations(hi)) + (poly(lo) == 0)
 
 
 def palindromic_half(poly: IntPolynomial) -> IntPolynomial:

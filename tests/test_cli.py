@@ -852,6 +852,11 @@ class TestStartup:
          {"catalog", "rational", "digits"}),
         (["rational", "--base", "5/2", "expand", "7"],
          {"catalog", "zero_automaton"}),
+        # Palindromic quadratics: the Sturm count needs no factoring.
+        (["analyze", "--poly", "x^2+x+1"],
+         {"factoring", "catalog", "digits", "rational", "zero_automaton"}),
+        (["zero-automaton", "--poly", "x^2-3x+1", "--height", "1"],
+         {"factoring", "catalog", "digits", "rational"}),
     ])
     def test_subcommand_loads_only_its_layers(self, argv, unloaded):
         code, layers, _stdlib = _loaded_after(argv)
