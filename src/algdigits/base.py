@@ -394,12 +394,13 @@ def make_base(poly) -> AlgebraicBase:
     """Build a classified base from a minimal polynomial.
 
     poly may be an IntPolynomial, a coefficient list (ascending), or
-    text.  The polynomial must be nonconstant, primitive, squarefree,
-    with nonzero constant term.  Irreducibility is verified exactly at
-    every degree; it is recorded as "assumed" only when the factoring
-    recombination budget runs out."""
-    if not isinstance(poly, IntPolynomial):
-        poly = parse_polynomial(poly)
+    text, which must be nonconstant, primitive, squarefree, with nonzero
+    constant term; a base is returned as it is.  Irreducibility is
+    verified exactly at every degree; it is recorded as "assumed" only
+    when the factoring recombination budget runs out."""
+    if isinstance(poly, AlgebraicBase):
+        return poly
+    poly = parse_polynomial(poly)
     require_min_poly_shape(poly)
     if poly.leading_coefficient < 0:
         poly = IntPolynomial(tuple(-c for c in poly.coeffs))
@@ -409,10 +410,3 @@ def make_base(poly) -> AlgebraicBase:
             f"{poly!s} factors over Z; not a minimal polynomial")
     irreducibility = "assumed" if irreducible is None else "verified"
     return AlgebraicBase(poly, irreducibility)
-
-
-def _as_base(base) -> AlgebraicBase:
-    """base itself when it is an AlgebraicBase, else make_base(base)."""
-    if isinstance(base, AlgebraicBase):
-        return base
-    return make_base(base)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 
-from .base import Classification, _as_base, card_bounds, make_base
+from .base import Classification, card_bounds, make_base
 from .digits import is_number_system, spans_ring
 from .errors import (DEFAULT_CANDIDATE_CAP, InvalidPolynomialError,
                      PrecisionError, ResourceCapError, UnsupportedBaseError)
@@ -32,8 +32,7 @@ def kovacs_sufficient(poly) -> bool:
     """Sufficient condition for x^d + a_1 x^{d-1} + ... + a_d with
     digits {0, ..., a_d - 1} to be a number system: d >= 2 and
     1 <= a_1 <= a_2 <= ... <= a_d with a_d >= 2."""
-    if not isinstance(poly, IntPolynomial):
-        poly = parse_polynomial(poly)
+    poly = parse_polynomial(poly)
     if poly.is_zero or not poly.is_monic:
         raise UnsupportedBaseError("the chain condition applies to monic "
                                    "polynomials only")
@@ -50,7 +49,7 @@ def m1_obstruction(base) -> bool:
     """|M(1)| = 1.  When it holds, no digit set of the minimal size
     |M(0)| can reach every ring element: backward division then has a
     nonzero fixed point."""
-    base = _as_base(base)
+    base = make_base(base)
     return abs(base.min_poly(1)) == 1
 
 
@@ -59,7 +58,7 @@ def all_conjugates_gt(base, threshold) -> bool:
     the threshold.  The intervals are refined until each one clears or
     fails (a degree-one modulus is exact and decides at once), and a
     modulus that may equal the threshold exactly raises PrecisionError."""
-    base = _as_base(base)
+    base = make_base(base)
     t = Fraction(threshold)
     for _ in range(16):
         moduli = base.conjugate_moduli()
@@ -90,7 +89,7 @@ def f2_analysis(base) -> F2Analysis:
     modulus 1 or an expanding integer with |M(0)| = 2; roots of unity
     and the rationals -2, -1, 1 are in; |M(1)| = 1 excludes when
     |M(0)| = 2."""
-    base = _as_base(base)
+    base = make_base(base)
     m0 = base.residue_modulus
     if base.classification is Classification.ROOT_OF_UNITY:
         return F2Analysis(F2Verdict.IN_F2,
@@ -165,7 +164,7 @@ def classify_f_index(base) -> FIndexReport:
     """Bounds, and where a criterion applies the exact value, of the
     minimal digit-set cardinality for the base.  Certificates list each
     applied criterion as (name, verdict, justification)."""
-    base = _as_base(base)
+    base = make_base(base)
     bounds = card_bounds(base)
     m0 = base.residue_modulus
     lower: int = bounds.lower

@@ -28,7 +28,7 @@ from . import (__version__, base, catalog, digits, jsonio, rational,
                zero_automaton)
 from .errors import (DEFAULT_CANDIDATE_CAP, DEFAULT_MAX_STATES,
                      DEFAULT_ORBIT_STEPS, DEFAULT_RATIONAL_STEPS,
-                     DigitSetError, PolynomialSyntaxError)
+                     DigitSetError, PolynomialSyntaxError, read_decimal)
 
 def _json_int(v) -> int:
     import json
@@ -49,11 +49,12 @@ def _parse_digit_list(text: str | None):
 
         try:  # a deep list may load, then overflow _json_int's json.dumps
             return [tuple(_json_int(c) for c in v) if isinstance(v, list)
-                    else _json_int(v) for v in json.loads(s)]
+                    else _json_int(v) for v in json.loads(
+                        s, parse_int=lambda t: read_decimal(t, "a digit"))]
         except (json.JSONDecodeError, RecursionError) as exc:
             raise DigitSetError(f"bad digit list: {exc}") from exc
     try:
-        return [int(tok) for tok in s.split(",")]
+        return [read_decimal(tok, "a digit") for tok in s.split(",")]
     except ValueError as exc:
         raise DigitSetError(f"bad digit list {text!r}") from exc
 
@@ -84,7 +85,7 @@ def _int_value(token: str) -> int:
     """One of the integer values of `rational`; a bad one is a usage
     error naming the argument, in argparse's words."""
     try:
-        return int(token)
+        return read_decimal(token, "a value")
     except ValueError:
         raise UsageError("algdigits rational: argument values: invalid int "
                          f"value: {token!r}") from None
@@ -94,7 +95,7 @@ def _parse_rational_base(text: str) -> tuple[int, int]:
     from fractions import Fraction
 
     try:
-        f = Fraction(text.strip())
+        f = read_decimal(text.strip(), "the base", Fraction)
     except (ValueError, ZeroDivisionError) as exc:
         raise PolynomialSyntaxError(f"bad rational base {text!r}") from exc
     p, q = f.numerator, f.denominator
@@ -117,10 +118,9 @@ def _record_out(record) -> dict:
 
 def _cmd_analyze(args) -> dict:
     alpha = base.make_base(args.poly)
-    moduli = [[lo, hi] for lo, hi in alpha.conjugate_moduli()]
     result = {
         "poly": str(alpha.min_poly),
-        "coeffs": alpha.min_poly.to_list(),
+        "coeffs": alpha.min_poly.coeffs,
         "degree": alpha.degree,
         "monic": alpha.is_monic,
         "irreducibility": alpha.irreducibility,
@@ -129,9 +129,8 @@ def _cmd_analyze(args) -> dict:
         "n_expanding": alpha.n_expanding,
         "n_unit": alpha.n_unit,
         "n_contracting": alpha.n_contracting,
-        "conjugate_moduli": moduli,
-        "rational_view": (list(alpha.rational_view) if alpha.rational_view
-                          else None),
+        "conjugate_moduli": alpha.conjugate_moduli(),
+        "rational_view": alpha.rational_view,
         "residue_modulus": alpha.residue_modulus,
     }
     try:
@@ -160,8 +159,9 @@ def _cmd_expand(args) -> dict:
     alpha = base.make_base(args.poly)
     digit_set = digits.as_digit_set(alpha, _parse_digit_list(args.digits))
     try:
-        value = (json.loads(args.value) if args.value.strip().startswith("[")
-                 else int(args.value))
+        value = (json.loads(args.value, parse_int=lambda t: read_decimal(
+            t, "a coordinate")) if args.value.strip().startswith("[")
+            else read_decimal(args.value, "the value"))
     except (ValueError, RecursionError):  # json.JSONDecodeError is one
         raise UsageError(f"algdigits expand: argument --value: invalid "
                          f"integer or coordinate list: {args.value!r}"
@@ -215,7 +215,7 @@ def _cmd_rational(args) -> dict:
         return {
             "a": a, "b": b,
             "regime": ds.regime.value,
-            "digits": list(ds.digits),
+            "digits": ds.digits,
             "properties": props,
             "transducer_ready": props["plus_b"] and props["minus_b"],
         }
@@ -229,7 +229,7 @@ def _cmd_rational(args) -> dict:
             word = rational.expand_int(ds, k, args.max_steps)
             rows.append({
                 "value": k,
-                "digits_lsb": list(word),
+                "digits_lsb": word,
                 "length": len(word),
                 "check": rational.value_of(word, ds.alpha) == k,
             })
@@ -244,9 +244,9 @@ def _cmd_rational(args) -> dict:
     out_val = rational.value_of(out, ds.alpha)
     return {
         "a": a, "b": b,
-        "input_lsb": list(word),
+        "input_lsb": word,
         "start_carry": start,
-        "output_lsb": list(out),
+        "output_lsb": out,
         "input_value": in_val,
         "output_value": out_val,
         "delta": out_val - in_val,
@@ -272,7 +272,7 @@ def _cmd_zero_automaton(args) -> dict | str:
         "n_states": auto.n_states,
         "n_edges": auto.n_edges,
         "has_nontrivial_word": found is not None,
-        "shortest_nonzero_word": list(found.word) if found else None,
+        "shortest_nonzero_word": found and found.word,
     }
 
 
@@ -283,11 +283,11 @@ def _cmd_min_height(args) -> dict:
     return {
         "poly": str(alpha.min_poly),
         "h_star": report.h_star,
-        "word": list(report.word),
+        "word": report.word,
         "witness": str(report.witness),
-        "witness_coeffs": report.witness.to_list(),
+        "witness_coeffs": report.witness.coeffs,
         "value_check": report.value_check,
-        "searched": [list(row) for row in report.searched],
+        "searched": report.searched,
     }
 
 

@@ -1,9 +1,12 @@
-"""Exception types shared by the whole package.
+"""Exception types shared by the whole package, and read_decimal, the
+one rule for a decimal integer past Python's int-to-str limit.
 
 Precondition failures subclass ValueError so they behave naturally for
 library users; the CLI maps them to exit code 2.  Resource-cap and
 precision failures are RuntimeErrors and map to exit code 3.
 """
+
+import sys
 
 
 class AlgdigitsError(Exception):
@@ -54,3 +57,18 @@ DEFAULT_MAX_STATES = 1_000_000    # states of Z(H) (zero_automaton)
 DEFAULT_ORBIT_STEPS = 10_000      # steps of digits.orbit
 DEFAULT_RATIONAL_STEPS = 10**6    # steps of rational.expand_int
 MAX_DEGREE = 256                  # degree of a parsed polynomial (fixed)
+
+
+def read_decimal(text: str, what: str, parse=int):
+    """parse(text), or, when it fails on more digits than the int-to-str
+    limit, a ResourceCapError naming what, the digit count and the limit."""
+    try:
+        return parse(text)
+    except ValueError:
+        digits = sum(c.isdecimal() for c in text)
+        limit = sys.get_int_max_str_digits()
+        if not 0 < limit < digits:
+            raise
+    raise ResourceCapError(f"{what} of {digits} decimal digits exceeds the "
+                           f"limit of {limit} decimal digits for int-to-str "
+                           "conversion")

@@ -15,7 +15,7 @@ import sys
 
 from . import factoring
 from .errors import (MAX_DEGREE, InvalidPolynomialError, PolynomialSyntaxError,
-                     ResourceCapError)
+                     ResourceCapError, read_decimal)
 from .record import Record
 
 _TERM_RE = re.compile(r"([+-]?)(\d*)([A-Za-z]?)(?:\^(\d+))?$")
@@ -94,9 +94,6 @@ class IntPolynomial(Record):
     def is_squarefree(self) -> bool:
         return self.degree > 0 and _remainders(self)[-1].degree == 0
 
-    def to_list(self) -> list[int]:
-        return list(self.coeffs)
-
     # -- display ----------------------------------------------------------
 
     def __str__(self) -> str:
@@ -127,7 +124,7 @@ def parse_polynomial(text) -> IntPolynomial:
     Accepts either term syntax ("x^2 - x - 1", "2x^2-3x+2", "-x + 3",
     optional '*' between coefficient and variable) or a JSON coefficient
     list, least-significant first ("[ -1, -1, 1 ]").  Lists and tuples
-    are taken as coefficient sequences directly.
+    are coefficient sequences; an IntPolynomial is returned as it is.
 
     >>> parse_polynomial("x^2-x-1").coeffs
     (-1, -1, 1)
@@ -136,6 +133,8 @@ def parse_polynomial(text) -> IntPolynomial:
     >>> parse_polynomial("[-2, 1]").coeffs
     (-2, 1)
     """
+    if isinstance(text, IntPolynomial):
+        return text
     if isinstance(text, (list, tuple)):
         return _from_terms(dict(enumerate(int(c) for c in text)))
     if not isinstance(text, str):
@@ -184,15 +183,7 @@ def parse_polynomial(text) -> IntPolynomial:
 
 
 def _coefficient(text: str) -> int:
-    """int(text), or ResourceCapError naming the digit count and the
-    limit when text is past Python's limit on int-to-str conversion."""
-    try:
-        return int(text)
-    except ValueError:
-        raise ResourceCapError(
-            f"a coefficient of {len(text.lstrip('-'))} decimal digits "
-            f"exceeds the limit of {sys.get_int_max_str_digits()} decimal "
-            f"digits for int-to-str conversion") from None
+    return read_decimal(text, "a coefficient")
 
 
 def _exponent(text: str) -> int:

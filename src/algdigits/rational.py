@@ -27,6 +27,7 @@ from .base import make_base
 from .digits import (Cycle, DigitSet, ExpansionRecord, orbit,
                      _require_canonical_size, validate_crs)
 from .errors import DEFAULT_RATIONAL_STEPS, DigitSetError, ResourceCapError
+from .polynomials import IntPolynomial
 from .record import Record
 
 # Zero digits transduce may append to flush its carry; two always do.
@@ -130,11 +131,8 @@ def verify_digit_properties(ds: RationalDigitSet) -> dict:
 
 
 def value_of(digits_lsb, alpha: Fraction) -> Fraction:
-    """Exact value of an expansion given least significant digit first."""
-    acc = Fraction(0)
-    for d in reversed(list(digits_lsb)):
-        acc = acc * alpha + d
-    return acc
+    """Exact value of a word of integer digits, least significant first."""
+    return IntPolynomial(digits_lsb)(alpha)
 
 
 def expand_int(ds: RationalDigitSet, k: int,

@@ -22,7 +22,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .base import AlgebraicBase, _as_base
+from .base import AlgebraicBase, make_base
 from .errors import (DEFAULT_MAX_STATES, ResourceCapError, UnitCircleError,
                      UnsupportedBaseError)
 from .polynomials import IntPolynomial, divides_over_q
@@ -196,7 +196,7 @@ def build_zero_automaton(base, height: int, *,
     leaves the invariant band, and an undecided one is kept and, if it
     cannot return to 0, removed by trim().  The untrimmed automaton is
     deterministic for a given width."""
-    base = _as_base(base)
+    base = make_base(base)
     if height < 1:
         raise ValueError("height must be at least 1")
     _require_supported(base)
@@ -307,7 +307,7 @@ def min_height(base, h_max: int | None = None, *,
     smaller h_max may raise ResourceCapError.  When irreducibility is
     verified, U is answered without a pass, so a non-monic irrational
     base is supported when L = U."""
-    base = _as_base(base)
+    base = make_base(base)
     m = base.min_poly
     # By Gauss's lemma a nonzero P in Z[x] with P(alpha) = 0 is x^k M Q
     # with Q in Z[x] and Q(0) != 0, so P has a coefficient M(0) Q(0) and

@@ -12,6 +12,10 @@ from oracles import FractionBox, multiquadratic_poly
 
 
 class TestClassification:
+    def test_base_is_returned_as_is(self):
+        base = make_base("x^2 + 2x + 2")
+        assert make_base(base) is base
+
     def test_golden_ratio_like_is_mixed(self):
         base = make_base("x^2 - x - 1")
         assert base.classification is Classification.MIXED

@@ -437,6 +437,26 @@ class TestOutputLimit:
             "message": "the canonical digit set has 10000019 digits, more "
                        "than the cap of 10000000"}
 
+    @pytest.mark.parametrize("argv", [
+        ["is-ns", "--poly", "x^2+2x+2", "--digits", "0," + "9" * 4301],
+        ["is-ns", "--poly", "x^2+2x+2", "--digits", f"[0,{'9' * 4301}]"],
+        ["expand", "--poly", "x+2", "--value", "9" * 4301],
+        ["expand", "--poly", "x^2+2x+2", "--value", f"[1,{'9' * 4301}]"],
+        ["rational", "--base", "3/2", "expand", "9" * 4301],
+        ["rational", "--base", "3/2", "transduce", "9" * 4301],
+        ["rational", "--base", "9" * 4301, "verify"]],
+        ids=["digits", "digits-json", "value", "value-json",
+             "rational-expand", "rational-transduce", "base"])
+    def test_integer_past_the_limit_names_its_digits(self, capsys, argv):
+        # As --poly does: the digit count and the limit, not the token.
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and len(err) < 1000
+        error = json.loads(err)
+        assert list(error) == ["error"]
+        assert error["error"]["type"] == "ResourceCapError"
+        assert " 4301 " in error["error"]["message"]
+        assert " 4300 " in error["error"]["message"]
+
     @pytest.mark.parametrize("degree", ["99999999999999999999", "100000000"])
     def test_degree_cap_trips_before_the_coefficients(self, degree):
         # [0] * (degree + 1) overflowed, ran out of memory or ran for

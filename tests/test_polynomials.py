@@ -34,6 +34,10 @@ class TestParse:
         assert parse_polynomial([2, 2, 1]).coeffs == (2, 2, 1)
         assert parse_polynomial((0, 1)).coeffs == (0, 1)
 
+    def test_polynomial_is_returned_as_is(self):
+        p = IntPolynomial((2, 2, 1))
+        assert parse_polynomial(p) is p
+
     def test_unicode_minus(self):
         assert parse_polynomial("x^2 − 2").coeffs == (-2, 0, 1)
 

@@ -118,11 +118,30 @@ class TestProperties:
                             else x in ds), (a, b, x)
 
 
+@st.composite
+def _rational_base(draw):
+    a = draw(st.integers(2, 12))
+    b = draw(st.sampled_from([v for v in range(1 - a, a)
+                              if v and math.gcd(a, v) == 1]))
+    return a, b
+
+
 class TestValueHelpers:
     def test_value_of(self):
         assert value_of((1, 2), Fraction(3, 2)) == 4
         assert value_of((), Fraction(5, 2)) == 0
         assert value_of((2, 2), Fraction(5, 2)) == 7
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(ab=_rational_base(), data=st.data())
+    def test_value_of_is_horner_over_the_base(self, ab, data):
+        # The LSB-first word read most significant digit first by the
+        # base's own Horner evaluation.
+        a, b = ab
+        word = data.draw(st.lists(st.integers(1 - 2 * a, 2 * a - 1),
+                                  max_size=30))
+        assert value_of(word, Fraction(a, b)) == make_base(
+            [-a, b]).eval_word(reversed(word))
 
 
 class TestExpandInt:
@@ -169,14 +188,6 @@ class TestExpandInt:
             expand_int(DS52, 7, max_steps=1)
         with pytest.raises(ResourceCapError):
             expand_int(DS32, 10**6, max_steps=5)
-
-
-@st.composite
-def _rational_base(draw):
-    a = draw(st.integers(2, 12))
-    b = draw(st.sampled_from([v for v in range(1 - a, a)
-                              if v and math.gcd(a, v) == 1]))
-    return a, b
 
 
 class TestOneEngine:
