@@ -28,7 +28,8 @@ from . import (__version__, base, catalog, digits, jsonio, rational,
                zero_automaton)
 from .errors import (DEFAULT_CANDIDATE_CAP, DEFAULT_MAX_STATES,
                      DEFAULT_ORBIT_STEPS, DEFAULT_RATIONAL_STEPS,
-                     DigitSetError, PolynomialSyntaxError, read_decimal)
+                     DigitSetError, PolynomialSyntaxError, read_decimal,
+                     write_decimal)
 
 def _json_int(v) -> int:
     import json
@@ -60,19 +61,21 @@ def _parse_digit_list(text: str | None):
 
 
 def _int_at_least(text: str, low: int) -> int:
+    """An argparse type; it never sees its flag, so a token past the
+    int-to-str limit is named as "an integer option"."""
     try:
-        value = int(text)
+        value = read_decimal(text, "an integer option")
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid int value: {text!r}") from None
     if value < low:
         raise argparse.ArgumentTypeError(
-            f"must be at least {low}, got {value}")
+            f"must be at least {low}, got {write_decimal(value)}")
     return value
 
 
 def _cap(text: str) -> int:
-    """argparse type of the caps and --length: an integer >= 0."""
+    """argparse type of the caps, --length and --a2-max: an integer >= 0."""
     return _int_at_least(text, 0)
 
 
@@ -92,10 +95,13 @@ def _int_value(token: str) -> int:
 
 
 def _parse_rational_base(text: str) -> tuple[int, int]:
+    """'a/b' or 'a' in integers, reduced, with the sign on b."""
     from fractions import Fraction
 
+    num, slash, den = text.partition("/")
     try:
-        f = read_decimal(text.strip(), "the base", Fraction)
+        f = Fraction(read_decimal(num, "the base"),
+                     read_decimal(den, "the base") if slash else 1)
     except (ValueError, ZeroDivisionError) as exc:
         raise PolynomialSyntaxError(f"bad rational base {text!r}") from exc
     p, q = f.numerator, f.denominator
@@ -383,7 +389,7 @@ _COMMANDS = {
         _MAX_STATES]),
     "sweep-quadratic": ("criterion vs brute force over quadratic bases "
                         "(CSV)", _cmd_sweep_quadratic, [
-        ("--a2-max", dict(type=int, required=True)), _CANDIDATE_CAP, _JOBS]),
+        ("--a2-max", dict(type=_cap, required=True)), _CANDIDATE_CAP, _JOBS]),
 }
 
 

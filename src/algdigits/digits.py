@@ -18,7 +18,8 @@ from fractions import Fraction
 
 from .base import AlgebraicBase, Classification
 from .errors import (DEFAULT_CANDIDATE_CAP, DEFAULT_ORBIT_STEPS, DigitSetError,
-                     PrecisionError, ResourceCapError, UnsupportedBaseError)
+                     PrecisionError, ResourceCapError, UnsupportedBaseError,
+                     write_decimal)
 from .record import Record
 
 _EXPANDING_OK = {Classification.EXPANDING_INTEGER, Classification.RATIONAL}
@@ -65,8 +66,8 @@ def _require_canonical_size(count: int) -> None:
     digit set would have more than DEFAULT_CANDIDATE_CAP digits."""
     if count > DEFAULT_CANDIDATE_CAP:
         raise ResourceCapError(
-            f"the canonical digit set has {count} digits, more than the "
-            f"cap of {DEFAULT_CANDIDATE_CAP}")
+            f"the canonical digit set has {write_decimal(count)} digits, "
+            f"more than the cap of {DEFAULT_CANDIDATE_CAP}")
 
 
 def validate_crs(base: AlgebraicBase, candidates) -> DigitSet:
@@ -77,8 +78,8 @@ def validate_crs(base: AlgebraicBase, candidates) -> DigitSet:
     elements = [base.element(c) for c in candidates]
     if len(elements) != m:
         raise DigitSetError(
-            f"need exactly {m} digits, one per residue class mod {m}, "
-            f"got {len(elements)}")
+            f"need exactly {write_decimal(m)} digits, one per residue class "
+            f"mod {write_decimal(m)}, got {len(elements)}")
     digits = [None] * m
     for elt in elements:
         r = base.residue(elt)
@@ -290,7 +291,8 @@ def periodic_points(base: AlgebraicBase, digits=None, *,
     limit = int(c) if base.degree == 1 else _coordinate_bound(base, c)
     count = (2 * limit + 1) ** base.degree
     if count > candidate_cap:
-        raise ResourceCapError(f"{count} candidates exceed cap {candidate_cap}")
+        raise ResourceCapError(f"{write_decimal(count)} candidates exceed "
+                               f"cap {write_decimal(candidate_cap)}")
     digit_set = as_digit_set(base, digit_set)
 
     points = starts = range(-limit, limit + 1)

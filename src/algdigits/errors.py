@@ -1,5 +1,6 @@
-"""Exception types shared by the whole package, and read_decimal, the
-one rule for a decimal integer past Python's int-to-str limit.
+"""Exception types shared by the whole package, and the one rule for
+integers in text: read_decimal reads one, write_decimal writes one into
+a message.
 
 Precondition failures subclass ValueError so they behave naturally for
 library users; the CLI maps them to exit code 2.  Resource-cap and
@@ -59,11 +60,11 @@ DEFAULT_RATIONAL_STEPS = 10**6    # steps of rational.expand_int
 MAX_DEGREE = 256                  # degree of a parsed polynomial (fixed)
 
 
-def read_decimal(text: str, what: str, parse=int):
-    """parse(text), or, when it fails on more digits than the int-to-str
+def read_decimal(text: str, what: str) -> int:
+    """int(text), or, when that fails on more digits than the int-to-str
     limit, a ResourceCapError naming what, the digit count and the limit."""
     try:
-        return parse(text)
+        return int(text)
     except ValueError:
         digits = sum(c.isdecimal() for c in text)
         limit = sys.get_int_max_str_digits()
@@ -72,3 +73,11 @@ def read_decimal(text: str, what: str, parse=int):
     raise ResourceCapError(f"{what} of {digits} decimal digits exceeds the "
                            f"limit of {limit} decimal digits for int-to-str "
                            "conversion")
+
+
+def write_decimal(n: int) -> str:
+    """n in decimal for a message, or, past 100 digits (the int-to-str
+    limit is never below 640), "(an integer of B bits)"."""
+    if abs(n) < 10**100:
+        return str(n)
+    return f"{'-' * (n < 0)}(an integer of {n.bit_length()} bits)"

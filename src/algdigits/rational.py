@@ -26,7 +26,8 @@ from fractions import Fraction
 from .base import make_base
 from .digits import (Cycle, DigitSet, ExpansionRecord, orbit,
                      _require_canonical_size, validate_crs)
-from .errors import DEFAULT_RATIONAL_STEPS, DigitSetError, ResourceCapError
+from .errors import (DEFAULT_RATIONAL_STEPS, DigitSetError, ResourceCapError,
+                     write_decimal)
 from .polynomials import IntPolynomial
 from .record import Record
 
@@ -70,9 +71,11 @@ def digit_set_rational(a: int, b: int, digits=None) -> RationalDigitSet:
     if b == 0:
         raise DigitSetError("b must be nonzero")
     if a <= abs(b):
-        raise DigitSetError(f"need a > |b|, got a={a}, b={b}")
+        raise DigitSetError(f"need a > |b|, got a={write_decimal(a)}, "
+                            f"b={write_decimal(b)}")
     if math.gcd(a, b) != 1:
-        raise DigitSetError(f"a={a} and b={b} are not coprime")
+        raise DigitSetError(f"a={write_decimal(a)} and b={write_decimal(b)} "
+                            "are not coprime")
     regime = Regime.NEGATIVE_B if b < 0 else Regime.POSITIVE_B
     if digits is not None:
         digits = tuple(digits)
@@ -147,10 +150,11 @@ def expand_int(ds: RationalDigitSet, k: int,
         return record.digits[:record.states.index(0)]
     if isinstance(record.tail, Cycle):
         cycle = ", ".join(str(x) for x in record.tail.elements)
-        raise DigitSetError(f"{k} has no finite expansion over the digits "
-                            f"{list(ds.digits)}: its orbit enters the "
-                            f"cycle [{cycle}]")
-    raise ResourceCapError(f"expansion of {k} exceeded {max_steps} steps")
+        raise DigitSetError(f"{write_decimal(k)} has no finite expansion over "
+                            f"the digits {list(ds.digits)}: its orbit "
+                            f"enters the cycle [{cycle}]")
+    raise ResourceCapError(f"expansion of {write_decimal(k)} exceeded "
+                           f"{write_decimal(max_steps)} steps")
 
 
 class AdditionTransducer:

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .base import AlgebraicBase, make_base
 from .errors import (DEFAULT_MAX_STATES, ResourceCapError, UnitCircleError,
-                     UnsupportedBaseError)
+                     UnsupportedBaseError, write_decimal)
 from .polynomials import IntPolynomial, divides_over_q
 from .record import Record
 
@@ -253,7 +253,8 @@ def _monic_pass(base: AlgebraicBase, height: int, max_states: int,
             if j is None:
                 if len(order) >= max_states:
                     raise ResourceCapError(
-                        f"state cap {max_states} exceeded at height {height}")
+                        f"state cap {write_decimal(max_states)} exceeded at "
+                        f"height {write_decimal(height)}")
                 j = number[z] = len(order)
                 order.append(z)
                 parent.append((i, d))

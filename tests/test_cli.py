@@ -7,6 +7,7 @@ import contextlib
 import inspect
 import io
 import json
+import math
 import platform
 import subprocess
 import sys
@@ -19,8 +20,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import algdigits
-from algdigits.cli import main
-from algdigits.errors import ResourceCapError
+from algdigits.cli import _cap, _parse_rational_base, _positive, main
+from algdigits.errors import ResourceCapError, write_decimal
 from algdigits.jsonio import encode_value
 from algdigits.zero_automaton import build_zero_automaton
 
@@ -249,6 +250,20 @@ class TestRational:
         assert json.loads(err)["error"] == {
             "type": "DigitSetError", "message": "3 is not a digit of the set"}
 
+    @pytest.mark.parametrize("text, pair", [
+        ("6/4", (3, 2)), ("-6/4", (3, -2)), ("-0/1", (0, 1)), ("7", (7, 1)),
+        (" 3/2 ", (3, 2))])
+    def test_base_is_a_over_b_or_a(self, text, pair):
+        assert _parse_rational_base(text) == pair
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(a=st.integers(0, 10**6), b=st.integers(1, 10**6),
+           k=st.integers(1, 10**6), s=st.sampled_from([1, -1]))
+    def test_base_is_reduced_with_the_sign_on_b(self, a, b, k, s):
+        assume(math.gcd(a, b) == 1)
+        expected = (a, b) if s > 0 or a == 0 else (a, -b)
+        assert _parse_rational_base(f"{s * k * a}/{k * b}") == expected
+
 
 @st.composite
 def _small_base(draw):
@@ -456,6 +471,114 @@ class TestOutputLimit:
         assert error["error"]["type"] == "ResourceCapError"
         assert " 4301 " in error["error"]["message"]
         assert " 4300 " in error["error"]["message"]
+
+    @pytest.mark.parametrize("base", ["1.5", "1e5000", "1e-5000",
+                                      "1e20000000"])
+    def test_base_reads_integers_only(self, capsys, base):
+        # Fraction's decimal and exponent grammar built 10^20,000,000 for
+        # half a minute before the int-to-str limit refused to print it.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "rational", "--base", base, "verify")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == "" and len(err) < 1000
+        assert json.loads(err)["error"] == {
+            "type": "PolynomialSyntaxError",
+            "message": f"bad rational base {base!r}"}
+
+    # Every option whose argparse type is _cap or _positive, with the
+    # rest of a command line that parses.
+    INTEGER_OPTIONS = {
+        ("expand", "--max-steps"): ["--poly", "x+2", "--value", "5"],
+        ("rational", "--max-steps"): ["--base", "3/2", "expand", "7"],
+        ("periodic", "--candidate-cap"): ["--poly", "x-3"],
+        ("is-ns", "--candidate-cap"): ["--poly", "x+2"],
+        ("zero-automaton", "--height"): ["--poly", "x-2"],
+        ("zero-automaton", "--max-states"): ["--poly", "x-2", "--height", "1"],
+        ("zero-automaton", "--jobs"): ["--poly", "x-2", "--height", "1"],
+        ("min-height", "--max-h"): ["--poly", "x-2"],
+        ("min-height", "--max-states"): ["--poly", "x-2"],
+        ("count", "--height"): ["--poly", "x-2", "--length", "2"],
+        ("count", "--length"): ["--poly", "x-2", "--height", "1"],
+        ("count", "--max-states"): ["--poly", "x-2", "--height", "1",
+                                    "--length", "2"],
+        ("sweep-quadratic", "--a2-max"): [],
+        ("sweep-quadratic", "--candidate-cap"): ["--a2-max", "1"],
+        ("sweep-quadratic", "--jobs"): ["--a2-max", "1"]}
+
+    def test_every_integer_option_is_listed(self):
+        sub = next(action for action in algdigits.cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        typed = {(command, action.option_strings[0]): action.type
+                 for command, parser in sub.choices.items()
+                 for action in parser._actions if action.type is not None}
+        assert set(typed.values()) == {_cap, _positive}
+        assert set(typed) == set(self.INTEGER_OPTIONS)
+
+    @pytest.mark.parametrize("command, flag", sorted(INTEGER_OPTIONS),
+                             ids=[" ".join(key)
+                                  for key in sorted(INTEGER_OPTIONS)])
+    def test_integer_option_past_the_limit_names_its_digits(self, capsys,
+                                                            command, flag):
+        # The parent echoed the 5,000-digit token in a 5.1 KB usage error.
+        code, out, err = run(capsys, command, flag, "9" * 5000,
+                             *self.INTEGER_OPTIONS[command, flag])
+        assert code == 3 and out == "" and len(err) < 1000
+        assert json.loads(err)["error"] == {
+            "type": "ResourceCapError",
+            "message": "an integer option of 5000 decimal digits exceeds "
+                       "the limit of 4300 decimal digits for int-to-str "
+                       "conversion"}
+
+    def test_write_decimal_names_a_long_integer_by_its_bits(self):
+        assert write_decimal(10**100 - 1) == "9" * 100
+        assert write_decimal(-85766121) == "-85766121"
+        assert write_decimal(10**100) == "(an integer of 333 bits)"
+        assert write_decimal(-10**5000) == "-(an integer of 16610 bits)"
+
+    _A = 10**4300 - 1
+    _ODD = "1" + "0" * 3999 + "1"
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["periodic", "--poly", "x^2+2x+2", f"--digits=0,{_ODD}"], 3,
+         "(an integer of 26581 bits) candidates exceed cap 10000000"),
+        (["is-ns", "--poly", "x^2+2x+2", f"--digits=0,{_ODD}"], 3,
+         "(an integer of 26581 bits) candidates exceed cap 10000000"),
+        (["rational", "--base", f"{_A}/{_A - 1}", "verify"], 3,
+         "the canonical digit set has (an integer of 14286 bits) digits, "
+         "more than the cap of 10000000"),
+        (["rational", "--base", f"{_A}/3", "verify"], 3,
+         "the canonical digit set has (an integer of 14283 bits) digits, "
+         "more than the cap of 10000000"),
+        (["rational", "--base", f"{_A - 5}/{_A}", "verify"], 2,
+         "need a > |b|, got a=(an integer of 14285 bits), "
+         "b=(an integer of 14285 bits)"),
+        (["expand", "--poly", f"x-{_A}", "--digits", "0,1", "--value", "5"],
+         2, "need exactly (an integer of 14285 bits) digits, one per "
+            "residue class mod (an integer of 14285 bits), got 2"),
+        (["rational", "--base", "3/2", "--max-steps", "0", "expand",
+          str(_A)], 3,
+         "expansion of (an integer of 14285 bits) exceeded 0 steps"),
+        (["rational", "--base=-3/2", "--digits", "0,1,5", "expand",
+          str(_A)], 2,
+         "(an integer of 14285 bits) has no finite expansion over the "
+         "digits [0, 1, 5]: its orbit enters the cycle [2]"),
+        (["zero-automaton", "--poly", "x-2", "--height", str(_A),
+          "--max-states", "1"], 3,
+         "state cap 1 exceeded at height (an integer of 14285 bits)"),
+        (["count", "--poly", "x-2", "--height", "1", f"--length=-{_A}"], 2,
+         "algdigits count: argument --length: must be at least 0, got "
+         "-(an integer of 14285 bits)")],
+        ids=["periodic", "is-ns", "canonical-past-the-limit",
+             "canonical-at-the-limit", "need-a-above-b", "need-exactly",
+             "expansion-steps", "expansion-cycle", "state-cap",
+             "option-below-its-least"])
+    def test_message_writes_a_long_integer_by_its_bits(self, capsys, argv,
+                                                       code, message):
+        # Python refused to print the integers of the first three rows;
+        # each of the others made a message of 4.4 to 8.7 KB.
+        got, out, err = run(capsys, *argv)
+        assert (got, out) == (code, "") and len(err) < 1000
+        assert json.loads(err)["error"]["message"] == message
 
     @pytest.mark.parametrize("degree", ["99999999999999999999", "100000000"])
     def test_degree_cap_trips_before_the_coefficients(self, degree):
@@ -729,6 +852,7 @@ class TestUsage:
                 (["zero-automaton", "--poly", "x-2", "--height", "1",
                   "--jobs=-5"], "--jobs"),
                 (["sweep-quadratic", "--a2-max", "2", "--jobs=-1"], "--jobs"),
+                (["sweep-quadratic", "--a2-max=-1"], "--a2-max"),
                 (["expand", "--poly", "x+2", "--value", "5",
                   "--max-steps=-1"], "--max-steps"),
                 (["rational", "--base", "5/2", "--max-steps=-1", "expand",
@@ -1048,6 +1172,7 @@ class TestVersion:
 # argvs of _argv.  A huge --height needs --max-states 1, because the
 # successor loop of one state walks the whole digit range.
 _HUGE = str(10**30)
+_LONG = "9" * 4301  # one digit past the default int-to-str limit
 _POLYS = (["x-2", "x+2", "2x+3", "x^2+2x+2", "x^2-2", "x^2+1", "x^2-x-1",
            "x^3-x-1", "x^4+2", "2x^2-3x+2", "x^2-1", "[2,2,1]", "x^257-2",
            "x^99999999999999999999-2"],
@@ -1060,15 +1185,15 @@ _DIGITS = (["0,1", "[0,1]", "1,2", "0,1,2,3,4", "[[0,0],[1,0]]"],
 _VALUES = (["5", "-7", "0", "[1,2]"],
            ["[1,2,3,4,5,6]", "1.5", "true", "nan", "[", "[null]", "2^-abc",
             "[[1]]", ""])
-_HEIGHTS = (["1", "2"], ["0", "-1", "1.5", "two", "nan", ""])
-_CAPS = (["3", "50", "400"], ["0", "-1", "abc", "1e3", "nan", ""])
+_HEIGHTS = (["1", "2"], ["0", "-1", "1.5", "two", "nan", "", _LONG])
+_CAPS = (["3", "50", "400"], ["0", "-1", "abc", "1e3", "nan", "", _LONG])
 _CANDIDATE_CAPS = (_CAPS[0] + [_HUGE], _CAPS[1])
 _PRECISIONS = ["2^-30", "1/1000", "2^-abc", "nan", "", "2^-20000"]
 _BASES = (["3/2", "-3/2", "5/2", "1/1", "1/2", "7"],
-          ["0/1", "2/0", "abc", "1.5", "nan"])
+          ["0/1", "2/0", "abc", "1.5", "nan", "1e5000", "1e-5000"])
 _ACTIONS = (["expand", "verify", "transduce"], ["bogus"])
 _WORDS = (["7", "-3", "0"], ["1.5", "abc", "[1]", "2^-abc", "nan"])
-_SMALL = (["0", "1", "2"], ["-1", "x", "1.5"])
+_SMALL = (["0", "1", "2"], ["-1", "x", "1.5", _LONG])
 _MAX_H = (_SMALL[0] + [_HUGE], _SMALL[1])
 _JOBS = (["1", "2"], ["0", "-1", "many"])
 
@@ -1145,6 +1270,8 @@ class TestErrorContract:
         assert code in (0, 2, 3), (argv, code)
         if code:
             assert out.getvalue() == ""
+            assert len(err.getvalue()) < 1000, argv
+            assert "Exceeds the limit" not in err.getvalue(), argv
             error = json.loads(err.getvalue())
             assert list(error) == ["error"], argv
             assert set(error["error"]) == {"type", "message"}, argv
