@@ -19,7 +19,7 @@ from math import gcd, isqrt
 from operator import index, mul
 
 from .errors import (InvalidPolynomialError, PrecisionError,
-                     UnsupportedBaseError)
+                     UnsupportedBaseError, write_text)
 from .intervals import Box
 from .polynomials import (IntPolynomial, count_real_roots_between,
                           is_irreducible_z, palindromic_half,
@@ -48,7 +48,7 @@ def _integer(c) -> int:
             return index(c)
         except TypeError:
             pass
-    raise ValueError(f"coordinate {c!r} is not an integer")
+    raise ValueError(f"coordinate {write_text(c)} is not an integer")
 
 
 def _classify(coeffs, boxes: list[Box], n_unit: int, width: Fraction):
@@ -327,7 +327,7 @@ class AlgebraicBase:
         """The certified conjugate test, as a function window(x, lo, hi):
         the range of the integers d in lo..hi for which no |sigma_k(x + d)|
         is proven to exceed radii[k] (None leaves conjugate k free).  x is
-        a coordinate tuple; a degree-one state is its one integer.
+        a coordinate tuple or a degree-one value; off the lattice it is empty.
 
         Each power box alpha_k^i is rounded outward once to the 2^-n grid;
         each side L <= U is kept as midpoint L + U and radius U - L over
@@ -350,6 +350,8 @@ class AlgebraicBase:
 
         def window(x, lo: int, hi: int) -> range:
             x = x if isinstance(x, tuple) else (x,)
+            if x[0].denominator != 1:  # off the lattice, as is every x + d
+                return range(0)
             mags = tuple(map(abs, x))
             for m_re, r_re, m_im, r_im, num, den in tests:
                 re = sum(map(mul, x, m_re))

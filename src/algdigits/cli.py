@@ -29,13 +29,14 @@ from . import (__version__, base, catalog, digits, jsonio, rational,
 from .errors import (DEFAULT_CANDIDATE_CAP, DEFAULT_MAX_STATES,
                      DEFAULT_ORBIT_STEPS, DEFAULT_RATIONAL_STEPS,
                      DigitSetError, PolynomialSyntaxError, read_decimal,
-                     write_decimal)
+                     write_decimal, write_text)
 
 def _json_int(v) -> int:
     import json
 
     if type(v) is not int:  # bools, floats and null are not digits
-        raise DigitSetError(f"digit entry {json.dumps(v)} is not an integer")
+        raise DigitSetError(f"digit entry {write_text(v, json.dumps)} is not "
+                             "an integer")
     return v
 
 
@@ -57,7 +58,7 @@ def _parse_digit_list(text: str | None):
     try:
         return [read_decimal(tok, "a digit") for tok in s.split(",")]
     except ValueError as exc:
-        raise DigitSetError(f"bad digit list {text!r}") from exc
+        raise DigitSetError(f"bad digit list {write_text(text)}") from exc
 
 
 def _int_at_least(text: str, low: int) -> int:
@@ -67,7 +68,7 @@ def _int_at_least(text: str, low: int) -> int:
         value = read_decimal(text, "an integer option")
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}") from None
+            f"invalid int value: {write_text(text)}") from None
     if value < low:
         raise argparse.ArgumentTypeError(
             f"must be at least {low}, got {write_decimal(value)}")
@@ -91,7 +92,7 @@ def _int_value(token: str) -> int:
         return read_decimal(token, "a value")
     except ValueError:
         raise UsageError("algdigits rational: argument values: invalid int "
-                         f"value: {token!r}") from None
+                         f"value: {write_text(token)}") from None
 
 
 def _parse_rational_base(text: str) -> tuple[int, int]:
@@ -103,7 +104,8 @@ def _parse_rational_base(text: str) -> tuple[int, int]:
         f = Fraction(read_decimal(num, "the base"),
                      read_decimal(den, "the base") if slash else 1)
     except (ValueError, ZeroDivisionError) as exc:
-        raise PolynomialSyntaxError(f"bad rational base {text!r}") from exc
+        raise PolynomialSyntaxError(
+            f"bad rational base {write_text(text)}") from exc
     p, q = f.numerator, f.denominator
     if p >= 0:  # a base 0 keeps its signs, so the error names it as given
         return p, q
@@ -170,8 +172,8 @@ def _cmd_expand(args) -> dict:
             else read_decimal(args.value, "the value"))
     except (ValueError, RecursionError):  # json.JSONDecodeError is one
         raise UsageError(f"algdigits expand: argument --value: invalid "
-                         f"integer or coordinate list: {args.value!r}"
-                         ) from None
+                         "integer or coordinate list: "
+                         f"{write_text(args.value)}") from None
     record = digits.orbit(alpha.element(value), digit_set, args.max_steps)
     result = _record_out(record)
     result["replay_ok"] = record.replay(alpha)

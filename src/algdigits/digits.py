@@ -12,14 +12,12 @@ the only periodic point is 0.
 from __future__ import annotations
 
 import itertools
-import math
-import sys
 from fractions import Fraction
 
 from .base import AlgebraicBase, Classification
 from .errors import (DEFAULT_CANDIDATE_CAP, DEFAULT_ORBIT_STEPS, DigitSetError,
                      PrecisionError, ResourceCapError, UnsupportedBaseError,
-                     write_decimal)
+                     printable_check, write_decimal)
 from .record import Record
 
 _EXPANDING_OK = {Classification.EXPANDING_INTEGER, Classification.RATIONAL}
@@ -70,6 +68,13 @@ def _require_canonical_size(count: int) -> None:
             f"more than the cap of {DEFAULT_CANDIDATE_CAP}")
 
 
+def _write_digit(x) -> str:
+    """A digit for a message, its integers by write_decimal."""
+    if isinstance(x, tuple):
+        return f"({', '.join(map(write_decimal, x))})"
+    return write_decimal(int(x))
+
+
 def validate_crs(base: AlgebraicBase, candidates) -> DigitSet:
     """Check that the candidates form a complete residue system modulo
     alpha and build the DigitSet.  Raises DigitSetError with the residue
@@ -85,8 +90,8 @@ def validate_crs(base: AlgebraicBase, candidates) -> DigitSet:
         r = base.residue(elt)
         if digits[r] is not None:
             raise DigitSetError(
-                f"residue collision mod {m}: {digits[r]!r} and {elt!r} "
-                f"both lie in class {r}")
+                f"residue collision mod {m}: {_write_digit(digits[r])} and "
+                f"{_write_digit(elt)} both lie in class {r}")
         digits[r] = elt
     return DigitSet(base, tuple(digits))
 
@@ -153,8 +158,8 @@ def orbit(beta, digit_set: DigitSet,
     """Iterate the digit map from beta until it terminates at 0, enters
     a cycle, or exceeds max_steps.  On a base with a contracting
     conjugate the states may grow without bound, so the first state with
-    a coordinate of at least 10^N, for an int-to-str limit of N digits
-    (none when N is 0), raises ResourceCapError: it could not be printed."""
+    a coordinate that could not be printed raises ResourceCapError
+    (errors.printable_check)."""
     base = digit_set.base
     x = base.element(beta)
     zero = base.zero
@@ -164,8 +169,7 @@ def orbit(beta, digit_set: DigitSet,
     states = [x]
     digits = []
     seen = {x}
-    limit = sys.get_int_max_str_digits()
-    cap = 10 ** limit if limit else math.inf
+    check = printable_check("an orbit state", "step")
     for step in range(1, max_steps + 1):
         r, x = digit_set.step(x)
         digits.append(r)
@@ -176,12 +180,7 @@ def orbit(beta, digit_set: DigitSet,
             entry = states.index(x)
             return ExpansionRecord(states[0], tuple(digits), tuple(states),
                                    Cycle(entry, tuple(states[entry:-1])))
-        top = max(map(abs, x)) if type(x) is tuple else abs(x)
-        if top >= cap:
-            raise ResourceCapError(
-                f"an orbit state reaches the limit of {limit} decimal digits "
-                f"for int-to-str conversion at step {step}, with "
-                f"{int(top).bit_length()} bits")
+        check(max(map(abs, x)) if type(x) is tuple else abs(int(x)), step)
         seen.add(x)
     return ExpansionRecord(states[0], tuple(digits), tuple(states),
                            Truncated(max_steps))

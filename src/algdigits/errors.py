@@ -1,6 +1,7 @@
 """Exception types shared by the whole package, and the one rule for
 integers in text: read_decimal reads one, write_decimal writes one into
-a message.
+a message, and printable_check refuses a computed one it cannot print.
+write_text quotes an input into a message.
 
 Precondition failures subclass ValueError so they behave naturally for
 library users; the CLI maps them to exit code 2.  Resource-cap and
@@ -81,3 +82,25 @@ def write_decimal(n: int) -> str:
     if abs(n) < 10**100:
         return str(n)
     return f"{'-' * (n < 0)}(an integer of {n.bit_length()} bits)"
+
+
+def write_text(value, quote=repr) -> str:
+    """quote(value) for a message, or, past 100 characters, "(a text of N
+    characters)", N the length of quote(value): a long input is named by
+    its length, not echoed."""
+    text = quote(value)
+    return text if len(text) <= 100 else f"(a text of {len(text)} characters)"
+
+
+def printable_check(what: str, at: str):
+    """check(n, k) raises ResourceCapError, naming what, at k, N and the
+    bits of n, once n >= 0 reaches 10^N for the int-to-str limit N > 0 read
+    now; it builds 10^N only past 2^floor(3.3219 N), which lies below it."""
+    limit = sys.get_int_max_str_digits()
+    low = 1 << limit * 33219 // 10000
+    def check(n: int, k: int) -> None:
+        if n >= low and n >= 10**limit > 1:
+            raise ResourceCapError(
+                f"{what} reaches the limit of {limit} decimal digits for "
+                f"int-to-str conversion at {at} {k}, with {n.bit_length()} bits")
+    return check

@@ -15,7 +15,7 @@ import sys
 
 from . import factoring
 from .errors import (MAX_DEGREE, InvalidPolynomialError, PolynomialSyntaxError,
-                     ResourceCapError, read_decimal)
+                     ResourceCapError, read_decimal, write_text)
 from .record import Record
 
 _TERM_RE = re.compile(r"([+-]?)(\d*)([A-Za-z]?)(?:\^(\d+))?$")
@@ -155,18 +155,18 @@ def parse_polynomial(text) -> IntPolynomial:
     compact = src.replace(" ", "").replace("*", "")
     pieces = re.findall(r"[+-]?[^+-]+", compact)
     if not pieces or "".join(pieces) != compact:
-        raise PolynomialSyntaxError(f"cannot tokenize {text!r}")
+        raise PolynomialSyntaxError(f"cannot tokenize {write_text(text)}")
     coeff_map: dict[int, int] = {}
     var_seen: str | None = None
     for piece in pieces:
         m = _TERM_RE.match(piece)
-        if m is None:
-            raise PolynomialSyntaxError(f"bad term {piece!r} in {text!r}")
+        if m is None or not (m[2] or m[3]):  # neither digits nor a variable
+            raise PolynomialSyntaxError(
+                f"bad term {write_text(piece)} in {write_text(text)}")
         sign_s, digits, var, exp_s = m.groups()
-        if not digits and not var:
-            raise PolynomialSyntaxError(f"bad term {piece!r} in {text!r}")
         if exp_s is not None and not var:
-            raise PolynomialSyntaxError(f"exponent without variable in {piece!r}")
+            raise PolynomialSyntaxError(
+                f"exponent without variable in {write_text(piece)}")
         coeff = _coefficient(digits) if digits else 1
         if sign_s == "-":
             coeff = -coeff

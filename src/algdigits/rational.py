@@ -27,7 +27,7 @@ from .base import make_base
 from .digits import (Cycle, DigitSet, ExpansionRecord, orbit,
                      _require_canonical_size, validate_crs)
 from .errors import (DEFAULT_RATIONAL_STEPS, DigitSetError, ResourceCapError,
-                     write_decimal)
+                     write_decimal, write_text)
 from .polynomials import IntPolynomial
 from .record import Record
 
@@ -81,7 +81,8 @@ def digit_set_rational(a: int, b: int, digits=None) -> RationalDigitSet:
         digits = tuple(digits)
         for d in digits:
             if isinstance(d, bool) or not isinstance(d, int):
-                raise DigitSetError(f"rational digit {d!r} is not an integer")
+                raise DigitSetError(
+                    f"rational digit {write_text(d)} is not an integer")
         vals = tuple(sorted(digits))
         if len(vals) >= a:  # a canonical set has a or 2a - 1 digits
             canonical = digit_set_rational(a, b)
@@ -227,7 +228,8 @@ def transduce(transducer: AdditionTransducer, start: int, word) -> tuple:
     out = []
     for d in word:
         if d not in transducer.digit_set:
-            raise DigitSetError(f"{d} is not a digit of the set")
+            raise DigitSetError(
+                f"{write_decimal(d)} is not a digit of the set")
         e, carry = transducer.step(carry, d)
         out.append(e)
     flushes = 0

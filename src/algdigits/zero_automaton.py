@@ -19,12 +19,10 @@ bases are supported when the minimal polynomial is monic, rational ones
 from __future__ import annotations
 
 import math
-import sys
-from fractions import Fraction
 
 from .base import AlgebraicBase, make_base
 from .errors import (DEFAULT_MAX_STATES, ResourceCapError, UnitCircleError,
-                     UnsupportedBaseError, write_decimal)
+                     UnsupportedBaseError, printable_check, write_decimal)
 from .polynomials import IntPolynomial, divides_over_q
 from .record import Record
 
@@ -111,15 +109,14 @@ class ZeroAutomaton(Record):
     def count_words(self, length: int) -> int:
         """Exact number of accepted words of the given length.  The count
         never falls as the length grows (0 keeps its loop of digit 0), so
-        the first step whose count reaches 10^N, for an int-to-str limit
-        of N digits (none when N is 0), raises ResourceCapError."""
+        the first step whose count could not be printed raises
+        ResourceCapError (errors.printable_check)."""
         if length < 0:
             raise ValueError("length must be nonnegative")
-        limit = sys.get_int_max_str_digits()
-        cap = 10 ** limit if limit else math.inf
         zero = self.states.index(self.zero)
         vec = [0] * len(self.states)
         vec[zero] = 1
+        check = printable_check("the word count", "length")
         for step in range(1, length + 1):
             nxt = [0] * len(vec)
             for c, row in zip(vec, self.rows):
@@ -129,11 +126,7 @@ class ZeroAutomaton(Record):
             if nxt == vec:  # every later step maps vec to itself
                 break
             vec = nxt
-            if vec[zero] >= cap:
-                raise ResourceCapError(
-                    f"the word count reaches the limit of {limit} decimal "
-                    f"digits for int-to-str conversion at length {step}, "
-                    f"with {vec[zero].bit_length()} bits")
+            check(vec[zero], step)
         return vec[zero]
 
     def growth_rate(self) -> tuple:
@@ -225,9 +218,9 @@ def _monic_pass(base: AlgebraicBase, height: int, max_states: int,
     is kept, which is sound.  States are numbered as they are reached,
     then renumbered in sorted order.
 
-    A state y whose alpha*y is not a lattice element is a dead end: for
-    alpha = p/q, q does not divide y, and the denominator valuation only
-    sinks further.  The band test of a degree-one base is exact.
+    A state y whose alpha*y is off the lattice is a dead end, as its window
+    is empty: for alpha = p/q, q does not divide y, and the denominator
+    valuation only sinks further.  The band test of a degree-one base is exact.
 
     0 is left for another state only by nonzero digits, so the first
     edge from a state y != 0 into 0 ends a shortest zero word with a
@@ -244,8 +237,7 @@ def _monic_pass(base: AlgebraicBase, height: int, max_states: int,
     word = None
     for i, y in enumerate(order):
         ay = base.mul_alpha(y)
-        digits = (range(0) if isinstance(ay, Fraction)
-                  else window(ay, -height, height))
+        digits = window(ay, -height, height)
         spans.append((len(targets), digits))
         for d in digits:
             z = base.add_int(ay, d)

@@ -222,6 +222,13 @@ class TestIntervalData:
         assert list(window((0,), -9, 9)) == [-3, -2, -1, 0, 1, 2, 3]
         assert list(window((2,), -9, 9)) == list(range(-5, 2))
 
+    def test_conjugate_window_is_empty_off_the_lattice(self):
+        # 1/2 is no element of Z[3/2], and no 1/2 + d is one either.
+        base = make_base("2x-3")
+        window = base.conjugate_window([Fraction(2)])
+        assert window(Fraction(1, 2), -1, 1) == range(0)
+        assert list(window(0, -1, 1)) == [-1, 0, 1]
+
     def test_refine_monotone(self):
         base = make_base("x^2 + 2x + 2")
         w0 = base.achieved_width

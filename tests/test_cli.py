@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 
 import algdigits
 from algdigits.cli import _cap, _parse_rational_base, _positive, main
-from algdigits.errors import ResourceCapError, write_decimal
+from algdigits.errors import (ResourceCapError, printable_check,
+                              write_decimal, write_text)
 from algdigits.jsonio import encode_value
 from algdigits.zero_automaton import build_zero_automaton
 
@@ -580,6 +581,62 @@ class TestOutputLimit:
         assert (got, out) == (code, "") and len(err) < 1000
         assert json.loads(err)["error"]["message"] == message
 
+    _N = "9" * 4000  # under the int-to-str limit, so it parses as an int
+
+    @pytest.mark.parametrize("argv, message", [
+        (["rational", "--base", f"{_N}.5", "verify"],
+         "bad rational base (a text of 4004 characters)"),
+        (["rational", "--base", "5/2", "--digits", f"0,1,{_N}x", "verify"],
+         "bad digit list (a text of 4007 characters)"),
+        (["is-ns", "--poly", "x+3", "--digits", f"0,{_N},1"],
+         "residue collision mod 3: 0 and (an integer of 13288 bits) both "
+         "lie in class 0"),
+        (["rational", "--base", "5/2", "transduce", _N],
+         "(an integer of 13288 bits) is not a digit of the set"),
+        (["expand", "--poly", "x+3", "--value", f"{_N}x"],
+         "algdigits expand: argument --value: invalid integer or "
+         "coordinate list: (a text of 4003 characters)"),
+        (["rational", "--base", "5/2", "expand", f"{_N}x"],
+         "algdigits rational: argument values: invalid int value: "
+         "(a text of 4003 characters)"),
+        (["count", "--poly", "x-2", "--height", f"{_N}x", "--length", "3"],
+         "algdigits count: argument --height: invalid int value: "
+         "(a text of 4003 characters)"),
+        (["analyze", "--poly", f"x^2+{_N}$"],
+         "bad term (a text of 4004 characters) in "
+         "(a text of 4007 characters)"),
+        (["analyze", "--poly", f"x^2+{_N}+"],
+         "cannot tokenize (a text of 4007 characters)"),
+        (["analyze", "--poly", f"x^2+3^{_N}"],
+         "exponent without variable in (a text of 4005 characters)"),
+        (["is-ns", "--poly", "x+3", "--digits", f'[0,"{_N}",1]'],
+         "digit entry (a text of 4002 characters) is not an integer"),
+        (["expand", "--poly", "x^2+2x+2", "--value", f'[1,"{_N}"]'],
+         "coordinate (a text of 4002 characters) is not an integer"),
+        (["rational", "--base", "5/2", "--digits", f"[0,1,[{_N}]]",
+          "verify"],
+         "rational digit (a text of 4003 characters) is not an integer")],
+        ids=["base", "digit-list", "residue-collision", "transduce",
+             "expand-value", "rational-value", "integer-option", "bad-term",
+             "tokenize", "exponent", "json-digit", "coordinate",
+             "rational-digit"])
+    def test_message_names_a_long_input_by_its_length(self, capsys, argv,
+                                                      message):
+        # Each of these echoed the whole token, in 4.1 to 8.1 KB.
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and len(err) < 1000
+        error = json.loads(err)
+        assert list(error) == ["error"]
+        assert error["error"]["message"] == message
+
+    def test_write_text_names_a_long_input_by_its_length(self):
+        assert write_text("x^2+") == "'x^2+'"
+        assert write_text("9" * 98) == repr("9" * 98)  # 100 characters
+        assert write_text("9" * 99) == "(a text of 101 characters)"
+        assert write_text(["a", 1], json.dumps) == '["a", 1]'
+        assert write_text(("9" * 99,), json.dumps) == (
+            "(a text of 103 characters)")
+
     @pytest.mark.parametrize("degree", ["99999999999999999999", "100000000"])
     def test_degree_cap_trips_before_the_coefficients(self, degree):
         # [0] * (degree + 1) overflowed, ran out of memory or ran for
@@ -630,6 +687,46 @@ class TestOutputLimit:
         record = algdigits.orbit(17, digit_set, 4300)
         assert record.tail == algdigits.Truncated(4300)
         assert max(map(abs, record.states[4295])).bit_length() == 14288
+
+
+class TestPrintableCheck:
+    """errors.printable_check trips exactly at 10^N for an int-to-str
+    limit of N digits, here the least limit that Python accepts."""
+
+    @pytest.fixture(autouse=True)
+    def limit_640(self):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        yield
+        sys.set_int_max_str_digits(saved)
+
+    def test_trips_at_ten_to_the_limit(self):
+        check = printable_check("the word count", "length")
+        check(10**640 - 1, 6)
+        with pytest.raises(ResourceCapError) as exc:
+            check(10**640, 7)
+        assert str(exc.value) == (
+            "the word count reaches the limit of 640 decimal digits for "
+            "int-to-str conversion at length 7, with 2127 bits")
+
+    def test_nothing_trips_without_a_limit(self):
+        sys.set_int_max_str_digits(0)
+        check = printable_check("a state", "step")
+        for n in (0, 1, 10**640, 10**5000):
+            check(n, 1)
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(k=st.integers(1 - 2**64, 2**64 - 1))
+    def test_trips_exactly_from_ten_to_the_limit(self, k):
+        check = printable_check("a state", "step")
+        try:
+            check(10**640 + k, 1)
+        except ResourceCapError:
+            tripped = True
+        else:
+            tripped = False
+        assert tripped == (k >= 0)
 
 
 class TestSweep:
@@ -1109,6 +1206,29 @@ class TestStartup:
         assert "base" not in {a.arg for a in defs["_path_word"].args.args}
         assert "eval_word" not in attributes(tree)
 
+    def test_each_rule_is_asked_of_its_owner(self):
+        # conjugate_window decides lattice membership, and
+        # errors.printable_check owns the int-to-str cap: the pass, orbit
+        # and count_words state neither rule again.
+        package = Path(algdigits.__file__).parent
+        for name in ("digits.py", "zero_automaton.py"):
+            tree = ast.parse((package / name).read_text())
+            for node in ast.walk(tree):
+                assert not (isinstance(node, ast.Attribute)
+                            and node.attr == "get_int_max_str_digits"), name
+                assert not (isinstance(node, ast.Name)
+                            and node.id == "get_int_max_str_digits"), name
+                assert not (isinstance(node, ast.Attribute)
+                            and node.attr == "inf"
+                            and isinstance(node.value, ast.Name)
+                            and node.value.id == "math"), name
+        tree = ast.parse((package / "zero_automaton.py").read_text())
+        (monic_pass,) = [node for node in tree.body
+                         if isinstance(node, ast.FunctionDef)
+                         and node.name == "_monic_pass"]
+        assert "isinstance" not in {node.id for node in ast.walk(monic_pass)
+                                    if isinstance(node, ast.Name)}
+
     def test_no_runtime_dependencies(self):
         # sympy is needed only by the tests, as the factoring oracle.
         tomllib = pytest.importorskip("tomllib")
@@ -1173,29 +1293,34 @@ class TestVersion:
 # successor loop of one state walks the whole digit range.
 _HUGE = str(10**30)
 _LONG = "9" * 4301  # one digit past the default int-to-str limit
+_LONG_TEXT = "9" * 4000 + "x"  # under the limit, so only a writer shortens it
 _POLYS = (["x-2", "x+2", "2x+3", "x^2+2x+2", "x^2-2", "x^2+1", "x^2-x-1",
            "x^3-x-1", "x^4+2", "2x^2-3x+2", "x^2-1", "[2,2,1]", "x^257-2",
            "x^99999999999999999999-2"],
           ["x^2 +", "[1.5,1]", "[]", "[0,1]", "[true,1]", "[2,0,1", "nan",
-           "x^2+2x+2.5", ""])
+           "x^2+2x+2.5", "", _LONG_TEXT])
 _DIGITS = (["0,1", "[0,1]", "1,2", "0,1,2,3,4", "[[0,0],[1,0]]"],
            ["[]", "", "[0,1.5]", "[true,false]", "nan", "[0,",
             "[[0,1],[1]]", "{}", "0,,1", "[null]",
-            ",".join(map(str, range(40))), "[[0,0,0,0,0,0]]"])
+            ",".join(map(str, range(40))), "[[0,0,0,0,0,0]]", _LONG_TEXT])
 _VALUES = (["5", "-7", "0", "[1,2]"],
            ["[1,2,3,4,5,6]", "1.5", "true", "nan", "[", "[null]", "2^-abc",
-            "[[1]]", ""])
-_HEIGHTS = (["1", "2"], ["0", "-1", "1.5", "two", "nan", "", _LONG])
-_CAPS = (["3", "50", "400"], ["0", "-1", "abc", "1e3", "nan", "", _LONG])
+            "[[1]]", "", _LONG_TEXT])
+_HEIGHTS = (["1", "2"], ["0", "-1", "1.5", "two", "nan", "", _LONG,
+                        _LONG_TEXT])
+_CAPS = (["3", "50", "400"], ["0", "-1", "abc", "1e3", "nan", "", _LONG,
+                              _LONG_TEXT])
 _CANDIDATE_CAPS = (_CAPS[0] + [_HUGE], _CAPS[1])
 _PRECISIONS = ["2^-30", "1/1000", "2^-abc", "nan", "", "2^-20000"]
 _BASES = (["3/2", "-3/2", "5/2", "1/1", "1/2", "7"],
-          ["0/1", "2/0", "abc", "1.5", "nan", "1e5000", "1e-5000"])
+          ["0/1", "2/0", "abc", "1.5", "nan", "1e5000", "1e-5000",
+           _LONG_TEXT])
 _ACTIONS = (["expand", "verify", "transduce"], ["bogus"])
-_WORDS = (["7", "-3", "0"], ["1.5", "abc", "[1]", "2^-abc", "nan"])
-_SMALL = (["0", "1", "2"], ["-1", "x", "1.5", _LONG])
+_WORDS = (["7", "-3", "0"], ["1.5", "abc", "[1]", "2^-abc", "nan",
+                             _LONG_TEXT])
+_SMALL = (["0", "1", "2"], ["-1", "x", "1.5", _LONG, _LONG_TEXT])
 _MAX_H = (_SMALL[0] + [_HUGE], _SMALL[1])
-_JOBS = (["1", "2"], ["0", "-1", "many"])
+_JOBS = (["1", "2"], ["0", "-1", "many", _LONG_TEXT])
 
 
 @st.composite
