@@ -4,15 +4,16 @@
 from algdigits import make_base, as_digit_set, validate_crs, orbit
 
 # ----------------------------------------------------------------------
-# Base -2 writes every integer with digits {0, 1}
+# Base -2 writes every integer with digits {0, 1}.  Elements are
+# coordinate tuples at every degree, so in degree one they are 1-tuples.
 
 neg2 = make_base("x + 2")
 ds = as_digit_set(neg2)
 for k in (7, -7, 100):
     rec = orbit(k, ds)
-    word_msb = tuple(int(d) for d in reversed(rec.digits))
+    word_msb = tuple(d for (d,) in reversed(rec.digits))
     print(f"{k:5d} -> {word_msb}  replay ok: {rec.replay(neg2)}")
-    assert neg2.eval_word(word_msb) == k
+    assert neg2.eval_word(word_msb) == (k,)
 
 # ----------------------------------------------------------------------
 # Base 2 with {0, 1} is NOT a number system for Z: negative integers
@@ -20,8 +21,8 @@ for k in (7, -7, 100):
 
 pos2 = make_base("x - 2")
 rec = orbit(-5, validate_crs(pos2, [0, 1]))
-print("\norbit of -5 in base 2:", [int(s) for s in rec.states],
-      "->", rec.tail.kind, rec.tail.elements)
+print("\norbit of -5 in base 2:", [s for (s,) in rec.states],
+      "->", rec.tail.kind, [s for (s,) in rec.tail.elements])
 
 # ----------------------------------------------------------------------
 # A quadratic base: alpha = -1 + i, minimal polynomial x^2 + 2x + 2.

@@ -12,8 +12,9 @@ pos2 = make_base("x - 2")
 bounds = orbit_bound(pos2, [0, 1])
 print(f"base 2, digits {{0,1}}: c = {bounds.c}")
 pset = periodic_points(pos2, [0, 1])
-print("periodic points:", [int(x) for x in pset.elements],
-      "cycles:", [[int(x) for x in cyc] for cyc in pset.cycles])
+# Degree-one elements are 1-tuples (x,).
+print("periodic points:", [x for (x,) in pset.elements],
+      "cycles:", [[x for (x,) in cyc] for cyc in pset.cycles])
 print("number system?", is_number_system(pos2, [0, 1]))
 
 # ----------------------------------------------------------------------
@@ -23,7 +24,7 @@ print("number system?", is_number_system(pos2, [0, 1]))
 neg2 = make_base("x + 2")
 pset = periodic_points(neg2, [1, 2])
 print(f"\nbase -2, digits {{1,2}}: periodic = "
-      f"{[int(x) for x in pset.elements]}")
+      f"{[x for (x,) in pset.elements]}")
 print("spans the ring?", spans_ring(neg2, [1, 2]),
       "| number system?", is_number_system(neg2, [1, 2]))
 

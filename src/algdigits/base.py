@@ -1,7 +1,7 @@
 """Algebraic bases: a primitive squarefree integer polynomial together
 with certified locations of its roots, a classification of the conjugate
-moduli, and exact arithmetic in Z[alpha] (power basis for monic minimal
-polynomials, rationals with bounded denominators for degree one).
+moduli, and exact arithmetic in Z[alpha] on the tuples of power-basis
+coordinates, at every degree (1-tuples of rationals in degree one).
 
 Unit-circle membership of conjugates is decided exactly.  An irreducible
 real polynomial can only have a root on the unit circle if it is
@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from math import gcd, isqrt
-from operator import index, mul
+from itertools import repeat
+from math import isqrt
+from operator import add, index, mul, neg
 
 from .errors import (InvalidPolynomialError, PrecisionError,
                      UnsupportedBaseError, write_text)
@@ -40,15 +41,17 @@ class Classification(Enum):
         return self.value
 
 
-def _integer(c) -> int:
-    """c as an int; ValueError for anything that is not an integer,
-    bools and floats included."""
-    if not isinstance(c, bool):
-        try:
-            return index(c)
-        except TypeError:
-            pass
-    raise ValueError(f"coordinate {write_text(c)} is not an integer")
+def _coordinate(c, lead: int):
+    """c as a coordinate: an int, or a Fraction whose denominator divides
+    a power of lead; ValueError for anything else, bools included."""
+    if type(c) is not bool and hasattr(type(c), "__index__"):
+        return index(c)
+    if not isinstance(c, Fraction):
+        raise ValueError(f"coordinate {write_text(c)} is not an integer")
+    if pow(lead, c.denominator.bit_length(), c.denominator):  # den | lead^k
+        raise ValueError(f"coordinate {c} is not in Z[alpha]: its "
+                         f"denominator has a prime factor outside {lead}")
+    return c.numerator if c.denominator == 1 else c
 
 
 def _classify(coeffs, boxes: list[Box], n_unit: int, width: Fraction):
@@ -207,98 +210,69 @@ class AlgebraicBase:
     @property
     def zero(self):
         self._require_elements()
-        if self.degree == 1:
-            return 0
         return (0,) * self.degree
 
     def element(self, value):
-        """Normalize value into an element of Z[alpha].
+        """The element with coordinates value (a number, or up to degree
+        of them in the power basis, padded with zeros): ints, or Fractions
+        whose denominator divides a power of the leading coefficient; any
+        other (a float, a bool, None, a nested sequence) is a ValueError.
 
-        Monic, degree >= 2: an int or a coordinate sequence of length
-        <= degree in the power basis 1, alpha, ..., alpha^(d-1).
-        Degree one: an int or Fraction whose denominator divides a power
-        of b (the denominator of alpha = a/b), or a one-coordinate
-        sequence holding one; ints stay ints.  Anything else (a float, a
-        bool, None, a nested sequence) raises ValueError."""
+        >>> make_base("2x-3").element(5), make_base("x^2+2").element(5)
+        ((5,), (5, 0))
+        """
         self._require_elements()
         if not isinstance(value, (list, tuple)):
             value = (value,)
-        if self.degree == 1:
-            if len(value) != 1:
-                raise ValueError(
-                    f"degree-one base takes one coordinate, got {len(value)}")
-            (v,) = value
-            v = v if isinstance(v, Fraction) else _integer(v)
-            den = v.denominator
-            _, b = self.rational_view
-            while den != 1:
-                g = gcd(den, abs(b))
-                if g == 1:
-                    raise ValueError(
-                        f"{v} is not in Z[{self.alpha_fraction}]: denominator "
-                        f"{v.denominator} has a prime factor outside {abs(b)}")
-                den //= g
-            return v
-        coords = tuple(_integer(c) for c in value)
-        if len(coords) > self.degree:
+        leads = repeat(self.min_poly.coeffs[-1])
+        coords = tuple(map(_coordinate, value, leads))
+        pad = self.degree - len(coords)
+        if pad < 0:
             raise ValueError(f"coordinate vector longer than degree {self.degree}")
-        return coords + (0,) * (self.degree - len(coords))
+        return coords + (0,) * pad
 
     def add(self, x, y):
-        if self.degree == 1:
-            return x + y
-        return tuple(a + b for a, b in zip(x, y))
+        return tuple(map(add, x, y))
 
     def neg(self, x):
-        if self.degree == 1:
-            return -x
-        return tuple(-a for a in x)
+        return tuple(map(neg, x))
 
     def add_int(self, x, k: int):
-        if self.degree == 1:
-            return x + k
         return (x[0] + k,) + x[1:]
 
     def mul_alpha(self, x):
-        """alpha * x, exact; in degree one an integer product is an int."""
-        if self.degree == 1:
-            y = x * self.alpha_fraction
-            return y.numerator if y.denominator == 1 else y
+        """alpha * x by c_d alpha^d = -(c_0 + ... + c_(d-1) alpha^(d-1)),
+        x a/b in degree one; element stores a whole Fraction as an int."""
         m = self.min_poly.coeffs
-        top = x[-1]
+        top, rest = divmod(x[-1], m[-1])
+        if rest:  # x_(d-1)/c_d is a fraction
+            top = Fraction(x[-1], m[-1])
         out = [-m[0] * top]
         for i in range(1, self.degree):
             out.append(x[i - 1] - m[i] * top)
-        return tuple(out)
+        return tuple(out) if type(top) is int else self.element(out)
 
     def div_alpha_exact(self, y):
         """x with alpha * x = y; raises ValueError when y is not divisible
         by alpha.  Inverse of mul_alpha on all of Z[alpha]."""
-        if self.degree == 1:
-            a, b = self.rational_view
-            if y.numerator % a != 0:
-                raise ValueError(f"{y} is not divisible by alpha")
-            if isinstance(y, int):
-                return y // a * b
-            return y / self.alpha_fraction
         m = self.min_poly.coeffs
-        if y[0] % m[0] != 0:
-            raise ValueError(f"{y} is not divisible by alpha (residue {y[0] % abs(m[0])})")
-        top = -y[0] // m[0]
+        top, rest = divmod(-y[0].numerator, m[0])
+        if rest:
+            raise ValueError(f"{y} is not divisible by alpha")
+        if y[0].denominator != 1:
+            top = Fraction(top, y[0].denominator)
         out = [0] * self.degree
-        out[-1] = top
+        out[-1] = m[-1] * top
         for i in range(1, self.degree):
             out[i - 1] = y[i] + m[i] * top
-        return tuple(out)
+        return tuple(out) if type(top) is int else self.element(out)
 
     def residue(self, x) -> int:
         """Class of x in Z[alpha]/alpha Z[alpha] = Z/M(0)Z, in
-        [0, |M(0)|).  Degree-one elements must be integers."""
-        if self.degree == 1:
-            if x.denominator != 1:
-                raise ValueError(
-                    f"residue undefined for non-integer value {x} (valuation violation)")
-            return int(x) % self.residue_modulus
+        [0, |M(0)|), read from x_0, which must be an integer."""
+        if x[0].denominator != 1:
+            raise ValueError(f"residue undefined for non-integer value "
+                             f"{x[0]} (valuation violation)")
         return x[0] % self.residue_modulus
 
     def eval_word(self, digits_msb_first):
@@ -309,16 +283,23 @@ class AlgebraicBase:
             acc = self.add(self.mul_alpha(acc), self.element(d))
         return acc
 
+    def display(self, x, write=None):
+        """x as output shows it: a degree-one element as its coordinate,
+        any other as its tuple; with write, that as text, each coordinate
+        written by write."""
+        if write is None:
+            return x[0] if self.degree == 1 else x
+        text = ", ".join(map(write, x))
+        return text if self.degree == 1 else f"({text})"
+
     def conjugate_boxes(self, x) -> list[Box]:
         """Certified rectangles for sigma_k(x), each conjugate embedding,
-        at the current width of the root rectangles.  x is a coordinate
-        tuple, or one rational value (an integer, or a degree-one element)."""
+        at the current width of the root rectangles."""
         self._require_elements()
-        coords = x if isinstance(x, tuple) else (x,)
         out = []
         for row in self._power_table():
             acc = Box.point(0)
-            for c, p in zip(coords, row):
+            for c, p in zip(x, row):
                 acc = acc + p.scale(c)
             out.append(acc)
         return out
@@ -327,7 +308,7 @@ class AlgebraicBase:
         """The certified conjugate test, as a function window(x, lo, hi):
         the range of the integers d in lo..hi for which no |sigma_k(x + d)|
         is proven to exceed radii[k] (None leaves conjugate k free).  x is
-        a coordinate tuple or a degree-one value; off the lattice it is empty.
+        a coordinate tuple; off the lattice the range is empty.
 
         Each power box alpha_k^i is rounded outward once to the 2^-n grid;
         each side L <= U is kept as midpoint L + U and radius U - L over
@@ -349,7 +330,6 @@ class AlgebraicBase:
                               radius.denominator ** 2))
 
         def window(x, lo: int, hi: int) -> range:
-            x = x if isinstance(x, tuple) else (x,)
             if x[0].denominator != 1:  # off the lattice, as is every x + d
                 return range(0)
             mags = tuple(map(abs, x))

@@ -112,11 +112,16 @@ def _parse_rational_base(text: str) -> tuple[int, int]:
     return -p, -q
 
 
-def _record_out(record) -> dict:
-    tail = record.tail
-    tail_out = {name: getattr(tail, name) for name in tail.__slots__}
-    return {"start": record.start, "digits": record.digits,
-            "states": record.states, "tail": {"kind": tail.kind, **tail_out}}
+def _record_out(alpha, record) -> dict:
+    """An orbit record, each element as alpha.display shows it."""
+    def show(elements):
+        return list(map(alpha.display, elements))
+    tail = {name: getattr(record.tail, name) for name in record.tail.__slots__}
+    if "elements" in tail:  # a cycle
+        tail["elements"] = show(tail["elements"])
+    return {"start": alpha.display(record.start),
+            "digits": show(record.digits), "states": show(record.states),
+            "tail": {"kind": record.tail.kind, **tail}}
 
 
 # -- subcommand bodies ------------------------------------------------------
@@ -175,7 +180,7 @@ def _cmd_expand(args) -> dict:
                          "integer or coordinate list: "
                          f"{write_text(args.value)}") from None
     record = digits.orbit(alpha.element(value), digit_set, args.max_steps)
-    result = _record_out(record)
+    result = _record_out(alpha, record)
     result["replay_ok"] = record.replay(alpha)
     return result
 
@@ -185,8 +190,8 @@ def _cmd_periodic(args) -> dict:
     pset = digits.periodic_points(alpha, _parse_digit_list(args.digits),
                                   candidate_cap=args.candidate_cap)
     return {
-        "elements": pset.elements,
-        "cycles": pset.cycles,
+        "elements": list(map(alpha.display, pset.elements)),
+        "cycles": [list(map(alpha.display, c)) for c in pset.cycles],
         "count": len(pset.elements),
         "is_trivial": pset.is_trivial,
         "candidates_scanned": pset.candidates_scanned,
@@ -330,10 +335,19 @@ class UsageError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises usage errors (exit 2) instead of printing usage text;
-    subcommand parsers inherit the class."""
+    """Raises usage errors (exit 2) instead of printing usage text, each
+    token over 100 characters named by its length as errors.write_text
+    names it; subcommand parsers inherit the class."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._tokens = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
+        for token in sorted(getattr(self, "_tokens", ()), key=len)[::-1]:
+            if len(token) > 100:  # quoted as in "invalid choice", else bare
+                message = message.replace(repr(token), write_text(token))
+                message = message.replace(token, write_text(token, str))
         raise UsageError(f"{self.prog}: {message}")
 
 

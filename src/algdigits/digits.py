@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import sub
 
 from .base import AlgebraicBase, Classification
 from .errors import (DEFAULT_CANDIDATE_CAP, DEFAULT_ORBIT_STEPS, DigitSetError,
@@ -27,11 +28,10 @@ class DigitSet(Record):
     """A complete residue system modulo alpha, indexed by residue class:
     digits[r] is the digit of class r in Z[alpha]/alpha Z[alpha] = Z/|M(0)|.
 
-    Digits are elements of Z[alpha] (integers for degree-one bases,
-    power-basis coordinate tuples otherwise); they need not be rational
-    integers.  A DigitSet iterates in residue order, hashes, and equals
-    any DigitSet built over the same base from the same digits in
-    another order."""
+    Digits are elements of Z[alpha], coordinate tuples at every degree
+    (1-tuples for degree-one bases); they need not be rational integers.
+    A DigitSet iterates in residue order, hashes, and equals any DigitSet
+    built over the same base from the same digits in another order."""
 
     __slots__ = ("base", "digits")
 
@@ -39,7 +39,8 @@ class DigitSet(Record):
     def canonical(cls, base: AlgebraicBase) -> "DigitSet":
         """The digit set {0, 1, ..., |M(0)| - 1}; digit r lies in class r."""
         _require_canonical_size(base.residue_modulus)
-        return cls(base, tuple(map(base.element, range(base.residue_modulus))))
+        return cls(base, tuple(zip(range(base.residue_modulus),
+                                   *map(itertools.repeat, base.zero[1:]))))
 
     @property
     def contains_zero(self) -> bool:
@@ -47,10 +48,8 @@ class DigitSet(Record):
 
     def step(self, x):
         """One backward-division step: (digit, (x - digit)/alpha)."""
-        base = self.base
-        r = self.digits[base.residue(x)]
-        quotient = base.div_alpha_exact(base.add(x, base.neg(r)))
-        return r, quotient
+        r = self.digits[self.base.residue(x)]
+        return r, self.base.div_alpha_exact(tuple(map(sub, x, r)))
 
     def __len__(self) -> int:
         return len(self.digits)
@@ -68,19 +67,12 @@ def _require_canonical_size(count: int) -> None:
             f"more than the cap of {DEFAULT_CANDIDATE_CAP}")
 
 
-def _write_digit(x) -> str:
-    """A digit for a message, its integers by write_decimal."""
-    if isinstance(x, tuple):
-        return f"({', '.join(map(write_decimal, x))})"
-    return write_decimal(int(x))
-
-
 def validate_crs(base: AlgebraicBase, candidates) -> DigitSet:
     """Check that the candidates form a complete residue system modulo
     alpha and build the DigitSet.  Raises DigitSetError with the residue
     collision or the missing count otherwise."""
     m = base.residue_modulus
-    elements = [base.element(c) for c in candidates]
+    elements = list(map(base.element, candidates))
     if len(elements) != m:
         raise DigitSetError(
             f"need exactly {write_decimal(m)} digits, one per residue class "
@@ -90,8 +82,9 @@ def validate_crs(base: AlgebraicBase, candidates) -> DigitSet:
         r = base.residue(elt)
         if digits[r] is not None:
             raise DigitSetError(
-                f"residue collision mod {m}: {_write_digit(digits[r])} and "
-                f"{_write_digit(elt)} both lie in class {r}")
+                f"residue collision mod {m}: "
+                f"{base.display(digits[r], write_decimal)} and "
+                f"{base.display(elt, write_decimal)} both lie in class {r}")
         digits[r] = elt
     return DigitSet(base, tuple(digits))
 
@@ -180,7 +173,7 @@ def orbit(beta, digit_set: DigitSet,
             entry = states.index(x)
             return ExpansionRecord(states[0], tuple(digits), tuple(states),
                                    Cycle(entry, tuple(states[entry:-1])))
-        check(max(map(abs, x)) if type(x) is tuple else abs(int(x)), step)
+        check(max(map(abs, x)), step)
         seen.add(x)
     return ExpansionRecord(states[0], tuple(digits), tuple(states),
                            Truncated(max_steps))
@@ -220,7 +213,7 @@ def orbit_bound(base: AlgebraicBase, digits=None) -> BoundsReport:
     digit set is built for them."""
     if digits is None:
         _require_canonical_size(base.residue_modulus)
-        digits = (base.residue_modulus - 1,)  # the largest canonical digit
+        digits = ((base.residue_modulus - 1,),)  # the largest canonical digit
     else:
         digits = as_digit_set(base, digits).digits
     _require_expanding(base)
@@ -230,12 +223,11 @@ def orbit_bound(base: AlgebraicBase, digits=None) -> BoundsReport:
     rational = 0
     sups = [Fraction(0)] * len(moduli)
     for digit in digits:
-        coords = digit if isinstance(digit, tuple) else (digit,)
-        if any(coords[1:]):
+        if any(digit[1:]):
             for k, box in enumerate(base.conjugate_boxes(digit)):
                 sups[k] = max(sups[k], box.abs_bounds()[1])
         else:
-            rational = max(rational, abs(coords[0]))
+            rational = max(rational, abs(digit[0]))
     sups = [max(s, Fraction(rational)) for s in sups]
     per = []
     for (lo, _hi), k_sup in zip(moduli, sups):
@@ -278,9 +270,9 @@ def periodic_points(base: AlgebraicBase, digits=None, *,
     Every periodic point has |sigma_k(x)| <= per_conjugate[k], so a
     certified coordinate box holds them all; its size is checked against
     the cap, before canonical digits (digits None) are built, and
-    reported.  In degree >= 2 an orbit is followed only from
-    the box points in that region: x_0 enters each sigma_k with the exact
-    coefficient 1, so on each line of the box they form one range of x_0
+    reported.  An orbit is followed only from the box points in that
+    region: x_0 enters each sigma_k with the exact coefficient 1, so on
+    each line of the box they form one range of x_0
     (base.conjugate_window).  Nothing is truncated, so no periodic point
     can be missed."""
     digit_set = None if digits is None else as_digit_set(base, digits)
@@ -294,12 +286,11 @@ def periodic_points(base: AlgebraicBase, digits=None, *,
                                f"cap {write_decimal(candidate_cap)}")
     digit_set = as_digit_set(base, digit_set)
 
-    points = starts = range(-limit, limit + 1)
-    if base.degree > 1:
-        window = base.conjugate_window(bounds.per_conjugate)
-        starts = ((x0,) + tail
-                  for tail in itertools.product(points, repeat=base.degree - 1)
-                  for x0 in window((0,) + tail, -limit, limit))
+    window = base.conjugate_window(bounds.per_conjugate)
+    starts = ((x0,) + tail
+              for tail in itertools.product(range(-limit, limit + 1),
+                                            repeat=base.degree - 1)
+              for x0 in window((0,) + tail, -limit, limit))
 
     visited: set = set()
     cycles: set = set()
@@ -317,8 +308,8 @@ def periodic_points(base: AlgebraicBase, digits=None, *,
             shift = cycle.index(min(cycle))
             cycles.add(cycle[shift:] + cycle[:shift])
 
-    # The points are all ints or all coordinate tuples, so they sort
-    # natively; cycles are disjoint, so their first elements order them.
+    # The points are coordinate tuples of ints, so they sort natively;
+    # cycles are disjoint, so their first elements order them.
     ordered_cycles = tuple(sorted(cycles))
     elements = tuple(sorted({x for cyc in ordered_cycles for x in cyc}))
     return PeriodicSet(elements, ordered_cycles, bounds, count)
@@ -379,7 +370,8 @@ def height_reduce(base: AlgebraicBase, digit_reps,
     for digit, rep in pairs:
         if base.eval_word(reversed(rep)) != digit:
             raise DigitSetError(
-                f"representation {list(rep)} does not evaluate to {digit!r}")
+                f"representation {list(rep)} does not evaluate to "
+                f"{base.display(digit)!r}")
     reps = [rep for _digit, rep in pairs]
     s = max(len(rep) - 1 for rep in reps)
     if expansion_degree is not None:

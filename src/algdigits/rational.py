@@ -100,20 +100,21 @@ def digit_set_rational(a: int, b: int, digits=None) -> RationalDigitSet:
         tuple(sorted(x for d in range(a - b, a, a - b) for x in (d - a, d))))
 
 
-def _record(ds: RationalDigitSet, value, max_steps: int) -> ExpansionRecord:
-    """The backward-division record of value over ds.  The redundant set
-    is no residue system: its record is the orbit over the mirror base
-    a/-b with digits 0..a-1, whose k-th digit and state change sign at
-    odd k, because (-1)^k s_k = (-1)^k d_k + (a/b) (-1)^(k+1) s_(k+1)
-    whenever s_k = d_k + (a/-b) s_(k+1)."""
+def _record(ds: RationalDigitSet, value, max_steps: int):
+    """(base, the backward-division record of value over ds).  The
+    redundant set is no residue system: its record is the orbit over
+    the mirror base a/-b with digits 0..a-1, whose k-th digit and state
+    change sign at odd k, because (-1)^k s_k = (-1)^k d_k + (a/b)
+    (-1)^(k+1) s_(k+1) whenever s_k = d_k + (a/-b) s_(k+1)."""
     if ds.regime is not Regime.REDUNDANT:
         base = make_base([-ds.a, ds.b])  # the root of b*x - a
-        return orbit(value, validate_crs(base, ds.digits), max_steps)
-    mirror = orbit(value, DigitSet.canonical(make_base([-ds.a, -ds.b])),
-                   max_steps)
-    digits, states = (tuple(-x if k % 2 else x for k, x in enumerate(seq))
+        return base, orbit(value, validate_crs(base, ds.digits), max_steps)
+    base = make_base([-ds.a, -ds.b])
+    mirror = orbit(value, DigitSet.canonical(base), max_steps)
+    digits, states = (tuple(base.neg(x) if k % 2 else x
+                            for k, x in enumerate(seq))
                       for seq in (mirror.digits, mirror.states))
-    return ExpansionRecord(mirror.start, digits, states, mirror.tail)
+    return base, ExpansionRecord(mirror.start, digits, states, mirror.tail)
 
 
 def verify_digit_properties(ds: RationalDigitSet) -> dict:
@@ -146,11 +147,12 @@ def expand_int(ds: RationalDigitSet, k: int,
     state 0 (unique for the two residue-system regimes).  Raises
     DigitSetError when the orbit of k enters a cycle without passing
     0, and ResourceCapError when it runs past max_steps."""
-    record = _record(ds, k, max_steps)
-    if 0 in record.states:
-        return record.digits[:record.states.index(0)]
+    base, record = _record(ds, k, max_steps)
+    if base.zero in record.states:
+        return tuple(map(base.display,
+                         record.digits[:record.states.index(base.zero)]))
     if isinstance(record.tail, Cycle):
-        cycle = ", ".join(str(x) for x in record.tail.elements)
+        cycle = ", ".join(base.display(x, str) for x in record.tail.elements)
         raise DigitSetError(f"{write_decimal(k)} has no finite expansion over "
                             f"the digits {list(ds.digits)}: its orbit "
                             f"enters the cycle [{cycle}]")
@@ -256,4 +258,4 @@ def expand_all(a: int, b: int, digit_values=None, k_range=None, *,
         k_range = range(-10, 11)
     ds = (digit_values if isinstance(digit_values, RationalDigitSet)
           else digit_set_rational(a, b, digit_values))
-    return [_record(ds, k * b, max_steps) for k in k_range]
+    return [_record(ds, k * b, max_steps)[1] for k in k_range]

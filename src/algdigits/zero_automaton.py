@@ -158,8 +158,7 @@ class ZeroAutomaton(Record):
         return {
             "H": self.height,
             "base": str(self.base.min_poly),
-            "states": [list(s) if isinstance(s, tuple) else s
-                       for s in self.states],
+            "states": list(map(self.base.display, self.states)),
             "transitions": [[i, d, j] for i, row in enumerate(self.rows)
                             for d, j in row],
             "initial": zero,
@@ -167,8 +166,8 @@ class ZeroAutomaton(Record):
         }
 
     def to_dot(self) -> str:
-        labels = ["(" + ",".join(map(str, s)) + ")" if isinstance(s, tuple)
-                  else str(s) for s in self.states]
+        labels = [self.base.display(s, str).replace(" ", "")
+                  for s in self.states]
         zero = labels[self.states.index(self.zero)]
         return "\n".join(
             ["digraph zero {", "  rankdir=LR;", "  node [shape=circle];",

@@ -72,11 +72,11 @@ def test_criterion_2_integer_bases(report):
         for base, ds in ((neg2, ds_neg2), (pos3, ds_pos3)):
             rec = orbit(k, ds)
             if not (rec.terminated and rec.replay(base)
-                    and base.eval_word(tuple(reversed(rec.digits))) == k):
+                    and base.eval_word(tuple(reversed(rec.digits))) == (k,)):
                 failures += 1
     fixed = orbit(-1, validate_crs(pos2, [0, 1]))
     has_fixed_point = (isinstance(fixed.tail, Cycle)
-                       and fixed.tail.elements == (Fraction(-1),))
+                       and fixed.tail.elements == ((Fraction(-1),),))
     elapsed = time.monotonic() - start
     ok = failures == 0 and has_fixed_point and elapsed < 5.0
     report(2, "integer-bases", ok,
@@ -130,7 +130,7 @@ def test_criterion_4_degenerate_three_halves(report):
                 continue
             x = Fraction(-ds.b * d)
             _r, nxt = j_step(x, digit_set)
-            if nxt != x:
+            if nxt != (x,):
                 fixed_ok = False
     report(4, "degenerate-3/2", size_ok and fixed_ok,
            f"digit set size 5 = 2*3-1: {size_ok}; J fixes -b*d over "

@@ -1,7 +1,10 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import algdigits.base
 from algdigits import (Classification, InvalidPolynomialError, PrecisionError,
@@ -152,17 +155,17 @@ class TestElements:
         base = make_base([-5, 2])
         assert base.residue(base.element(7)) == 2
         with pytest.raises(ValueError):
-            base.residue(Fraction(1, 2))
+            base.residue((Fraction(1, 2),))
 
     def test_div_alpha_rational(self):
         base = make_base([-5, 2])
-        assert base.div_alpha_exact(base.element(5)) == 2
+        assert base.div_alpha_exact(base.element(5)) == (2,)
         with pytest.raises(ValueError):
             base.div_alpha_exact(base.element(3))
 
     def test_element_denominator_rules(self):
         base = make_base([-3, 2])
-        assert base.element(Fraction(7, 4)) == Fraction(7, 4)
+        assert base.element(Fraction(7, 4)) == (Fraction(7, 4),)
         with pytest.raises(ValueError):
             base.element(Fraction(1, 3))
 
@@ -173,10 +176,61 @@ class TestElements:
 
     def test_eval_word(self):
         base = make_base("x - 2")
-        assert base.eval_word((1, -2)) == 0
-        assert base.eval_word((1, 0, 1)) == 5
+        assert base.eval_word((1, -2)) == (0,)
+        assert base.eval_word((1, 0, 1)) == (5,)
         gauss = make_base("x^2 + 2x + 2")
         assert gauss.eval_word((1, 2, 2)) == (0, 0)
+
+
+@st.composite
+def _degree_one_value(draw):
+    """(a, b, x): a degree-one base alpha = a/b with coprime a and b > 0,
+    expanding or contracting, positive or negative, and x = p/b^k."""
+    a = draw(st.integers(-12, 12).filter(bool))
+    b = draw(st.integers(1, 12).filter(lambda b: math.gcd(a, b) == 1))
+    p = draw(st.integers(-10**6, 10**6))
+    return a, b, Fraction(p, b ** draw(st.integers(0, 3)))
+
+
+class TestDegreeOneArithmetic:
+    """A degree-one element is the 1-tuple of a rational in Z[a/b]; the
+    tuple arithmetic is multiplication and division by a/b."""
+
+    @pytest.mark.parametrize("poly, alpha, x", [
+        ("3x-1", Fraction(1, 3), Fraction(7, 9)),
+        ("5x+2", Fraction(-2, 5), Fraction(7, 25))])
+    def test_contracting_bases(self, poly, alpha, x):
+        base = make_base(poly)
+        e = base.element(x)
+        assert base.mul_alpha(e) == (x * alpha,)
+        assert base.div_alpha_exact(base.mul_alpha(e)) == e
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=_degree_one_value())
+    def test_arithmetic_is_scaling_by_alpha(self, case):
+        a, b, x = case
+        base = make_base([-a, b])
+        e = base.element(x)
+        y = base.mul_alpha(e)
+        assert e == (x,) and y == (x * Fraction(a, b),)
+        assert base.div_alpha_exact(y) == e
+        for (c,) in (e, y):  # an integral coordinate is an int
+            assert (type(c) is int) == (c.denominator == 1)
+        if x.numerator % a:
+            with pytest.raises(ValueError):
+                base.div_alpha_exact(e)
+        else:
+            (q,) = base.div_alpha_exact(e)
+            assert q == x / Fraction(a, b)
+            assert (type(q) is int) == (q.denominator == 1)
+        window = base.conjugate_window([Fraction(10**7)])
+        if x.denominator == 1:
+            assert base.residue(e) == x % abs(a)
+            assert window(e, -1, 1) == range(-1, 2)
+        else:
+            with pytest.raises(ValueError):
+                base.residue(e)
+            assert window(e, -1, 1) == range(0)
 
 
 class TestIntervalData:
@@ -226,8 +280,8 @@ class TestIntervalData:
         # 1/2 is no element of Z[3/2], and no 1/2 + d is one either.
         base = make_base("2x-3")
         window = base.conjugate_window([Fraction(2)])
-        assert window(Fraction(1, 2), -1, 1) == range(0)
-        assert list(window(0, -1, 1)) == [-1, 0, 1]
+        assert window((Fraction(1, 2),), -1, 1) == range(0)
+        assert list(window((0,), -1, 1)) == [-1, 0, 1]
 
     def test_refine_monotone(self):
         base = make_base("x^2 + 2x + 2")
@@ -254,7 +308,7 @@ class TestIntervalData:
         assert base.conjugates() == [Box.point(Fraction(3, 2))]
         assert base.achieved_width == 0
         x = base.element(Fraction(7, 4))
-        assert base.conjugate_boxes(x) == [Box.point(x)]
+        assert base.conjugate_boxes(x) == [Box.point(x[0])]
 
     def test_separation_failure_names_the_width(self, monkeypatch):
         # Root boxes that never shrink keep both moduli straddling 1: the

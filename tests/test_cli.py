@@ -615,14 +615,31 @@ class TestOutputLimit:
          "coordinate (a text of 4002 characters) is not an integer"),
         (["rational", "--base", "5/2", "--digits", f"[0,1,[{_N}]]",
           "verify"],
-         "rational digit (a text of 4003 characters) is not an integer")],
+         "rational digit (a text of 4003 characters) is not an integer"),
+        (["rational", "--base", "5/2", f"{_N}x"],
+         "algdigits rational: argument action: invalid choice: (a text of "
+         "4003 characters) (choose from 'expand', 'verify', 'transduce')"),
+        (["zero-automaton", "--poly", "x-2", "--height", "1", "--export", _N],
+         "algdigits zero-automaton: argument --export: invalid choice: "
+         "(a text of 4002 characters) (choose from 'dot', 'json')"),
+        ([_N],
+         "algdigits: argument command: invalid choice: (a text of 4002 "
+         "characters) (choose from 'analyze', 'classify', 'expand', "
+         "'periodic', 'is-ns', 'rational', 'zero-automaton', 'min-height', "
+         "'count', 'sweep-quadratic')"),
+        (["analyze", "--poly", "x-2", _N],
+         "algdigits: unrecognized arguments: (a text of 4000 characters)"),
+        (["analyze", "--poly", "x-2", f"--{_N}"],
+         "algdigits: unrecognized arguments: (a text of 4002 characters)")],
         ids=["base", "digit-list", "residue-collision", "transduce",
              "expand-value", "rational-value", "integer-option", "bad-term",
              "tokenize", "exponent", "json-digit", "coordinate",
-             "rational-digit"])
+             "rational-digit", "choice", "export-choice", "command-choice",
+             "unrecognized", "unrecognized-option"])
     def test_message_names_a_long_input_by_its_length(self, capsys, argv,
                                                       message):
-        # Each of these echoed the whole token, in 4.1 to 8.1 KB.
+        # Each of these echoed the whole token, in 4.1 to 8.1 KB; the
+        # last five are argparse's own messages.
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "") and len(err) < 1000
         error = json.loads(err)
@@ -868,14 +885,15 @@ class TestErrors:
     def _refused_precision(capsys, precision):
         # The width is fixed, so every --precision value, however large,
         # fine or long its exponent, is refused by the argument parser
-        # before any root is refined.
-        code, out, err = run(capsys, "analyze", "--poly", "x^2-2",
-                             f"--precision={precision}")
+        # before any root is refined; a token over 100 characters is
+        # named by its length.
+        token = f"--precision={precision}"
+        code, out, err = run(capsys, "analyze", "--poly", "x^2-2", token)
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == {
             "type": "UsageError",
             "message": "algdigits: unrecognized arguments: "
-                       f"--precision={precision}"}
+                       + write_text(token, str)}
 
     @pytest.mark.parametrize("precision", ["2^40", "2^0", "5", "1", "0",
                                            "-1/2", "1/0"])
@@ -1228,6 +1246,45 @@ class TestStartup:
                          and node.name == "_monic_pass"]
         assert "isinstance" not in {node.id for node in ast.walk(monic_pass)
                                     if isinstance(node, ast.Name)}
+
+    def test_elements_are_tuples_at_every_degree(self):
+        # An element is its coordinate tuple at every degree: the element
+        # methods of AlgebraicBase compare the degree with nothing and read
+        # no rational view, and no layer asks whether an element is a
+        # tuple.  (element's isinstance(value, (list, tuple)) reads the
+        # shape of its input, a number or a sequence of coordinates.)
+        package = Path(algdigits.__file__).parent
+        tree = ast.parse((package / "base.py").read_text())
+        (cls,) = [node for node in tree.body if isinstance(node, ast.ClassDef)
+                  and node.name == "AlgebraicBase"]
+        methods = {node.name: node for node in cls.body
+                   if isinstance(node, ast.FunctionDef)}
+        for name in ("zero", "element", "add", "neg", "add_int", "mul_alpha",
+                     "div_alpha_exact", "residue", "eval_word",
+                     "conjugate_boxes", "conjugate_window"):
+            for node in ast.walk(methods[name]):
+                if isinstance(node, ast.Compare):
+                    assert not any(isinstance(side, ast.Attribute)
+                                   and side.attr == "degree"
+                                   for side in [node.left, *node.comparators]
+                                   ), name
+                assert not (isinstance(node, ast.Attribute) and node.attr in
+                            ("rational_view", "alpha_fraction")), name
+
+        def is_tuple(node):
+            return isinstance(node, ast.Name) and node.id == "tuple"
+
+        for name in ("base.py", "digits.py", "zero_automaton.py"):
+            for node in ast.walk(ast.parse((package / name).read_text())):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id == "isinstance"):
+                    assert not is_tuple(node.args[1]), name
+                if isinstance(node, ast.Compare):
+                    assert not (isinstance(node.left, ast.Call)
+                                and isinstance(node.left.func, ast.Name)
+                                and node.left.func.id == "type"
+                                and any(map(is_tuple, node.comparators))), name
 
     def test_no_runtime_dependencies(self):
         # sympy is needed only by the tests, as the factoring oracle.

@@ -67,17 +67,17 @@ class TestValidateCrs:
             validate_crs(BASE_NEG2, [0, Fraction(1, 3)])
 
     def test_canonical(self):
-        assert tuple(as_digit_set(BASE_NEG2)) == (0, 1)
-        assert tuple(as_digit_set(BASE_32)) == (0, 1, 2)
+        assert tuple(as_digit_set(BASE_NEG2)) == ((0,), (1,))
+        assert tuple(as_digit_set(BASE_32)) == ((0,), (1,), (2,))
         assert tuple(as_digit_set(GAUSS)) == ((0, 0), (1, 0))
-        assert tuple(as_digit_set(BASE_52)) == (0, 1, 2, 3, 4)
+        assert tuple(as_digit_set(BASE_52)) == ((0,), (1,), (2,), (3,), (4,))
 
     def test_as_digit_set_passthrough(self):
         ds = validate_crs(BASE_NEG2, [1, 2])
         assert as_digit_set(BASE_NEG2, ds) is ds
         other = make_base("x + 2")
         revalidated = as_digit_set(other, ds)
-        assert tuple(revalidated) == (2, 1)  # residue order: 2 = 0 mod 2
+        assert tuple(revalidated) == ((2,), (1,))  # residue order: 2 = 0 mod 2
 
     def test_contains_zero(self):
         assert as_digit_set(BASE_NEG2).contains_zero
@@ -87,9 +87,9 @@ class TestValidateCrs:
 class TestJStep:
     def test_base_neg2(self):
         ds = as_digit_set(BASE_NEG2)
-        assert j_step(7, ds) == (1, -3)
-        assert j_step(-3, ds) == (1, 2)
-        assert j_step(2, ds) == (0, -1)
+        assert j_step(7, ds) == ((1,), (-3,))
+        assert j_step(-3, ds) == ((1,), (2,))
+        assert j_step(2, ds) == ((0,), (-1,))
 
     def test_quadratic(self):
         ds = as_digit_set(GAUSS)
@@ -101,16 +101,16 @@ class TestJStep:
 class TestOrbit:
     def test_terminating(self):
         rec = orbit(7, as_digit_set(BASE_NEG2))
-        assert rec.digits == (1, 1, 0, 1, 1)
-        assert rec.states == (7, -3, 2, -1, 1, 0)
+        assert rec.digits == ((1,), (1,), (0,), (1,), (1,))
+        assert rec.states == ((7,), (-3,), (2,), (-1,), (1,), (0,))
         assert isinstance(rec.tail, Terminated)
         assert rec.terminated
         assert rec.replay(BASE_NEG2)
         word = tuple(reversed(rec.digits))
         assert BASE_POS2.eval_word(word) != 7  # different base, sanity
-        assert BASE_NEG2.eval_word(word) == 7
-        wrong_start = ExpansionRecord(8, rec.digits, rec.states, rec.tail)
-        wrong_digit = ExpansionRecord(7, (0,) + rec.digits[1:], rec.states,
+        assert BASE_NEG2.eval_word(word) == (7,)
+        wrong_start = ExpansionRecord((8,), rec.digits, rec.states, rec.tail)
+        wrong_digit = ExpansionRecord((7,), ((0,),) + rec.digits[1:], rec.states,
                                       rec.tail)
         assert not wrong_start.replay(BASE_NEG2)
         assert not wrong_digit.replay(BASE_NEG2)
@@ -122,7 +122,7 @@ class TestOrbit:
     def test_cycle(self):
         rec = orbit(-1, as_digit_set(BASE_POS2))
         assert isinstance(rec.tail, Cycle)
-        assert rec.tail.elements == (Fraction(-1),)
+        assert rec.tail.elements == ((Fraction(-1),),)
         assert rec.replay(BASE_POS2)
 
     def test_truncated(self):
@@ -209,29 +209,30 @@ class TestOrbitBound:
 class TestPeriodicPoints:
     def test_base_two(self):
         pset = periodic_points(BASE_POS2)
-        assert pset.elements == (Fraction(-1), Fraction(0))
+        assert pset.elements == ((Fraction(-1),), (Fraction(0),))
         assert not pset.is_trivial
 
     def test_base_neg_two(self):
         pset = periodic_points(BASE_NEG2)
-        assert pset.elements == (Fraction(0),)
+        assert pset.elements == ((Fraction(0),),)
         assert pset.is_trivial
 
     def test_three_halves(self):
         pset = periodic_points(BASE_32)
-        assert pset.elements == (Fraction(-4), Fraction(-2), Fraction(0))
+        assert pset.elements == ((Fraction(-4),), (Fraction(-2),),
+                                 (Fraction(0),))
         assert pset.bounds.c == Fraction(5)
 
     def test_wide_digits(self):
         pset = periodic_points(BASE_POS2, [0, 3])
-        assert pset.elements == (Fraction(-3), Fraction(-2),
-                                 Fraction(-1), Fraction(0))
+        assert pset.elements == ((Fraction(-3),), (Fraction(-2),),
+                                 (Fraction(-1),), (Fraction(0),))
         cycle_lengths = sorted(len(c) for c in pset.cycles)
         assert cycle_lengths == [1, 1, 2]
 
     def test_five_halves_special_digits(self):
         pset = periodic_points(BASE_52, [-2, 0, 1, 2, 4])
-        assert pset.elements == (Fraction(0),)
+        assert pset.elements == ((Fraction(0),),)
 
     def test_sqrt2(self):
         pset = periodic_points(SQRT2, [0, 1])
@@ -251,7 +252,7 @@ class TestPeriodicPoints:
             a, b = base.rational_view
             bound = int(pset.bounds.c) + 1
             expected = periodic_points_linear(a, b, digits, bound)
-            assert {int(x) for x in pset.elements} == expected
+            assert {int(x) for (x,) in pset.elements} == expected
 
     def test_matches_quadratic_oracle(self):
         for a1, a2, digits in [(0, -2, [0, 1]), (2, 2, [0, 1]),
@@ -567,7 +568,8 @@ class TestResidueTable:
             assume(False)
         given_order = data.draw(st.permutations(digits))
         ds = validate_crs(base, given_order)
-        assert all(ds.digits[base.residue(d)] == d for d in given_order)
+        elements = list(map(base.element, given_order))
+        assert all(ds.digits[base.residue(d)] == d for d in elements)
         in_order = validate_crs(base, digits)
         assert ds == in_order and hash(ds) == hash(in_order)
         m = base.residue_modulus

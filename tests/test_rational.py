@@ -140,7 +140,7 @@ class TestValueHelpers:
         a, b = ab
         word = data.draw(st.lists(st.integers(1 - 2 * a, 2 * a - 1),
                                   max_size=30))
-        assert value_of(word, Fraction(a, b)) == make_base(
+        assert (value_of(word, Fraction(a, b)),) == make_base(
             [-a, b]).eval_word(reversed(word))
 
 
@@ -207,7 +207,7 @@ class TestOneEngine:
         for record in expand_all(a, b, k_range=(k // b, -7, 0, 11)):
             assert record.terminated
             assert record.replay(base)
-            assert all(d in ds for d in record.digits)
+            assert all(d in ds for (d,) in record.digits)
 
 
 class TestTransducer:
@@ -309,7 +309,7 @@ class TestExpandAll:
         assert len(records) == 21
         base = make_base([-5, 2])
         for k, rec in zip(range(-10, 11), records):
-            assert rec.start == Fraction(2 * k)
+            assert rec.start == (Fraction(2 * k),)
             assert rec.terminated
             assert rec.replay(base)
 
@@ -318,9 +318,10 @@ class TestExpandAll:
         base = make_base([-3, 2])
         for k, rec in zip(range(-10, 11), records):
             assert isinstance(rec.tail, Terminated)
-            assert rec.start == Fraction(2 * k)
+            assert rec.start == (Fraction(2 * k),)
             assert rec.replay(base)
-            assert value_of(rec.digits, Fraction(3, 2)) == 2 * k
+            assert value_of([d for (d,) in rec.digits],
+                            Fraction(3, 2)) == 2 * k
         # the same record with the canonical digits in another order
         shuffled = expand_all(3, 2, [0, 1, -1, 2, -2])
         assert [r.states for r in shuffled] == [r.states for r in records]
@@ -336,7 +337,8 @@ class TestExpandAll:
         records = expand_all(7, 3, DS73, k_range=range(0, 5))
         for k, rec in zip(range(0, 5), records):
             assert rec.terminated
-            assert value_of(rec.digits, Fraction(7, 3)) == 3 * k
+            assert value_of([d for (d,) in rec.digits],
+                            Fraction(7, 3)) == 3 * k
 
 
 class TestTableBuilds:
