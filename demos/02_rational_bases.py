@@ -13,9 +13,10 @@ for a, b in [(3, -2), (5, 2), (3, 2)]:
     ds = digit_set_rational(a, b)
     print(f"a/b = {a}/{b}: regime {ds.regime.value}, digits {ds.digits}")
 
-# positive b shifts some canonical digits by a; the shifted set B
+# positive b moves each nonzero multiple of a - b below a down by a
 ds52 = digit_set_rational(5, 2)
-print("shifted multiples B for 5/2:", ds52.shifted)
+print("digits moved down by 5 for 5/2:",
+      [d for d in ds52.digits if d < 0])
 print("structural properties:", verify_digit_properties(ds52))
 
 # ----------------------------------------------------------------------

@@ -348,6 +348,13 @@ class AlgebraicBase:
 
         return window
 
+    def __eq__(self, other):  # one alpha, however refined (see make_base)
+        return (isinstance(other, AlgebraicBase)
+                and self.min_poly == other.min_poly)
+
+    def __hash__(self) -> int:
+        return hash(self.min_poly)
+
     def __repr__(self) -> str:
         return f"AlgebraicBase({self.min_poly!s}, {self.classification})"
 

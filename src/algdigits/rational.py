@@ -2,11 +2,10 @@
 a > |b| >= 1 and gcd(a, b) = 1.
 
 The canonical digits are {0, ..., a-1} with each nonzero multiple of
-a-b moved down by a (to k(a-b) - a); shifted lists both ends of every
-move.  For b < 0 no such multiple lies below a, so the digits are plain.
-For b = a-1 every digit would move and no complete residue system works
-(backward division fixes -b*d for every nonzero digit d), so the
-redundant symmetric set {-(a-1), ..., a-1} with 2a-1 digits is used.
+a-b moved down by a (to k(a-b) - a).  For b < 0 no such multiple lies below
+a, so the digits are plain.  For b = a-1 every digit would move and no
+complete residue system works (backward division fixes -b*d for every
+nonzero digit d), so the redundant set {-(a-1), ..., a-1} is used.
 
 Expansions are the backward-division records of digits.orbit over the
 degree-one base b*x - a; the redundant set runs the mirror base a/-b.
@@ -42,24 +41,33 @@ class Regime(str, Enum):
 
 
 class RationalDigitSet(Record):
-    """A digit set for base a/b; shifted is the set B of shifted
-    multiples (positive regime only).  Membership reads digits, which
-    has at most 2a - 1 entries."""
+    """A digit set for base a/b.  table, its only digit store, is the
+    DigitSet its expansions step with: over b*x - a, or for the redundant
+    digits -(a-1)..a-1 the canonical set of the mirror base a/-b."""
 
-    __slots__ = ("a", "b", "regime", "digits", "shifted")
+    __slots__ = ("a", "b", "regime", "table")
 
     @property
     def alpha(self) -> Fraction:
         return Fraction(self.a, self.b)
 
+    @property
+    def digits(self) -> tuple:
+        """The digits as sorted integers."""
+        if self.regime is Regime.REDUNDANT:
+            return tuple(range(1 - self.a, self.a))
+        return tuple(sorted(d for (d,) in self.table.digits))
+
     def __contains__(self, d) -> bool:
-        return d in self.digits
+        if self.regime is Regime.REDUNDANT:
+            return isinstance(d, int) and -self.a < d < self.a
+        return isinstance(d, int) and self.table.digits[d % self.a] == (d,)
 
     def __iter__(self):
         return iter(self.digits)
 
     def __len__(self) -> int:
-        return len(self.digits)
+        return 2 * self.a - 1 if self.regime is Regime.REDUNDANT else self.a
 
 
 def digit_set_rational(a: int, b: int, digits=None) -> RationalDigitSet:
@@ -83,56 +91,37 @@ def digit_set_rational(a: int, b: int, digits=None) -> RationalDigitSet:
             if isinstance(d, bool) or not isinstance(d, int):
                 raise DigitSetError(
                     f"rational digit {write_text(d)} is not an integer")
-        vals = tuple(sorted(digits))
-        if len(vals) >= a:  # a canonical set has a or 2a - 1 digits
-            canonical = digit_set_rational(a, b)
-            if vals == canonical.digits:
-                return canonical
-        validate_crs(make_base([-a, b]), vals)
-        return RationalDigitSet(a, b, regime, vals, ())
+        if not (b == a - 1 and len(digits) == 2 * a - 1
+                and sorted(digits) == list(range(1 - a, a))):
+            return RationalDigitSet(a, b, regime,
+                                    validate_crs(make_base([-a, b]), digits))
     _require_canonical_size(2 * a - 1 if b == a - 1 else a)
     if b == a - 1:
         return RationalDigitSet(a, b, Regime.REDUNDANT,
-                                tuple(range(-(a - 1), a)), ())
-    return RationalDigitSet(
-        a, b, regime, tuple(sorted(d - a if 0 < d and d % (a - b) == 0
-                                   else d for d in range(a))),
-        tuple(sorted(x for d in range(a - b, a, a - b) for x in (d - a, d))))
-
-
-def _record(ds: RationalDigitSet, value, max_steps: int):
-    """(base, the backward-division record of value over ds).  The
-    redundant set is no residue system: its record is the orbit over
-    the mirror base a/-b with digits 0..a-1, whose k-th digit and state
-    change sign at odd k, because (-1)^k s_k = (-1)^k d_k + (a/b)
-    (-1)^(k+1) s_(k+1) whenever s_k = d_k + (a/-b) s_(k+1)."""
-    if ds.regime is not Regime.REDUNDANT:
-        base = make_base([-ds.a, ds.b])  # the root of b*x - a
-        return base, orbit(value, validate_crs(base, ds.digits), max_steps)
-    base = make_base([-ds.a, -ds.b])
-    mirror = orbit(value, DigitSet.canonical(base), max_steps)
-    digits, states = (tuple(base.neg(x) if k % 2 else x
-                            for k, x in enumerate(seq))
-                      for seq in (mirror.digits, mirror.states))
-    return base, ExpansionRecord(mirror.start, digits, states, mirror.tail)
+                                DigitSet.canonical(make_base([-a, -b])))
+    # digit r of class r, or r - a at each nonzero multiple of a - b
+    table = list(zip(range(a)))
+    for r in range(a - b, a, a - b):
+        table[r] = (r - a,)
+    return RationalDigitSet(a, b, regime,
+                            DigitSet(make_base([-a, b]), tuple(table)))
 
 
 def verify_digit_properties(ds: RationalDigitSet) -> dict:
     """Check the four structural properties the carry automaton relies
-    on.  `crs`: one digit per residue class mod a.  `plus_b` / `minus_b`:
-    adding or subtracting b leaves the set after at most one correction
-    by a (sign of the correction depends on the sign of b).  `pm_b`:
-    both b and -b are digits (holds in the positive regime, where it
-    guarantees a two-zero flush)."""
+    on.  `crs`: one digit per residue class mod a (all but redundant).
+    `plus_b` / `minus_b`: adding or subtracting b leaves the set after at
+    most one correction by a (sign of the correction depends on the sign
+    of b).  `pm_b`: both b and -b are digits (holds in the positive
+    regime, where it guarantees a two-zero flush)."""
     a, b = ds.a, ds.b
-    s = set(ds.digits)
-    residues = [d % a for d in ds.digits]
-    crs = len(ds.digits) == a and len(set(residues)) == a
+    s = set(ds.digits)  # answers the 4a lookups below faster than ds
     off = a if b < 0 else -a
-    plus_b = all(d + b in s or d + b + off in s for d in ds.digits)
-    minus_b = all(d - b in s or d - b - off in s for d in ds.digits)
+    plus_b = all(d + b in s or d + b + off in s for d in s)
+    minus_b = all(d - b in s or d - b - off in s for d in s)
     pm_b = b in s and -b in s
-    return {"crs": crs, "plus_b": plus_b, "minus_b": minus_b, "pm_b": pm_b}
+    return {"crs": ds.regime is not Regime.REDUNDANT, "plus_b": plus_b,
+            "minus_b": minus_b, "pm_b": pm_b}
 
 
 def value_of(digits_lsb, alpha: Fraction) -> Fraction:
@@ -147,10 +136,14 @@ def expand_int(ds: RationalDigitSet, k: int,
     state 0 (unique for the two residue-system regimes).  Raises
     DigitSetError when the orbit of k enters a cycle without passing
     0, and ResourceCapError when it runs past max_steps."""
-    base, record = _record(ds, k, max_steps)
+    base = ds.table.base
+    record = orbit(k, ds.table, max_steps)
     if base.zero in record.states:
-        return tuple(map(base.display,
-                         record.digits[:record.states.index(base.zero)]))
+        end = record.states.index(base.zero)
+        word = list(map(base.display, record.digits[:end]))
+        if ds.regime is Regime.REDUNDANT:  # a mirror record: see expand_all
+            word[1::2] = [-d for d in word[1::2]]
+        return tuple(word)
     if isinstance(record.tail, Cycle):
         cycle = ", ".join(base.display(x, str) for x in record.tail.elements)
         raise DigitSetError(f"{write_decimal(k)} has no finite expansion over "
@@ -253,9 +246,23 @@ def expand_all(a: int, b: int, digit_values=None, k_range=None, *,
     are precisely the values one backward-division step can produce, so
     this family exercises the digit set where it matters.  digit_values
     is a RationalDigitSet, explicit integer digits, or None for the
-    canonical set."""
+    canonical set.
+
+    The redundant set is no residue system: its record is the orbit
+    over the mirror base a/-b with digits 0..a-1, whose k-th digit and
+    state change sign at odd k, because (-1)^k s_k = (-1)^k d_k + (a/b)
+    (-1)^(k+1) s_(k+1) whenever s_k = d_k + (a/-b) s_(k+1)."""
     if k_range is None:
         k_range = range(-10, 11)
     ds = (digit_values if isinstance(digit_values, RationalDigitSet)
           else digit_set_rational(a, b, digit_values))
-    return [_record(ds, k * b, max_steps)[1] for k in k_range]
+    records = [orbit(k * b, ds.table, max_steps) for k in k_range]
+    if ds.regime is Regime.REDUNDANT:
+        neg = ds.table.base.neg
+        for i, mirror in enumerate(records):
+            digits, states = (tuple(neg(x) if k % 2 else x
+                                    for k, x in enumerate(seq))
+                              for seq in (mirror.digits, mirror.states))
+            records[i] = ExpansionRecord(mirror.start, digits, states,
+                                         mirror.tail)
+    return records

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from algdigits import (
     AdditionTransducer,
+    DigitSet,
     DigitSetError,
-    RationalDigitSet,
     Regime,
     ResourceCapError,
     Terminated,
@@ -21,6 +21,7 @@ from algdigits import (
     expand_int,
     make_base,
     transduce,
+    validate_crs,
     value_of,
     rational,
     verify_digit_properties,
@@ -38,10 +39,11 @@ class TestConstruction:
     def test_positive_regime(self):
         assert DS52.regime is Regime.POSITIVE_B
         assert DS52.digits == (-2, 0, 1, 2, 4)
-        assert DS52.shifted == (-2, 3)
+        assert DS52.table.digits == ((0,), (1,), (2,), (-2,), (4,))
         assert list(DS52) == [-2, 0, 1, 2, 4] and len(DS52) == 5
         assert DS73.digits == (-3, 0, 1, 2, 3, 5, 6)
-        assert DS73.shifted == (-3, 4)
+        assert DS73.table.digits[4] == (-3,)
+        assert DS73.table.base == make_base("3x - 7")
 
     def test_negative_regime(self):
         assert DS3M2.regime is Regime.NEGATIVE_B
@@ -49,7 +51,10 @@ class TestConstruction:
 
     def test_redundant_regime(self):
         assert DS32.regime is Regime.REDUNDANT
-        assert DS32.digits == (-2, -1, 0, 1, 2)
+        assert DS32.digits == (-2, -1, 0, 1, 2) and len(DS32) == 5
+        # the canonical table of the mirror base 3/-2
+        assert DS32.table.digits == ((0,), (1,), (2,))
+        assert DS32.table.base == make_base("2x + 3")
 
     def test_explicit_digits(self):
         # the canonical digits in any order are the canonical set
@@ -98,8 +103,11 @@ class TestProperties:
         assert props["plus_b"] and props["minus_b"] and props["pm_b"]
 
     def test_every_canonical_set_up_to_40(self):
-        """The carry properties and the shape of shifted, for every
-        canonical set with a <= 40."""
+        """The table of every canonical set with a <= 40 against its
+        references: the rule's digits, the table validate_crs builds
+        from them (the mirror base's canonical table for the redundant
+        set), membership read from the digits, and the carry
+        properties."""
         for a in range(2, 41):
             for b in range(-a + 1, a):
                 if b == 0 or math.gcd(a, b) != 1:
@@ -107,15 +115,22 @@ class TestProperties:
                 ds = digit_set_rational(a, b)
                 props = verify_digit_properties(ds)
                 assert props["plus_b"] and props["minus_b"], (a, b)
+                digits = set(ds.digits)
+                assert all((d in ds) == (d in digits)
+                           for d in range(-2 * a, 2 * a + 1)), (a, b)
                 if ds.regime is Regime.REDUNDANT:
                     assert b == a - 1 and not props["crs"]
                     assert ds.digits == tuple(range(-(a - 1), a))
+                    assert ds.table == DigitSet.canonical(
+                        make_base([-a, -b]))
                     continue
                 assert props["crs"] and (b < 0 or props["pm_b"]), (a, b)
-                assert all(-a < d < a for d in ds.digits), (a, b)
-                for x in ds.shifted:
-                    assert (x % (a - b) == 0 and x not in ds if x > 0
-                            else x in ds), (a, b, x)
+                # the rule: r, or r - a at each nonzero multiple of a - b
+                assert ds.digits == tuple(sorted(
+                    r - a if r and r % (a - b) == 0 else r
+                    for r in range(a))), (a, b)
+                assert ds.table == validate_crs(make_base([-a, b]),
+                                                ds.digits), (a, b)
 
 
 @st.composite
@@ -162,10 +177,23 @@ class TestExpandInt:
             assert all(d in DS32 for d in word)
             assert value_of(word, Fraction(3, 2)) == k
 
+    @pytest.mark.parametrize("a", range(2, 13))
+    def test_redundant_words_take_the_mirror_signs(self, a):
+        # A redundant word is the mirror record's digits over a/-(a-1)
+        # with every odd position negated; it evaluates back over a/b.
+        ds = digit_set_rational(a, a - 1)
+        mirror = digit_set_rational(a, 1 - a)
+        for k in range(-300, 301):
+            word = expand_int(ds, k)
+            assert value_of(word, ds.alpha) == k, (a, k)
+            assert all(d in ds for d in word)
+            assert [(-1) ** j * d for j, d in enumerate(word)] == list(
+                expand_int(mirror, k)), (a, k)
+
     def test_cycle_names_the_cycle(self):
         # {0, 1, 5} is a residue system mod 3, but over -3/2 the orbit
         # of 7 runs 7 -> -4 -> 6 -> -4 and never reaches 0
-        handmade = RationalDigitSet(3, -2, Regime.NEGATIVE_B, (0, 1, 5), ())
+        handmade = digit_set_rational(3, -2, [0, 1, 5])
         with pytest.raises(DigitSetError, match=r"7 .*\[-4, 6\]"):
             expand_int(handmade, 7)
         assert expand_int(handmade, 5) == (5,)
@@ -250,6 +278,16 @@ class TestTransducer:
                                match="^3 is not a digit of the set$"):
                 transduce(t, start, word)
 
+    @pytest.mark.parametrize("ds", [DS52, DS3M2, DS32],
+                             ids=["5/2", "-3/2", "3/2"])
+    def test_non_integers_are_no_digits(self, ds):
+        # membership reads the table by residue, which only an int has
+        t = AdditionTransducer(ds)
+        for d in (2.5, 2.0, Fraction(1, 2)):
+            assert d not in ds
+            with pytest.raises(DigitSetError, match="is not a digit"):
+                transduce(t, 0, (d,))
+
     def test_flush_cap_names_its_limit(self, monkeypatch):
         t = AdditionTransducer(DS52)
         monkeypatch.setattr(rational, "MAX_FLUSH", 0)
@@ -259,9 +297,8 @@ class TestTransducer:
             transduce(t, 2, ())
 
     def test_unclosed_set_rejected(self):
-        from algdigits.rational import RationalDigitSet
         # {0, 1, 5} is a CRS mod 3 but 1 + b = -1 has no correction in it
-        handmade = RationalDigitSet(3, -2, Regime.NEGATIVE_B, (0, 1, 5), ())
+        handmade = digit_set_rational(3, -2, [0, 1, 5])
         with pytest.raises(DigitSetError):
             AdditionTransducer(handmade)
 
@@ -342,41 +379,44 @@ class TestExpandAll:
 
 
 class TestTableBuilds:
-    """Each expansion builds one residue table over one base: the two
-    residue-system regimes validate their digits once, and the redundant
-    set takes the canonical table of the mirror base a/-b without
-    validating it, for one base of each regime and for explicit digits."""
+    """A digit set builds its one residue table where it is built: the
+    residue-system regimes from the rule or by validating explicit
+    digits once, the redundant set as the canonical table of the mirror
+    base a/-b.  An expansion builds no base and no table."""
 
     @pytest.mark.parametrize("b, digits", [
         (2, None), (-2, None), (1008, None),
         (-2, [-1] + list(range(1008)))])  # explicit, not 0..1008
-    def test_each_expansion_builds_one_table(self, b, digits, monkeypatch,
-                                             capsys):
-        ds = digit_set_rational(1009, b, digits)
-        builds = {"validate_crs": 0, "make_base": 0}
+    def test_one_table_per_digit_set(self, b, digits, monkeypatch, capsys):
+        builds = {"validate_crs": 0, "make_base": 0, "canonical": 0}
 
-        def counting(name):
-            original = getattr(rational, name)
-
+        def counting(name, original):
             def wrapper(*args):
                 builds[name] += 1
                 return original(*args)
             return wrapper
 
-        for name in builds:
-            monkeypatch.setattr(rational, name, counting(name))
-        per = 0 if ds.regime is Regime.REDUNDANT else 1
+        for name in ("validate_crs", "make_base"):
+            monkeypatch.setattr(rational, name,
+                                counting(name, getattr(rational, name)))
+        monkeypatch.setattr(DigitSet, "canonical", classmethod(counting(
+            "canonical", DigitSet.canonical.__func__)))
+        ds = digit_set_rational(1009, b, digits)
+        redundant = 1 if ds.regime is Regime.REDUNDANT else 0
+        one_set = {"validate_crs": 1 if digits else 0, "make_base": 1,
+                   "canonical": redundant}
+        assert builds == one_set
         records = expand_all(1009, b, ds)
         assert len(records) == 21 and all(r.replay(make_base([-1009, b]))
                                           for r in records)
-        assert builds == {"validate_crs": 21 * per, "make_base": 21}
+        assert all(value_of(expand_int(ds, k), ds.alpha) == k
+                   for k in (1, 2, 3))
+        assert builds == one_set
         argv = ["rational", f"--base={Fraction(1009, b)}", "expand", "1",
                 "2", "3"]
         if digits:
             argv[2:2] = ["--digits=" + ",".join(map(str, digits))]
-        builds.update(validate_crs=0, make_base=0)
+        builds.update(validate_crs=0, make_base=0, canonical=0)
         assert main(argv) == 0
         assert capsys.readouterr().out.count('"check": true') == 3
-        given = 1 if digits else 0  # explicit digits are validated once
-        assert builds == {"validate_crs": 3 * per + given,
-                          "make_base": 3 + given}
+        assert builds == one_set

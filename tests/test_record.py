@@ -59,11 +59,15 @@ CASES = [
      "MinHeightReport(h_star=1, word=(1, -2), "
      "witness=IntPolynomial(coeffs=(-2, 1)), value_check=True, "
      "searched=((1, 3),))"),
-    (RationalDigitSet(5, 2, Regime.POSITIVE_B, (-2, 0, 1, 2, 4), (-2, 3)),
+    # the residue table over 2x - 5, each from its own make_base call
+    (RationalDigitSet(5, 2, Regime.POSITIVE_B,
+                      as_digit_set(make_base("2x-5"), [-2, 0, 1, 2, 4])),
      RationalDigitSet(a=5, b=2, regime=Regime.POSITIVE_B,
-                      digits=(-2, 0, 1, 2, 4), shifted=(-2, 3)),
+                      table=as_digit_set(make_base([-5, 2]),
+                                         [4, 2, 1, 0, -2])),
      "RationalDigitSet(a=5, b=2, regime=<Regime.POSITIVE_B: 'positive-b'>, "
-     "digits=(-2, 0, 1, 2, 4), shifted=(-2, 3))"),
+     "table=DigitSet(base=AlgebraicBase(2x - 5, Rational), "
+     "digits=((0,), (1,), (2,), (-2,), (4,))))"),
 ]
 
 
@@ -145,11 +149,35 @@ def test_library_results_are_records():
 def test_digit_sets_compare_by_value():
     ds = digit_set_rational(5, 2)
     assert 4 in ds and 3 not in ds and len(ds) == 5
-    assert ds == RationalDigitSet(5, 2, Regime.POSITIVE_B, (-2, 0, 1, 2, 4),
-                                  (-2, 3))
+    assert ds == digit_set_rational(5, 2, [4, 2, 1, 0, -2])
+    assert ds == RationalDigitSet(5, 2, Regime.POSITIVE_B,
+                                  as_digit_set(make_base("2x-5"),
+                                               [-2, 0, 1, 2, 4]))
     gauss = make_base("x^2+2x+2")
     crs = as_digit_set(gauss)
     assert crs == as_digit_set(gauss, [0, 1]) != as_digit_set(gauss, [0, 3])
     with pytest.raises(AttributeError):
         crs.digits = ()
     assert hash(crs) == hash(as_digit_set(gauss, [(1, 0), (0, 0)]))
+
+
+@pytest.mark.parametrize("poly", ["x^2+2x+2", "x^3-x-1", "2x-5", "3x+7"])
+def test_bases_compare_by_their_polynomial(poly):
+    # Two make_base calls give two objects with their own root
+    # rectangles; the bases, and the digit sets over them, are equal.
+    first, second = make_base(poly), make_base(poly)
+    second.refine()
+    assert first is not second and first == second
+    assert hash(first) == hash(second)
+    assert as_digit_set(first) == as_digit_set(second)
+    assert hash(as_digit_set(first)) == hash(as_digit_set(second))
+    assert first != make_base("x^2-2") and first != poly
+
+
+@pytest.mark.parametrize("a, b", [(5, 2), (3, -2), (3, 2), (7, 3)])
+def test_rational_digit_sets_pickle_equal(a, b):
+    ds = digit_set_rational(a, b)
+    copy_ = pickle.loads(pickle.dumps(ds))
+    assert copy_ == ds and hash(copy_) == hash(ds)
+    assert copy_.table.base is not ds.table.base
+    assert copy_.digits == ds.digits
