@@ -10,7 +10,8 @@ bytes depend on nothing but the computed object, and sweep-quadratic
 prints CSV.
 
 Exit codes: 0 success, 2 invalid input (ValueError family), 3 resource
-or precision caps (RuntimeError family).
+or precision caps (RuntimeError family) and a stdout that takes no more
+bytes (OSError).
 
 The layers are reached only as attributes of their lazily registered
 modules (``digits.periodic_points``), so a subcommand compiles only the
@@ -409,7 +410,10 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser, with options for the named subcommand only.  The others
+    keep their name and help, so the choices, the top-level --help and
+    "invalid choice" read the same."""
     parser = _Parser(
         prog="algdigits",
         description="Exact digit systems, zero automata and digit-set "
@@ -417,16 +421,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, func, options) in _COMMANDS.items():
         p = parser if name is None else sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
-        for flag, spec in options:
-            p.add_argument(flag, **spec)
+        if name in (None, command):
+            p.set_defaults(func=func)
+            for flag, spec in options:
+                p.add_argument(flag, **spec)
     return parser
 
 
 def _fail(exc: Exception, code: int) -> int:
-    print(jsonio.canonical_dumps({"error": {"type": type(exc).__name__,
-                                     "message": str(exc)}}),
-          file=sys.stderr)
+    try:
+        print(jsonio.canonical_dumps({"error": {"type": type(exc).__name__,
+                                         "message": str(exc)}}),
+              file=sys.stderr)
+    except OSError:  # stderr takes no more bytes: the code alone reports
+        _to_devnull(sys.stderr)
     return code
 
 
@@ -441,7 +449,10 @@ _CAPS = ("candidate_cap", "jobs", "max_h", "max_states", "max_steps")
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(argv)
+        # --version and -h take no value, so the first token that is no
+        # option names the subcommand that argparse runs.
+        command = next((t for t in argv if not t.startswith("-")), None)
+        args = build_parser(command).parse_args(argv)
         out = args.func(args)
         if isinstance(out, dict):
             # analyze and classify take no cap; they echo the root width.
@@ -459,18 +470,37 @@ def main(argv=None) -> int:
         return _fail(exc, 2)
     except RuntimeError as exc:
         return _fail(exc, 3)
-    except BrokenPipeError as exc:
-        # The reader closed stdout.  As in the signal module's docs, point
-        # stdout (and stderr, if it is closed too) at devnull, so that the
-        # flush at exit raises nothing.
-        _to_devnull(sys.stdout)
-        try:
-            return _fail(exc, 3)
-        except OSError:
-            _to_devnull(sys.stderr)
-            return 3
+    except OSError as exc:
+        return _stdout_lost(exc)
     return 0
 
 
+def _stdout_lost(exc: OSError) -> int:
+    """stdout took no more bytes: its reader closed it (BrokenPipeError)
+    or its device is full.  As in the signal module's docs, point stdout
+    at devnull, so that a later flush raises nothing."""
+    _to_devnull(sys.stdout)
+    return _fail(exc, 3)
+
+
+def run() -> None:
+    """The process entry of the console script and of python -m
+    algdigits.cli: main, a flush of stdout and stderr, then os._exit.  The
+    CLI holds no file, thread or atexit handler, so the interpreter's
+    teardown would only free memory; the flush keeps every output byte.
+    argparse writes --version and --help to the stdout buffer and exits,
+    so a closed reader or a full device surfaces at this flush."""
+    try:
+        code = main()
+    except SystemExit as exc:  # --version, --help
+        code = exc.code
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        code = _stdout_lost(exc)
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

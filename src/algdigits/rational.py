@@ -224,7 +224,8 @@ def transduce(transducer: AdditionTransducer, start: int, word) -> tuple:
     for d in word:
         if d not in transducer.digit_set:
             raise DigitSetError(
-                f"{write_decimal(d)} is not a digit of the set")
+                f"{write_decimal(d) if isinstance(d, int) else write_text(d)}"
+                " is not a digit of the set")
         e, carry = transducer.step(carry, d)
         out.append(e)
     flushes = 0

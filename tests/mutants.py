@@ -81,6 +81,14 @@ MUTANTS = [
      "        top, rest = divmod(x[-1], m[-1])\n",
      ["tests/test_cli.py::TestStartup::"
       "test_elements_are_tuples_at_every_degree"]),
+    ("the process entry ends without flushing stdout",
+     "cli.py",
+     "    try:\n"
+     "        sys.stdout.flush()\n"
+     "    except OSError as exc:\n"
+     "        code = _stdout_lost(exc)\n",
+     "",
+     ["tests/test_golden.py::test_subprocess_matches_the_golden_digest"]),
 ]
 
 

@@ -8,6 +8,7 @@ import inspect
 import io
 import json
 import math
+import os
 import platform
 import subprocess
 import sys
@@ -37,6 +38,17 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def _choices(parser) -> dict:
+    return next(action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
+def _subparsers() -> dict:
+    """Each subcommand's parser, built by the build_parser that names it."""
+    return {command: _choices(algdigits.cli.build_parser(command))[command]
+            for command in _choices(algdigits.cli.build_parser())}
 
 
 class TestAnalyze:
@@ -507,10 +519,8 @@ class TestOutputLimit:
         ("sweep-quadratic", "--jobs"): ["--a2-max", "1"]}
 
     def test_every_integer_option_is_listed(self):
-        sub = next(action for action in algdigits.cli.build_parser()._actions
-                   if isinstance(action, argparse._SubParsersAction))
         typed = {(command, action.option_strings[0]): action.type
-                 for command, parser in sub.choices.items()
+                 for command, parser in _subparsers().items()
                  for action in parser._actions if action.type is not None}
         assert set(typed.values()) == {_cap, _positive}
         assert set(typed) == set(self.INTEGER_OPTIONS)
@@ -689,6 +699,55 @@ class TestOutputLimit:
         assert b"Traceback" not in err
         if not close_stderr:
             assert json.loads(err)["error"]["type"] == "BrokenPipeError"
+
+    # Each argv with stdout or stderr a pipe whose reader is gone before
+    # the child starts, or the full device, and the exit code it must give
+    # with stdout buffered (no PYTHONUNBUFFERED) and unbuffered.  With
+    # stdout buffered, --version and --help exited 120 with "Exception
+    # ignored ... BrokenPipeError" on stderr; unbuffered, argparse drops
+    # the failed write itself.  A usage error to a lost stderr exited 1 or
+    # 120, and is-ns to the full device 120 with a traceback.
+    LOST_STREAMS = [
+        (["--version"], "stdout", {False: 3, True: 0}),
+        (["--help"], "stdout", {False: 3, True: 0}),
+        (["is-ns", "--poly", "x^2+2"], "stdout", {False: 3, True: 3}),
+        (["is-ns", "--poly", "x^2+"], "stderr", {False: 2, True: 2})]
+
+    @pytest.mark.parametrize("unbuffered", [False, True],
+                             ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("sink", ["closed-pipe", "full-device"])
+    @pytest.mark.parametrize("argv, lost, codes", LOST_STREAMS,
+                             ids=[" ".join(argv) + f" {lost}"
+                                  for argv, lost, _ in LOST_STREAMS])
+    def test_lost_stream_exits_0_2_or_3(self, argv, lost, codes, sink,
+                                        unbuffered):
+        if sink == "full-device":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full")
+            write = os.open("/dev/full", os.O_WRONLY)
+        else:
+            read, write = os.pipe()
+            os.close(read)
+        env = {k: v for k, v in os.environ.items()
+               if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE,
+                   lost: write}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "algdigits.cli", *argv], env=env,
+                timeout=120, **streams)
+        finally:
+            os.close(write)
+        err = proc.stderr or b""
+        assert proc.returncode == codes[unbuffered]
+        assert b"Traceback" not in err and b"Exception ignored" not in err
+        if lost == "stdout" and proc.returncode == 3:
+            assert json.loads(err)["error"]["type"] == (
+                "BrokenPipeError" if sink == "closed-pipe" else "OSError")
+        else:
+            assert err == b""
 
     def test_orbit_below_the_cap_is_truncated(self, capsys):
         result = run_json(capsys, "expand", "--poly", "x^3-x-1",
@@ -1048,15 +1107,37 @@ class TestUsage:
                 return set()
             return set(json.loads(out)["manifest"]["limits"])
 
-        sub = next(action for action in algdigits.cli.build_parser()._actions
-                   if isinstance(action, argparse._SubParsersAction))
-        assert set(sub.choices) == set(self.SAMPLES)
+        parsers = _subparsers()
+        assert set(parsers) == set(self.SAMPLES)
         unread = set()
-        for command, parser in sub.choices.items():
+        for command, parser in parsers.items():
             attrs = reads(parser.get_default("func")) | echoes(command)
             unread |= {(command, action.dest) for action in parser._actions
                        if action.dest != "help" and action.dest not in attrs}
         assert unread == self.UNREAD
+
+    def test_parser_builds_only_the_named_subcommand(self):
+        for command in (None, "is-ns"):
+            parsers = _choices(algdigits.cli.build_parser(command))
+            assert len(parsers) == 10
+            built = {name for name, parser in parsers.items()
+                     if len(parser._actions) > 1}  # more than -h
+            assert built == ({command} if command else set())
+
+    @pytest.mark.parametrize("argv, message", [
+        # is-ns parses its options, so only the top-level token is left
+        (["--frob", "is-ns", "--poly", "x+2"],
+         "algdigits: unrecognized arguments: --frob"),
+        # argparse reads a negative number as the subcommand
+        (["-5", "is-ns", "--poly", "x+2"], "algdigits: argument command: "
+         "invalid choice: '-5' (choose from 'analyze', 'classify', "
+         "'expand', 'periodic', 'is-ns', 'rational', 'zero-automaton', "
+         "'min-height', 'count', 'sweep-quadratic')")])
+    def test_options_before_the_subcommand(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {"type": "UsageError",
+                                            "message": message}
 
     def test_help_still_prints_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:

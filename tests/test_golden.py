@@ -8,7 +8,9 @@ any terminal.
     PYTHONPATH=src python tests/test_golden.py
 
 recomputes the digests of every corpus entry in place; a change that
-alters an output byte shows up as a diff of that file.
+alters an output byte shows up as a diff of that file.  A slice of the
+corpus also runs as `python -m algdigits.cli` subprocesses, whose
+process entry flushes the output and ends with os._exit.
 """
 
 import contextlib
@@ -17,6 +19,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -33,8 +37,7 @@ def _sha(text: str) -> str:
                           .encode()).hexdigest()
 
 
-def digest(argv: list) -> dict:
-    """The golden entry of one argv list, run in-process."""
+def _in_process(argv: list) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             mock.patch.dict(os.environ, COLUMNS="80"):
@@ -42,8 +45,24 @@ def digest(argv: list) -> dict:
             code = main(list(argv))
         except SystemExit as exc:  # --version, --help
             code = exc.code
-    return {"argv": argv, "exit": code, "stdout": _sha(out.getvalue()),
-            "stderr": _sha(err.getvalue())}
+    return code, out.getvalue(), err.getvalue()
+
+
+def _subprocess(argv: list) -> tuple[int, str, str]:
+    """argv run as `python -m algdigits.cli`, its stdout a buffered pipe:
+    PYTHONUNBUFFERED is left out of the child's environment."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run([sys.executable, "-m", "algdigits.cli", *argv],
+                          capture_output=True, env=dict(env, COLUMNS="80"),
+                          timeout=120)
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+
+def digest(argv: list, run=_in_process) -> dict:
+    """The golden entry of one argv list, run in-process by default."""
+    code, out, err = run(argv)
+    return {"argv": argv, "exit": code, "stdout": _sha(out),
+            "stderr": _sha(err)}
 
 
 def _entries() -> list:
@@ -54,6 +73,37 @@ def _entries() -> list:
                          ids=lambda entry: " ".join(entry["argv"]) or "<none>")
 def test_output_bytes_match_the_golden_digest(entry):
     assert digest(entry["argv"]) == entry
+
+
+def _slice() -> list:
+    """--version, --help, the first entry of each subcommand that exits 0,
+    and the first entries that exit 2 and 3."""
+    picked: dict = {}
+    for entry in _entries():
+        picked.setdefault(entry["argv"][0] if entry["exit"] == 0
+                          else entry["exit"], entry)
+    return list(picked.values())
+
+
+@pytest.mark.parametrize("entry", _slice(),
+                         ids=lambda entry: " ".join(entry["argv"]) or "<none>")
+def test_subprocess_matches_the_golden_digest(entry):
+    assert digest(entry["argv"], _subprocess) == entry
+
+
+def test_subprocess_slice_covers_every_subcommand_and_exit_code():
+    entries = _slice()
+    assert sorted(e["exit"] for e in entries) == [0] * 12 + [2, 3]
+    assert {"--version", "--help"} <= {e["argv"][0] for e in entries
+                                       if e["exit"] == 0}
+
+
+def test_long_stdout_is_flushed_whole():
+    # 10 MB of truncated orbit, far past any pipe or stdio buffer.
+    argv = ["expand", "--poly", "x^3-x-1", "--value", "5"]
+    code, out, err = _subprocess(argv)
+    assert (code, err) == (0, "") and len(out) > 10**7
+    assert out == _in_process(argv)[1]
 
 
 def test_corpus_covers_every_subcommand_and_exit_code():

@@ -82,11 +82,11 @@ def test_default_state_cap_is_one_value():
     # The state cap and the other shared cap defaults live in errors, so
     # that the CLI parser reads them without loading a layer.
     from algdigits.cli import build_parser
-    parse = build_parser().parse_args
     for name, value, dest, argvs, functions in CAP_DEFAULTS:
         assert getattr(algdigits.errors, name) == value
         for argv in argvs:
-            assert getattr(parse(argv), dest) == value, argv
+            assert getattr(build_parser(argv[0]).parse_args(argv),
+                           dest) == value, argv
         for function in functions:
             parameter = inspect.signature(
                 getattr(algdigits, function)).parameters[dest]

@@ -281,12 +281,19 @@ class TestTransducer:
     @pytest.mark.parametrize("ds", [DS52, DS3M2, DS32],
                              ids=["5/2", "-3/2", "3/2"])
     def test_non_integers_are_no_digits(self, ds):
-        # membership reads the table by residue, which only an int has
+        # membership reads the table by residue, which only an int has;
+        # a text symbol raised TypeError while its message was written
         t = AdditionTransducer(ds)
-        for d in (2.5, 2.0, Fraction(1, 2)):
+        for d in (2.5, 2.0, Fraction(1, 2), "1"):
             assert d not in ds
             with pytest.raises(DigitSetError, match="is not a digit"):
                 transduce(t, 0, (d,))
+        with pytest.raises(DigitSetError,
+                           match=r"^'1' is not a digit of the set$"):
+            transduce(t, 0, ("1",))
+        with pytest.raises(DigitSetError,
+                           match=r"^\(a text of 5002 characters\) is not"):
+            transduce(t, 0, ("9" * 5000,))
 
     def test_flush_cap_names_its_limit(self, monkeypatch):
         t = AdditionTransducer(DS52)
