@@ -11,8 +11,6 @@ counted by exact Sturm sequences.  Numeric refinement then separates
 every remaining modulus from 1, which is guaranteed to terminate.
 """
 
-from __future__ import annotations
-
 from enum import Enum
 from fractions import Fraction
 from itertools import repeat

@@ -9,8 +9,6 @@ from above, the |M(1)| = 1 obstruction, the all-conjugates-beyond-2
 criterion, exact values for rational bases, and exact value 2 for roots
 of unity."""
 
-from __future__ import annotations
-
 from enum import Enum
 from fractions import Fraction
 

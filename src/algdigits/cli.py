@@ -19,8 +19,6 @@ layers it runs, --version none of them and a usage error only jsonio.
 ``json`` and ``fractions`` are imported inside the helpers that use them.
 """
 
-from __future__ import annotations
-
 import argparse
 import os
 import sys
@@ -364,10 +362,7 @@ _MAX_STATES = ("--max-states", dict(type=_cap, default=DEFAULT_MAX_STATES))
 _HEIGHT = ("--height", dict(type=_positive, required=True))
 
 # Each subcommand once: name -> (help, handler, options in --help order).
-# The row None is the top-level parser.
 _COMMANDS = {
-    None: (None, None, [("--version", dict(
-        action="version", version=f"algdigits {__version__}"))]),
     "analyze": ("classify a base polynomial", _cmd_analyze, [_POLY]),
     "classify": ("digit-cardinality bounds and certificates", _cmd_classify,
                  [_POLY]),
@@ -418,10 +413,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         prog="algdigits",
         description="Exact digit systems, zero automata and digit-set "
                     "cardinality over algebraic bases.")
+    parser.add_argument("--version", action="version",
+                        version=f"algdigits {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, func, options) in _COMMANDS.items():
-        p = parser if name is None else sub.add_parser(name, help=help_text)
-        if name in (None, command):
+        p = sub.add_parser(name, help=help_text)
+        if name == command:
             p.set_defaults(func=func)
             for flag, spec in options:
                 p.add_argument(flag, **spec)

@@ -9,8 +9,6 @@ certified conjugate box, and (alpha, R) is a number system exactly when
 the only periodic point is 0.
 """
 
-from __future__ import annotations
-
 import itertools
 from fractions import Fraction
 from operator import sub

@@ -27,8 +27,6 @@ Polynomials are coefficient lists, least-significant first, with no
 trailing zeros; modular ones hold residues in [0, m).
 """
 
-from __future__ import annotations
-
 import math
 import random
 from itertools import combinations

@@ -10,8 +10,6 @@ conjugates.  Fractions appear only in the scalars that are printed or
 compared: the endpoint views re and im, width, and abs_bounds.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 

@@ -6,8 +6,6 @@ float-based JSON reader cannot silently corrupt them; Fractions become
 therefore serialize to identical bytes.
 """
 
-from __future__ import annotations
-
 import json
 import sys
 from fractions import Fraction
@@ -48,5 +46,4 @@ def encode_value(value):
 
 
 def canonical_dumps(payload) -> str:
-    return json.dumps(encode_value(payload), sort_keys=True, indent=2,
-                      separators=(",", ": "))
+    return json.dumps(encode_value(payload), sort_keys=True, indent=2)

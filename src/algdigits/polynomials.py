@@ -6,12 +6,11 @@ coefficient of ``x**i``.  All arithmetic is exact (Python ints);
 nothing here ever rounds.
 """
 
-from __future__ import annotations
-
 import json
 import math
 import re
 import sys
+from operator import index
 
 from . import factoring
 from .errors import (MAX_DEGREE, InvalidPolynomialError, PolynomialSyntaxError,
@@ -136,7 +135,7 @@ def parse_polynomial(text) -> IntPolynomial:
     if isinstance(text, IntPolynomial):
         return text
     if isinstance(text, (list, tuple)):
-        return _from_terms(dict(enumerate(int(c) for c in text)))
+        return _from_terms(dict(enumerate(map(_entry, text))))
     if not isinstance(text, str):
         raise PolynomialSyntaxError(f"cannot parse polynomial from {type(text).__name__}")
     src = text.strip().replace("−", "-")
@@ -184,6 +183,15 @@ def parse_polynomial(text) -> IntPolynomial:
 
 def _coefficient(text: str) -> int:
     return read_decimal(text, "a coefficient")
+
+
+def _entry(c) -> int:
+    """A coefficient from a list or tuple: an __index__ type that is not a
+    bool, as for a coordinate; no float, Fraction or text is truncated."""
+    if type(c) is bool or not hasattr(type(c), "__index__"):
+        raise PolynomialSyntaxError(f"coefficient {write_text(c)} is not "
+                                    f"an integer")
+    return index(c)
 
 
 def _exponent(text: str) -> int:

@@ -16,8 +16,6 @@ significant digit first and flushing with at most two zeros yields a
 finite expansion of the shifted value.
 """
 
-from __future__ import annotations
-
 import math
 from enum import Enum
 from fractions import Fraction

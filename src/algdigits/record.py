@@ -8,8 +8,6 @@ position or keyword, equality and hashing on the exact type and the
 field tuple, AttributeError on assignment, and the dataclass repr.
 """
 
-from __future__ import annotations
-
 
 class Record:
     """Base of the immutable value types; subclasses set __slots__ to

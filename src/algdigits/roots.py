@@ -21,8 +21,6 @@ Everything downstream consumes only the certified rectangles; the float
 seeds never participate in a comparison.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 

@@ -16,8 +16,6 @@ bases are supported when the minimal polynomial is monic, rational ones
 (including integers) always.
 """
 
-from __future__ import annotations
-
 import math
 
 from .base import AlgebraicBase, make_base

@@ -28,6 +28,8 @@ ROOT = Path(__file__).resolve().parent.parent
 RATIONAL = "tests/test_rational.py"
 CANONICAL_UP_TO_40 = (f"{RATIONAL}::TestProperties::"
                       "test_every_canonical_set_up_to_40")
+DYADIC_NESTS = ("tests/test_roots.py::TestCertifiedRoots::"
+                "test_endpoints_dyadic_and_contraction_nests")
 
 # (name, file under src/algdigits, old text, new text, test ids)
 MUTANTS = [
@@ -89,6 +91,22 @@ MUTANTS = [
      "        code = _stdout_lost(exc)\n",
      "",
      ["tests/test_golden.py::test_subprocess_matches_the_golden_digest"]),
+    ("list coefficients are truncated by int() again",
+     "polynomials.py",
+     "dict(enumerate(map(_entry, text)))",
+     "dict(enumerate(int(c) for c in text))",
+     ["tests/test_polynomials.py::TestParse::"
+      "test_sequence_entries_are_integers"]),
+    ("root endpoints sit on a grid one bit finer",
+     "roots.py",
+     "return width.denominator.bit_length() + 23",
+     "return width.denominator.bit_length() + 24",
+     [DYADIC_NESTS]),
+    ("root contraction drops its outward rounding",
+     "roots.py",
+     "meet = meet.outward(bits).intersect(box)",
+     "meet = meet.intersect(box)",
+     [DYADIC_NESTS]),
 ]
 
 

@@ -1148,8 +1148,8 @@ class TestUsage:
 
 def _loaded_after(argv: list) -> tuple[int, list, list]:
     """Run main(argv) in a fresh interpreter; its exit code, the algdigits
-    modules it loaded (the rest stay lazy) and which of json, fractions
-    and decimal it imported."""
+    modules it loaded (the rest stay lazy) and which of json, fractions,
+    decimal and __future__ it imported."""
     code = ("import contextlib, io, sys\n"
             "from importlib.util import _LazyModule\n"
             "from algdigits.cli import main\n"
@@ -1161,7 +1161,8 @@ def _loaded_after(argv: list) -> tuple[int, list, list]:
             "        code = exc.code\n"
             "loaded = sorted(n.split('.', 1)[1] for n, m in sys.modules.items()"
             " if n.startswith('algdigits.') and type(m) is not _LazyModule)\n"
-            "stdlib = [m for m in ('json', 'fractions', 'decimal')"
+            "stdlib = [m for m in ('json', 'fractions', 'decimal',"
+            " '__future__')"
             " if m in sys.modules]\n"
             "print(code, ' '.join(loaded), '|', ' '.join(stdlib))\n")
     proc = subprocess.run([sys.executable, "-c", code],
@@ -1182,6 +1183,10 @@ class TestStartup:
         code, layers, _stdlib = _loaded_after(["zero-automaton", "--poly",
                                                "x^2-2", "--height", "two"])
         assert code == 2 and layers == ["cli", "errors", "jsonio"]
+
+    def test_is_ns_does_not_import_future(self):
+        code, _layers, stdlib = _loaded_after(["is-ns", "--poly", "x^2+2x+2"])
+        assert code == 0 and "__future__" not in stdlib
 
     @pytest.mark.parametrize("argv, unloaded", [
         (["is-ns", "--poly", "x^2+2x+2"],

@@ -2,6 +2,7 @@
 public names from them: the names resolve, list, star-import, pickle and
 copy as they would from eagerly imported modules."""
 
+import ast
 import copy
 import importlib
 import inspect
@@ -38,6 +39,16 @@ def test_every_module_but_cli_is_registered_lazily():
         " sys.modules.items() if n.startswith('algdigits.')"
         " and type(m) is _LazyModule)))\n")
     assert set(lazy.split()) == files
+
+
+def test_no_module_imports_from_future():
+    # Annotations are evaluated as written, with forward references
+    # quoted, so no call needs to import __future__.
+    importers = [path.name for path in sorted(PACKAGE.glob("*.py"))
+                 if any(isinstance(node, ast.ImportFrom)
+                        and node.module == "__future__"
+                        for node in ast.walk(ast.parse(path.read_text())))]
+    assert importers == []
 
 
 @pytest.mark.parametrize("name", algdigits.__all__)

@@ -1,6 +1,9 @@
 import random
+import re
 import time
+from fractions import Fraction
 
+import numpy
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -33,6 +36,15 @@ class TestParse:
         assert parse_polynomial("[-1, -1, 1]").coeffs == (-1, -1, 1)
         assert parse_polynomial([2, 2, 1]).coeffs == (2, 2, 1)
         assert parse_polynomial((0, 1)).coeffs == (0, 1)
+
+    @pytest.mark.parametrize("entry", [1.9, Fraction(5, 2), True, "3"])
+    def test_sequence_entries_are_integers(self, entry):
+        # int() would truncate or coerce each of these into a coefficient.
+        message = f"coefficient {re.escape(repr(entry))} is not an integer"
+        for coeffs in ([entry, 1], (1, entry)):
+            with pytest.raises(PolynomialSyntaxError, match=message):
+                make_base(coeffs)
+        assert parse_polynomial([numpy.int64(-2), 1]).coeffs == (-2, 1)
 
     def test_polynomial_is_returned_as_is(self):
         p = IntPolynomial((2, 2, 1))
