@@ -15,10 +15,10 @@ from enum import Enum
 from fractions import Fraction
 from itertools import repeat
 from math import isqrt
-from operator import add, index, mul, neg
+from operator import add, mul, neg
 
 from .errors import (InvalidPolynomialError, PrecisionError,
-                     UnsupportedBaseError, write_text)
+                     UnsupportedBaseError, read_int)
 from .intervals import Box
 from .polynomials import (IntPolynomial, count_real_roots_between,
                           is_irreducible_z, palindromic_half,
@@ -40,12 +40,10 @@ class Classification(Enum):
 
 
 def _coordinate(c, lead: int):
-    """c as a coordinate: an int, or a Fraction whose denominator divides
-    a power of lead; ValueError for anything else, bools included."""
-    if type(c) is not bool and hasattr(type(c), "__index__"):
-        return index(c)
+    """c as a coordinate: an integer (errors.read_int), or a Fraction whose
+    denominator divides a power of lead; ValueError for anything else."""
     if not isinstance(c, Fraction):
-        raise ValueError(f"coordinate {write_text(c)} is not an integer")
+        return read_int(c, "coordinate")
     if pow(lead, c.denominator.bit_length(), c.denominator):  # den | lead^k
         raise ValueError(f"coordinate {c} is not in Z[alpha]: its "
                          f"denominator has a prime factor outside {lead}")

@@ -16,7 +16,7 @@ from operator import sub
 from .base import AlgebraicBase, Classification
 from .errors import (DEFAULT_CANDIDATE_CAP, DEFAULT_ORBIT_STEPS, DigitSetError,
                      PrecisionError, ResourceCapError, UnsupportedBaseError,
-                     printable_check, write_decimal)
+                     printable_check, read_int, write_decimal)
 from .record import Record
 
 _EXPANDING_OK = {Classification.EXPANDING_INTEGER, Classification.RATIONAL}
@@ -361,7 +361,8 @@ def height_reduce(base: AlgebraicBase, digit_reps,
     independently chosen digits, so any sum of shifted digit expansions
     has its coefficients in F.  |F| is bounded by q + q^2 + ... +
     q^(s+1) with q the number of digits."""
-    pairs = [(base.element(digit), tuple(int(c) for c in rep))
+    pairs = [(base.element(digit), tuple(read_int(
+        c, "representation entry", DigitSetError) for c in rep))
              for digit, rep in digit_reps]
     if not pairs:
         raise ValueError("need at least one digit representation")

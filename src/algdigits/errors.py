@@ -1,7 +1,7 @@
 """Exception types shared by the whole package, and the one rule for
-integers in text: read_decimal reads one, write_decimal writes one into
-a message, and printable_check refuses a computed one it cannot print.
-write_text quotes an input into a message.
+integers: read_int reads one a caller passes, read_decimal one in text,
+write_decimal writes one into a message, and printable_check refuses a
+computed one it cannot print.  write_text quotes an input into a message.
 
 Precondition failures subclass ValueError so they behave naturally for
 library users; the CLI maps them to exit code 2.  Resource-cap and
@@ -9,6 +9,7 @@ precision failures are RuntimeErrors and map to exit code 3.
 """
 
 import sys
+from operator import index
 
 
 class AlgdigitsError(Exception):
@@ -59,6 +60,13 @@ DEFAULT_MAX_STATES = 1_000_000    # states of Z(H) (zero_automaton)
 DEFAULT_ORBIT_STEPS = 10_000      # steps of digits.orbit
 DEFAULT_RATIONAL_STEPS = 10**6    # steps of rational.expand_int
 MAX_DEGREE = 256                  # degree of a parsed polynomial (fixed)
+
+
+def read_int(value, what: str, error=ValueError) -> int:
+    """index(value) for an __index__ type other than bool, else error."""
+    if type(value) is bool or not hasattr(type(value), "__index__"):
+        raise error(f"{what} {write_text(value)} is not an integer")
+    return index(value)
 
 
 def read_decimal(text: str, what: str) -> int:

@@ -10,11 +10,10 @@ import json
 import math
 import re
 import sys
-from operator import index
 
 from . import factoring
 from .errors import (MAX_DEGREE, InvalidPolynomialError, PolynomialSyntaxError,
-                     ResourceCapError, read_decimal, write_text)
+                     ResourceCapError, read_decimal, read_int, write_text)
 from .record import Record
 
 _TERM_RE = re.compile(r"([+-]?)(\d*)([A-Za-z]?)(?:\^(\d+))?$")
@@ -34,7 +33,8 @@ class IntPolynomial(Record):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs) -> None:
-        cs = tuple(int(c) for c in coeffs)
+        cs = tuple(read_int(c, "coefficient", PolynomialSyntaxError)
+                   for c in coeffs)
         while cs and cs[-1] == 0:
             cs = cs[:-1]
         object.__setattr__(self, "coeffs", cs)
@@ -135,7 +135,7 @@ def parse_polynomial(text) -> IntPolynomial:
     if isinstance(text, IntPolynomial):
         return text
     if isinstance(text, (list, tuple)):
-        return _from_terms(dict(enumerate(map(_entry, text))))
+        return _from_terms(dict(enumerate(IntPolynomial(text).coeffs)))
     if not isinstance(text, str):
         raise PolynomialSyntaxError(f"cannot parse polynomial from {type(text).__name__}")
     src = text.strip().replace("−", "-")
@@ -183,15 +183,6 @@ def parse_polynomial(text) -> IntPolynomial:
 
 def _coefficient(text: str) -> int:
     return read_decimal(text, "a coefficient")
-
-
-def _entry(c) -> int:
-    """A coefficient from a list or tuple: an __index__ type that is not a
-    bool, as for a coordinate; no float, Fraction or text is truncated."""
-    if type(c) is bool or not hasattr(type(c), "__index__"):
-        raise PolynomialSyntaxError(f"coefficient {write_text(c)} is not "
-                                    f"an integer")
-    return index(c)
 
 
 def _exponent(text: str) -> int:

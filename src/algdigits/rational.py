@@ -24,7 +24,7 @@ from .base import make_base
 from .digits import (Cycle, DigitSet, ExpansionRecord, orbit,
                      _require_canonical_size, validate_crs)
 from .errors import (DEFAULT_RATIONAL_STEPS, DigitSetError, ResourceCapError,
-                     write_decimal, write_text)
+                     read_int, write_decimal, write_text)
 from .polynomials import IntPolynomial
 from .record import Record
 
@@ -57,9 +57,13 @@ class RationalDigitSet(Record):
         return tuple(sorted(d for (d,) in self.table.digits))
 
     def __contains__(self, d) -> bool:
+        try:
+            d = read_int(d, "digit")
+        except ValueError:  # not an integer, so no digit
+            return False
         if self.regime is Regime.REDUNDANT:
-            return isinstance(d, int) and -self.a < d < self.a
-        return isinstance(d, int) and self.table.digits[d % self.a] == (d,)
+            return -self.a < d < self.a
+        return self.table.digits[d % self.a] == (d,)
 
     def __iter__(self):
         return iter(self.digits)
@@ -84,11 +88,8 @@ def digit_set_rational(a: int, b: int, digits=None) -> RationalDigitSet:
                             "are not coprime")
     regime = Regime.NEGATIVE_B if b < 0 else Regime.POSITIVE_B
     if digits is not None:
-        digits = tuple(digits)
-        for d in digits:
-            if isinstance(d, bool) or not isinstance(d, int):
-                raise DigitSetError(
-                    f"rational digit {write_text(d)} is not an integer")
+        digits = tuple(read_int(d, "rational digit", DigitSetError)
+                       for d in digits)
         if not (b == a - 1 and len(digits) == 2 * a - 1
                 and sorted(digits) == list(range(1 - a, a))):
             return RationalDigitSet(a, b, regime,

@@ -30,6 +30,13 @@ CANONICAL_UP_TO_40 = (f"{RATIONAL}::TestProperties::"
                       "test_every_canonical_set_up_to_40")
 DYADIC_NESTS = ("tests/test_roots.py::TestCertifiedRoots::"
                 "test_endpoints_dyadic_and_contraction_nests")
+ERRORS = "tests/test_errors.py"
+REFUSES = f"{ERRORS}::test_every_site_refuses_a_non_integer"
+Z_REFERENCE = ("tests/test_zero_automaton.py::TestReference::"
+               "test_untrimmed_equals_reference")
+SPANS = ("tests/test_digits.py::TestSpansRingProperty::"
+         "test_equals_orbit_of_zero")
+INTERVALS = "tests/test_intervals.py::TestAgainstReference"
 
 # (name, file under src/algdigits, old text, new text, test ids)
 MUTANTS = [
@@ -93,10 +100,32 @@ MUTANTS = [
      ["tests/test_golden.py::test_subprocess_matches_the_golden_digest"]),
     ("list coefficients are truncated by int() again",
      "polynomials.py",
-     "dict(enumerate(map(_entry, text)))",
-     "dict(enumerate(int(c) for c in text))",
+     "        cs = tuple(read_int(c, \"coefficient\", PolynomialSyntaxError)\n"
+     "                   for c in coeffs)\n",
+     "        cs = tuple(int(c) for c in coeffs)\n",
      ["tests/test_polynomials.py::TestParse::"
-      "test_sequence_entries_are_integers"]),
+      "test_sequence_entries_are_integers", REFUSES]),
+    ("read_int accepts bools",
+     "errors.py",
+     "if type(value) is bool or not hasattr(type(value), \"__index__\"):",
+     "if not hasattr(type(value), \"__index__\"):",
+     [REFUSES]),
+    ("height_reduce truncates its entries by int() again",
+     "digits.py",
+     "tuple(read_int(\n"
+     "        c, \"representation entry\", DigitSetError) for c in rep))",
+     "tuple(int(c) for c in rep))",
+     [REFUSES]),
+    ("rational membership asks isinstance(d, int) again",
+     "rational.py",
+     "        try:\n"
+     "            d = read_int(d, \"digit\")\n"
+     "        except ValueError:  # not an integer, so no digit\n"
+     "            return False\n",
+     "        if not isinstance(d, int):\n"
+     "            return False\n",
+     [f"{RATIONAL}::TestTransducer::test_non_integers_are_no_digits",
+      f"{ERRORS}::test_numpy_integers_are_rational_digits"]),
     ("root endpoints sit on a grid one bit finer",
      "roots.py",
      "return width.denominator.bit_length() + 23",
@@ -107,6 +136,79 @@ MUTANTS = [
      "meet = meet.outward(bits).intersect(box)",
      "meet = meet.intersect(box)",
      [DYADIC_NESTS]),
+    ("the Z(H) window adds the imaginary radius it must subtract",
+     "base.py",
+     "- sum(map(mul, mags, r_im)), 0)",
+     "+ sum(map(mul, mags, r_im)), 0)",
+     ["tests/test_zero_automaton.py::TestReference::"
+      "test_coarse_rectangles_equal_reference"]),
+    ("the Z(H) window shifts by d unscaled",
+     "base.py",
+     "unit = 1 << (bits + 1)",
+     "unit = 1",
+     [Z_REFERENCE]),
+    ("the Z(H) window's threshold is scaled by 2^(2n)",
+     "base.py",
+     "radius.numerator ** 2 << (2 * bits + 2)",
+     "radius.numerator ** 2 << (2 * bits)",
+     [Z_REFERENCE]),
+    ("spans_ring holds when 0 is periodic",
+     "digits.py",
+     "len(pset.cycles) == 1 and zero in pset.cycles[0])",
+     "zero in pset.elements)",
+     [SPANS]),
+    ("spans_ring holds when there is one cycle",
+     "digits.py",
+     "len(pset.cycles) == 1 and zero in pset.cycles[0])",
+     "len(pset.cycles) == 1)",
+     [SPANS]),
+    ("spans_ring holds when 0 lies on the first cycle",
+     "digits.py",
+     "len(pset.cycles) == 1 and zero in pset.cycles[0])",
+     "zero in pset.cycles[0])",
+     [SPANS]),
+    ("has_nontrivial_word reads n_edges > 1",
+     "cli.py",
+     "\"has_nontrivial_word\": found is not None,",
+     "\"has_nontrivial_word\": auto.n_edges > 1,",
+     ["tests/test_cli.py::TestZeroAutomaton::"
+      "test_nontrivial_word_is_a_nonzero_trimmed_edge"]),
+    ("outward rounds the upper end down",
+     "intervals.py",
+     "return Box(self.rl >> s, -(-self.rh >> s), self.il >> s,",
+     "return Box(self.rl >> s, self.rh >> s, self.il >> s,",
+     [f"{INTERVALS}::test_outward_rounds_like_the_reference"]),
+    ("the interval product drops an endpoint product",
+     "intervals.py",
+     "products = (al * bl, al * bh, ah * bl, ah * bh)",
+     "products = (al * bl, al * bh, ah * bl)",
+     [f"{INTERVALS}::test_add_sub_mul_exact"]),
+    ("two denominators meet with a wrong lcm factor",
+     "intervals.py",
+     "fa, fb = den // a.den, den // b.den",
+     "fa, fb = den // a.den, den // a.den",
+     [f"{INTERVALS}::test_add_sub_mul_exact"]),
+    ("sqrt_bound always rounds up",
+     "intervals.py",
+     "return Fraction(r + (up and r * r < n), d)",
+     "return Fraction(r + (r * r < n), d)",
+     [f"{INTERVALS}::test_abs_bounds_round_like_the_reference",
+      "tests/test_intervals.py::TestSqrt::test_bracketing"]),
+    ("the quotient pairs each real end with one bound of |w|^2",
+     "intervals.py",
+     "re = (s.rl * qh, s.rl * ql, s.rh * qh, s.rh * ql)",
+     "re = (s.rl * qh, s.rh * ql)",
+     ["tests/test_intervals.py::TestBox::test_divide_into"]),
+    ("the square of a straddling interval keeps no zero",
+     "intervals.py",
+     "        return 0, max(a, b)\n",
+     "        return min(a, b), max(a, b)\n",
+     [f"{INTERVALS}::test_abs_bounds_round_like_the_reference"]),
+    ("a scaled box's upper end is shifted",
+     "intervals.py",
+     "return Box(self.rl * n, self.rh * n, self.il * n, self.ih * n, den)",
+     "return Box(self.rl * n, self.rh * n + 1, self.il * n, self.ih * n, den)",
+     [f"{INTERVALS}::test_scale_exact"]),
 ]
 
 

@@ -281,10 +281,11 @@ class TestTransducer:
     @pytest.mark.parametrize("ds", [DS52, DS3M2, DS32],
                              ids=["5/2", "-3/2", "3/2"])
     def test_non_integers_are_no_digits(self, ds):
-        # membership reads the table by residue, which only an int has;
-        # a text symbol raised TypeError while its message was written
+        # membership reads the table by residue, which only an integer
+        # has, and a bool is none (errors.read_int); a text symbol raised
+        # TypeError while its message was written
         t = AdditionTransducer(ds)
-        for d in (2.5, 2.0, Fraction(1, 2), "1"):
+        for d in (2.5, 2.0, Fraction(1, 2), "1", True, None):
             assert d not in ds
             with pytest.raises(DigitSetError, match="is not a digit"):
                 transduce(t, 0, (d,))

@@ -3,6 +3,7 @@ minimal-height search built on it."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -18,6 +19,7 @@ from algdigits import (
     make_base,
     min_height,
 )
+from algdigits import base as base_module
 from algdigits.zero_automaton import _monic_pass
 
 from oracles import (DictZeroAutomaton, growth_rate_dense,
@@ -247,6 +249,22 @@ class TestReference:
         except (InvalidPolynomialError, UnitCircleError, ResourceCapError):
             assume(False)
         assert auto.to_json_dict() == reference.to_json_dict()
+
+    # At the default width 2^-40 the radii of the power boxes are far
+    # below one grid step of any state; rectangles of width 2^-4 to 2^-8
+    # make them count (x^3 + 2 at 2^-6 keeps two states fewer when the
+    # imaginary radius is added to |Im| instead of subtracted).
+    @pytest.mark.parametrize("poly", ["x^2 + 2x + 2", "x^3 + 2"])
+    @pytest.mark.parametrize("bits", [4, 6, 8])
+    def test_coarse_rectangles_equal_reference(self, poly, bits,
+                                               monkeypatch):
+        monkeypatch.setattr(base_module, "DEFAULT_WIDTH",
+                            Fraction(1, 1 << bits))
+        base = make_base(poly)
+        assert base.achieved_width == Fraction(1, 1 << bits)
+        reference = DictZeroAutomaton.build(base, 1).numbered()
+        assert (build_zero_automaton(base, 1).to_json_dict()
+                == reference.to_json_dict())
 
     def test_rational_state_cap_names_the_height(self):
         with pytest.raises(ResourceCapError,
