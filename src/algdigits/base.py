@@ -3,12 +3,10 @@ with certified locations of its roots, a classification of the conjugate
 moduli, and exact arithmetic in Z[alpha] on the tuples of power-basis
 coordinates, at every degree (1-tuples of rationals in degree one).
 
-Unit-circle membership of conjugates is decided exactly.  An irreducible
-real polynomial can only have a root on the unit circle if it is
-self-reciprocal; in that case M(x) = x^m Q(x + 1/x) and the number of
-unit-circle roots is twice the number of real roots of Q in (-2, 2),
-counted by exact Sturm sequences.  Numeric refinement then separates
-every remaining modulus from 1, which is guaranteed to terminate.
+The numbers of conjugates inside, on and outside the unit circle are
+exact integers (polynomials.circle_counts).  Numeric refinement then
+separates every modulus off the circle from 1, which is guaranteed to
+terminate, to order and flag the root boxes.
 """
 
 from enum import Enum
@@ -20,8 +18,7 @@ from operator import add, mul, neg
 from .errors import (InvalidPolynomialError, PrecisionError,
                      UnsupportedBaseError, read_int)
 from .intervals import Box
-from .polynomials import (IntPolynomial, count_real_roots_between,
-                          is_irreducible_z, palindromic_half,
+from .polynomials import (IntPolynomial, circle_counts, is_irreducible_z,
                           parse_polynomial, require_min_poly_shape)
 from .record import Record
 from .roots import DEFAULT_WIDTH, certified_roots, contract_roots, grid_bits
@@ -98,30 +95,20 @@ class AlgebraicBase:
         self.degree = d
         self.residue_modulus = abs(poly.constant_term)
         self.rational_view: tuple[int, int] | None = None
+        self.n_contracting, self.n_unit, self.n_expanding = circle_counts(poly)
         if d == 1:
             const, lead = poly.coeffs
             a = abs(const)
             b = -lead if const > 0 else lead
             self.rational_view = (a, b)
-            n_unit = 1 if a == abs(b) else 0
             boxes, width = [Box.point(Fraction(a, b))], Fraction(0)
         else:
-            n_unit = 0
-            # An irreducible palindromic polynomial of degree >= 2 has
-            # even degree and no root at +-1, as palindromic_half needs.
-            if tuple(reversed(poly.coeffs)) == poly.coeffs:
-                half = palindromic_half(poly)
-                n_unit = 2 * count_real_roots_between(half, -2, 2)
             width = DEFAULT_WIDTH
             boxes = certified_roots(poly.coeffs, width)
         self.root_boxes, self.unit_flags, self.achieved_width = _classify(
-            poly.coeffs, boxes, n_unit, width)
+            poly.coeffs, boxes, self.n_unit, width)
         self._powers: list[list[Box]] | None = None
-        self.n_unit = n_unit
-        self.n_expanding = sum(1 for lo, _hi in self.conjugate_moduli()
-                               if lo > 1)
-        self.n_contracting = d - n_unit - self.n_expanding
-        if n_unit == d:
+        if self.n_unit == d:
             # Kronecker: a monic integer polynomial with every root on
             # the unit circle has only roots of unity as roots.
             self.classification = (Classification.ROOT_OF_UNITY

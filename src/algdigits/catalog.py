@@ -16,7 +16,7 @@ from .base import Classification, card_bounds, make_base
 from .digits import is_number_system, spans_ring
 from .errors import (DEFAULT_CANDIDATE_CAP, InvalidPolynomialError,
                      PrecisionError, ResourceCapError, UnsupportedBaseError)
-from .polynomials import IntPolynomial, parse_polynomial
+from .polynomials import IntPolynomial, circle_counts, parse_polynomial
 from .record import Record
 
 
@@ -52,22 +52,11 @@ def m1_obstruction(base) -> bool:
 
 
 def all_conjugates_gt(base, threshold) -> bool:
-    """Certified strict comparison of every conjugate modulus against
-    the threshold.  The intervals are refined until each one clears or
-    fails (a degree-one modulus is exact and decides at once), and a
-    modulus that may equal the threshold exactly raises PrecisionError."""
+    """Exact strict comparison of every conjugate modulus against the
+    rational threshold, read from the integer circle counts."""
     base = make_base(base)
     t = Fraction(threshold)
-    for _ in range(16):
-        moduli = base.conjugate_moduli()
-        if all(lo > t for lo, _hi in moduli):
-            return True
-        if any(hi <= t for _lo, hi in moduli):
-            return False
-        base.refine()
-    raise PrecisionError(
-        f"a conjugate modulus of {base.min_poly} cannot be separated from "
-        f"{t}; it may equal it exactly")
+    return t <= 0 or circle_counts(base.min_poly, t)[2] == base.degree
 
 
 class F2Verdict(str, Enum):
@@ -211,20 +200,9 @@ def classify_f_index(base) -> FIndexReport:
             f"{str(point).replace('x', 'alpha')} for d = {k}"))
         lower = m0 + 1
     if (base.classification is Classification.EXPANDING_INTEGER
-            and base.degree >= 2):
-        try:
-            deep = all_conjugates_gt(base, 2)
-        except PrecisionError:
-            deep = False
-            certs.append((
-                "deep-expansion",
-                "undecided",
-                "a conjugate modulus may equal 2 exactly; the criterion "
-                "is not applied",
-            ))
-        if deep:
-            exact, cert = _deep_expansion(base, m0)
-            certs.append(cert)
+            and base.degree >= 2 and all_conjugates_gt(base, 2)):
+        exact, cert = _deep_expansion(base, m0)
+        certs.append(cert)
     if base.degree == 1 and base.classification in (
             Classification.EXPANDING_INTEGER, Classification.RATIONAL):
         a, b = base.rational_view

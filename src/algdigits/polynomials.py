@@ -91,7 +91,8 @@ class IntPolynomial(Record):
     # -- structural predicates -------------------------------------------
 
     def is_squarefree(self) -> bool:
-        return self.degree > 0 and _remainders(self)[-1].degree == 0
+        return (self.degree > 0
+                and _remainders(self, self.derivative())[-1].degree == 0)
 
     # -- display ----------------------------------------------------------
 
@@ -250,18 +251,19 @@ def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     return q, r
 
 
-def _remainders(f: IntPolynomial) -> list[IntPolynomial]:
-    """f, f' and then each negated pseudo-remainder divided by its
-    content, for f of degree >= 1.  A positive scale keeps every sign, so
-    this is a Sturm sequence; its last entry is gcd(f, f') over Q, up to
-    a constant."""
-    seq = [f, f.derivative()]
+def _remainders(f: IntPolynomial, g: IntPolynomial) -> list[IntPolynomial]:
+    """f, g and then each negated pseudo-remainder divided by its
+    content, for nonzero g of degree at most that of f.  A positive scale
+    keeps every sign, so this is the signed remainder sequence: its last
+    entry is gcd(f, g) over Q, up to a constant, and its sign variations
+    count the Cauchy index of g/f (Sturm's, for g = f')."""
+    seq = [f, g]
     while seq[-1].degree > 0:
         r = _pseudo_divmod(list(seq[-2].coeffs), list(seq[-1].coeffs))[1]
         if not r:
             break
-        g = math.gcd(*r)
-        seq.append(IntPolynomial(-c // g for c in r))
+        content = math.gcd(*r)
+        seq.append(IntPolynomial(-c // content for c in r))
     return seq
 
 
@@ -305,10 +307,11 @@ def count_real_roots_between(poly: IntPolynomial, lo: int, hi: int) -> int:
     squarefree part, poly over gcd(poly, poly')."""
     if poly.degree < 1:
         return 0
-    seq = _remainders(poly)
+    seq = _remainders(poly, poly.derivative())
     if seq[-1].degree > 0:
-        seq = _remainders(IntPolynomial(
-            _pseudo_divmod(list(poly.coeffs), list(seq[-1].coeffs))[0]))
+        part = IntPolynomial(
+            _pseudo_divmod(list(poly.coeffs), list(seq[-1].coeffs))[0])
+        seq = _remainders(part, part.derivative())
 
     def variations(x):
         signs = [v > 0 for v in (s(x) for s in seq) if v]
@@ -317,29 +320,44 @@ def count_real_roots_between(poly: IntPolynomial, lo: int, hi: int) -> int:
     return abs(variations(lo) - variations(hi)) + (poly(lo) == 0)
 
 
-def palindromic_half(poly: IntPolynomial) -> IntPolynomial:
-    """For a palindromic polynomial M of even degree 2m with M(+-1) != 0,
-    return the degree-m integer polynomial Q with M(x) = x^m * Q(x + 1/x).
+def circle_counts(poly: IntPolynomial, r=1) -> tuple[int, int, int]:
+    """(inside, on, outside): the numbers of roots of the squarefree
+    poly with modulus below, equal to and above r > 0, an int or a
+    Fraction.
 
-    Roots of M on the unit circle correspond exactly to roots of Q in the
-    real interval (-2, 2), two apiece.
+    The Cayley map z = r(1 + w)/(1 - w) sends |z| < r to Re w < 0, and
+    q(w) = (1 - w)^d poly(z), scaled to integers, loses one degree when
+    poly(-r) = 0, a root on the circle.  With q(iy) = P(y) + i Q(y), the
+    argument principle counts left minus right half-plane roots of q as
+    a Cauchy index (Routh-Hurwitz), read from the signed remainder
+    sequence of P and Q.  Its last entry, gcd(P, Q), holds the roots of
+    q on the axis as its real roots; its other roots come in pairs w and
+    -conj(w), one on each side.
+
+    >>> circle_counts(parse_polynomial("x^2 + x + 4"), 2)
+    (0, 2, 0)
     """
-    cs = poly.coeffs
-    d = poly.degree
-    if d % 2 != 0 or cs != tuple(reversed(cs)):
-        raise ValueError("polynomial is not palindromic of even degree")
-    m = d // 2
-    # T_i(y) = x^i + x^(-i) as a polynomial in y = x + 1/x.
-    t_prev = [2]
-    t_cur = [0, 1]
-    q = [0] * (m + 1)
-    q[0] += cs[m]
-    for i in range(1, m + 1):
-        for j, c in enumerate(t_cur):
-            q[j] += cs[m + i] * c
-        if i < m:
-            t_next = [0] + t_cur
-            for j, c in enumerate(t_prev):
-                t_next[j] -= c
-            t_prev, t_cur = t_cur, t_next
-    return IntPolynomial(tuple(q))
+    p, s = r.numerator, r.denominator
+    q, shift = [poly.coeffs[-1]], [1]
+    for c in reversed(poly.coeffs[:-1]):  # homogeneous Horner
+        shift = [s * (a - b) for a, b in zip(shift + [0], [0] + shift)]
+        q = [p * (a + b) + c * t for a, b, t in zip(q + [0], [0] + q, shift)]
+    q = IntPolynomial(q)
+    # i^k is (-1)^(k // 2), times i for odd k.
+    P, Q = (IntPolynomial(c * (-1) ** (k // 2) if k % 2 == odd else 0
+                          for k, c in enumerate(q.coeffs)) for odd in (0, 1))
+    f, g = (P, Q) if P.degree >= Q.degree else (Q, P)
+    seq = _remainders(f, g) if g.coeffs else [f]
+
+    def variations(sign):  # at sign * infinity
+        signs = [e.leading_coefficient * sign ** e.degree > 0 for e in seq]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    index = variations(-1) - variations(1)  # Ind(g/f)
+    left_minus_right = -index if f is P else index
+    bound = seq[-1].height() + 1  # Cauchy's bound on the real roots
+    on_axis = count_real_roots_between(seq[-1], -bound, bound)
+    off_axis = q.degree - on_axis
+    return ((off_axis + left_minus_right) // 2,
+            on_axis + poly.degree - q.degree,
+            (off_axis - left_minus_right) // 2)

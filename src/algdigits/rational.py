@@ -19,6 +19,7 @@ finite expansion of the shifted value.
 import math
 from enum import Enum
 from fractions import Fraction
+from operator import index
 
 from .base import make_base
 from .digits import (Cycle, DigitSet, ExpansionRecord, orbit,
@@ -225,7 +226,7 @@ def transduce(transducer: AdditionTransducer, start: int, word) -> tuple:
             raise DigitSetError(
                 f"{write_decimal(d) if isinstance(d, int) else write_text(d)}"
                 " is not a digit of the set")
-        e, carry = transducer.step(carry, d)
+        e, carry = transducer.step(carry, index(d))
         out.append(e)
     flushes = 0
     while carry != 0:

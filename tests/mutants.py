@@ -37,9 +37,20 @@ Z_REFERENCE = ("tests/test_zero_automaton.py::TestReference::"
 SPANS = ("tests/test_digits.py::TestSpansRingProperty::"
          "test_equals_orbit_of_zero")
 INTERVALS = "tests/test_intervals.py::TestAgainstReference"
+CIRCLE = "tests/test_polynomials.py::TestCircleCounts"
 
 # (name, file under src/algdigits, old text, new text, test ids)
 MUTANTS = [
+    ("the circle count's Cauchy index has the wrong sign",
+     "polynomials.py",
+     "left_minus_right = -index if f is P else index",
+     "left_minus_right = index if f is P else -index",
+     [CIRCLE]),
+    ("the circle count finds no root on the circle",
+     "polynomials.py",
+     "            on_axis + poly.degree - q.degree,\n",
+     "            0,\n",
+     [CIRCLE]),
     ("rational digit rule moves the multiples of a - b + 1",
      "rational.py",
      "for r in range(a - b, a, a - b):",
@@ -141,7 +152,9 @@ MUTANTS = [
      "- sum(map(mul, mags, r_im)), 0)",
      "+ sum(map(mul, mags, r_im)), 0)",
      ["tests/test_zero_automaton.py::TestReference::"
-      "test_coarse_rectangles_equal_reference"]),
+      "test_coarse_rectangles_equal_reference",
+      "tests/test_base.py::TestIntervalData::"
+      "test_conjugate_window_keeps_every_d_within_the_radii"]),
     ("the Z(H) window shifts by d unscaled",
      "base.py",
      "unit = 1 << (bits + 1)",

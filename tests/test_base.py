@@ -1,9 +1,11 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
+import numpy
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import algdigits.base
@@ -282,6 +284,36 @@ class TestIntervalData:
         window = base.conjugate_window([Fraction(2)])
         assert window((Fraction(1, 2),), -1, 1) == range(0)
         assert list(window((0,), -1, 1)) == [-1, 0, 1]
+
+    # Each radius sits just above |sigma_k(x + d)|, computed from numpy's
+    # roots rather than from the base's own boxes, and root rectangles of
+    # width 2^-4 to 2^-8 make the radii of the power boxes count.
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(degree=st.integers(2, 4), bits=st.sampled_from([4, 6, 8]),
+           data=st.data())
+    def test_conjugate_window_keeps_every_d_within_the_radii(self, degree,
+                                                             bits, data):
+        coeffs = data.draw(st.lists(st.integers(-4, 4), min_size=degree,
+                                    max_size=degree)) + [1]
+        roots = numpy.roots(coeffs[::-1])
+        assume(coeffs[0] and any(abs(roots.imag) > 1e-6))
+        with mock.patch.object(algdigits.base, "DEFAULT_WIDTH",
+                               Fraction(1, 1 << bits)):
+            try:
+                base = make_base(coeffs)
+            except InvalidPolynomialError:
+                assume(False)
+        x = tuple(data.draw(st.lists(st.integers(-20, 20), min_size=degree,
+                                     max_size=degree)))
+        d = data.draw(st.integers(-60, 60))
+        radii = []
+        for box in base.conjugates():
+            mid = box.mid
+            root = roots[numpy.argmin(abs(roots - complex(float(mid.re.lo),
+                                                          float(mid.im.lo))))]
+            value = abs(sum(c * root ** i for i, c in enumerate(x)) + d)
+            radii.append(Fraction(value * (1 + 1e-9) + 1e-9))
+        assert d in base.conjugate_window(radii)(x, -100, 100)
 
     def test_refine_monotone(self):
         base = make_base("x^2 + 2x + 2")

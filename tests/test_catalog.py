@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from algdigits import (
     F2Verdict,
     InvalidPolynomialError,
-    PrecisionError,
     UnsupportedBaseError,
     all_conjugates_gt,
     card_bounds,
@@ -82,10 +81,9 @@ class TestConjugateComparison:
         # both moduli equal 2 exactly and the enclosures collapse
         assert not all_conjugates_gt(make_base("x^2 + 4"), 2)
 
-    def test_irrational_boundary_raises(self):
-        # moduli equal 2 exactly but the enclosures never collapse
-        with pytest.raises(PrecisionError):
-            all_conjugates_gt(make_base("x^2 + x + 4"), 2)
+    def test_irrational_boundary_is_decided(self):
+        # both moduli equal 2 exactly, and the enclosures never collapse
+        assert not all_conjugates_gt(make_base("x^2 + x + 4"), 2)
 
 
 CLASSIFY_CASES = [
@@ -132,21 +130,29 @@ class TestClassify:
             assert len(cert) == 3
             assert all(isinstance(part, str) for part in cert)
 
-    # Both moduli of x^2 + x + 4 equal 2, and its roots are not dyadic,
-    # so the criterion is neither met nor refuted.  On x^2 + 10000019 the
-    # canonical digit set is past its cap, so the check cannot run.
+    # Both moduli of x^2 + x + 4 equal 2, so the criterion does not
+    # apply.  On x^2 + 10000019 the canonical digit set is past its cap,
+    # so the check cannot run.
     @pytest.mark.parametrize("poly, verdict", [
         ("x^2 + 6", "Card(S) = 6"), ("x^2 + x + 7", "Card(S) = 7"),
-        ("x^2 + 3x + 5", "Card(S) = 5"), ("x^2 + x + 4", "undecided"),
+        ("x^2 + 3x + 5", "Card(S) = 5"), ("x^2 + x + 4", None),
         ("x^2 - 4x + 6", "not applied"), ("x^2 - 5", "not applied"),
         ("x^2 - 3x + 7", "not applied"), ("x^2 + 10000019", "undecided")])
     def test_deep_expansion_certificate(self, poly, verdict):
         report = classify_f_index(make_base(poly))
         certs = [c for c in report.certificates if c[0] == "deep-expansion"]
-        assert [c[1] for c in certs] == [verdict]
-        if verdict.startswith("Card"):
+        assert [c[1] for c in certs] == ([verdict] if verdict else [])
+        if verdict and verdict.startswith("Card"):
             assert "periodic points" in certs[0][2]
             assert "confirm that they span Z[alpha]" in certs[0][2]
+
+    # Each conjugate of x^2 + ax + 4 has modulus 2 exactly, which the
+    # integer circle count decides for every a.
+    @pytest.mark.parametrize("a", [-3, -2, -1, 1, 2, 3])
+    def test_modulus_two_is_decided(self, a):
+        report = classify_f_index(make_base([4, a, 1]))
+        assert not any("undecided" in c[1] for c in report.certificates)
+        assert "deep-expansion" not in [c[0] for c in report.certificates]
 
     @settings(max_examples=40, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.filter_too_much])
@@ -158,11 +164,7 @@ class TestClassify:
         except ValueError:
             assume(False)
         assume(base.classification is Classification.EXPANDING_INTEGER)
-        try:
-            deep = all_conjugates_gt(base, 2)
-        except PrecisionError:
-            deep = False
-        assume(deep)
+        assume(all_conjugates_gt(base, 2))
         report = classify_f_index(base)
         assert (report.exact is not None) == spans_ring(base)
 

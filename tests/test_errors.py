@@ -67,6 +67,13 @@ def test_every_site_accepts_numpy_integers(site):
     assert call(numpy.int64(valid)) == call(valid)
 
 
+@pytest.mark.parametrize("start, expected", [(2, (-2, 1, 2)), (0, (1, 4))])
+def test_transduce_emits_ints_from_numpy_digits(start, expected):
+    transducer = AdditionTransducer(digit_set_rational(5, 2))
+    word = transduce(transducer, start, (numpy.int64(1), numpy.int64(4)))
+    assert word == expected and all(type(d) is int for d in word)
+
+
 def test_a_numpy_coordinate_becomes_an_int():
     element = GAUSS.element((numpy.int64(1), numpy.int64(2)))
     assert element == (1, 2) and all(type(c) is int for c in element)

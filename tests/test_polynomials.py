@@ -1,20 +1,22 @@
+import json
 import random
 import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from algdigits import make_base
 from algdigits.errors import (MAX_DEGREE, InvalidPolynomialError,
                              PolynomialSyntaxError, ResourceCapError)
-from algdigits.polynomials import (IntPolynomial, count_real_roots_between,
-                                   divides_over_q, is_irreducible_z,
-                                   palindromic_half, parse_polynomial,
+from algdigits.polynomials import (IntPolynomial, circle_counts,
+                                   count_real_roots_between, divides_over_q,
+                                   is_irreducible_z, parse_polynomial,
                                    require_min_poly_shape)
 
 from oracles import multiquadratic_poly
@@ -222,18 +224,6 @@ class TestExactPredicates:
         assert count_real_roots_between(IntPolynomial((-2, 0, 1)), -2, 2) == 2
         assert count_real_roots_between(IntPolynomial((2, 0, 1)), -2, 2) == 0
 
-    def test_palindromic_half(self):
-        # x^4 + 1 = x^2 Q(x + 1/x) with Q(y) = y^2 - 2; both roots of Q
-        # in (-2, 2), so all four roots lie on the unit circle.
-        half = palindromic_half(IntPolynomial((1, 0, 0, 0, 1)))
-        assert half.coeffs == (-2, 0, 1)
-        assert count_real_roots_between(half, -2, 2) == 2
-        # 2x^2 - 3x + 2: Q(y) = 2y - 3, root 3/2 in (-2, 2)
-        half2 = palindromic_half(IntPolynomial((2, -3, 2)))
-        assert half2.coeffs == (-3, 2)
-        with pytest.raises(ValueError):
-            palindromic_half(IntPolynomial((1, 2, 3)))
-
 
 class TestModularFactorization:
     """is_irreducible_z past the rational root test, against sympy's
@@ -397,6 +387,73 @@ class TestSturm:
         assert count_real_roots_between(poly, -2, 1) == 2
         assert count_real_roots_between(poly, 2, 2) == 1
         assert count_real_roots_between(IntPolynomial((7,)), -2, 2) == 0
+
+
+def _corpus_bases():
+    """Every base that a --poly or --base argument of the golden corpus
+    names and make_base accepts."""
+    golden = Path(__file__).resolve().parent / "golden_cli.json"
+    for entry in json.loads(golden.read_text()):
+        argv = entry["argv"]
+        for option, value in zip(argv, argv[1:] + [None]):
+            if option.startswith("--base="):
+                option, value = option.split("=", 1)
+            try:
+                if option == "--poly":
+                    yield make_base(value)
+                elif option == "--base":
+                    alpha = Fraction(value)
+                    yield make_base([-alpha.numerator, alpha.denominator])
+            except (ValueError, ZeroDivisionError, ResourceCapError):
+                pass
+
+
+class TestCircleCounts:
+    """circle_counts(poly, r): roots inside, on and outside |z| = r."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(degree=st.integers(1, 9), data=st.data())
+    def test_agrees_with_numpy_off_the_circle(self, degree, data):
+        cs = data.draw(st.lists(st.integers(-9, 9), min_size=degree,
+                                max_size=degree))
+        cs.append(data.draw(st.sampled_from([1, -1, 2, -3, 5])))
+        poly = IntPolynomial(cs)
+        assume(poly.is_squarefree())
+        moduli = abs(numpy.roots(cs[::-1]))
+        for r in (1, 2, Fraction(3, 2)):
+            if any(abs(moduli - float(r)) < 1e-6):
+                continue
+            expected = (int(sum(moduli < r)), 0, int(sum(moduli > r)))
+            assert circle_counts(poly, r) == expected, (cs, r)
+
+    @pytest.mark.parametrize("poly, r, counts", [
+        *(([4, a, 1], 2, (0, 2, 0)) for a in range(-3, 4)),  # x^2 + ax + 4
+        ("x + 2", 2, (0, 1, 0)),  # q loses its degree: M(-r) = 0
+        ("x - 2", 2, (0, 1, 0)),
+        ("x^2 - 6x + 4", 2, (1, 0, 1)),  # gcd(P, Q) has no real root
+        ("x^4 + 1", 1, (0, 4, 0)),
+        ("2x^2 - 3x + 2", 1, (0, 2, 0)),
+        ("x^2 + x + 4", Fraction(3, 2), (0, 0, 2)),
+    ])
+    def test_circle_cases(self, poly, r, counts):
+        assert circle_counts(parse_polynomial(poly), r) == counts
+
+    def test_cyclotomic_roots_lie_on_the_unit_circle(self):
+        for n in range(1, 31):
+            poly = IntPolynomial(_cyclotomic(n))
+            assert circle_counts(poly) == (0, poly.degree, 0), n
+
+    def test_agrees_with_the_root_boxes_of_the_golden_corpus(self):
+        seen = set()
+        for base in _corpus_bases():
+            moduli = [box.abs_bounds() for box in base.conjugates()]
+            boxes = (sum(hi < 1 for _lo, hi in moduli), sum(base.unit_flags),
+                     sum(lo > 1 for lo, _hi in moduli))
+            assert circle_counts(base.min_poly) == boxes, base
+            assert boxes == (base.n_contracting, base.n_unit,
+                             base.n_expanding), base
+            seen.add(base.min_poly)
+        assert len(seen) > 100
 
 
 def _mul(a, b):
